@@ -6,7 +6,9 @@ the file. All reports are plain deterministic text on stdout, or written
 to the file named by ``path`` / ``--out``.
 
 Exit codes: 0 success, 1 validation checks failed, 2 configuration
-error, 3 numeric domain error, 4 sweep finished with failed cells.
+error (including a config file that cannot be read and a report that
+cannot be written), 3 numeric domain error, 4 sweep finished with failed
+cells.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .costmodel import (
@@ -22,6 +24,7 @@ from .costmodel import (
     CostParams,
     Policy,
     best_integer_quantity,
+    check_optimizable,
     cost_rate_terms,
     cycle_cost_breakdown,
     eoq_limit,
@@ -45,8 +48,6 @@ from .stochastics import (
     auction_statistics,
 )
 from .sweep import REPORT_FORMATS, SweepSpec, emit_report, run_sweep
-
-_Z_95 = 1.959963984540054
 
 _CHOICES = {
     "td_mode": TD_MODES,
@@ -82,6 +83,15 @@ _ALL_KEYS = (
     + _STR_KEYS
 )
 
+# The cost keys every command requires, and the CostParams field each fills.
+_COST_FIELDS = {
+    "dispatch_cost": "dispatch_cost",
+    "transport_cost_per_unit": "unit_transport_cost",
+    "holding_rate": "holding_rate",
+    "penalty_cost": "failure_penalty",
+    "reorder_cost": "reorder_cost",
+}
+
 
 @dataclass
 class RunConfig:
@@ -109,15 +119,20 @@ class RunConfig:
     t_values: tuple[float, ...] | None = None
     lambda_values: tuple[float, ...] | None = None
     include_simulation: bool = False
+    # Built from the keys above by load_run_config.
+    costs: CostParams | None = None
+    simulation: SimulationConfig | None = None
+    policy: Policy | None = None
 
 
 def parse_config_text(text: str) -> dict[str, str]:
     """Parse a flat ``key = value`` config document into raw strings.
 
     Blank lines are skipped and ``#`` starts a comment. Unknown keys,
-    missing '=' and empty values are configuration errors.
+    repeated keys, missing '=' and empty values are configuration errors.
     """
     values: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -131,6 +146,9 @@ def parse_config_text(text: str) -> dict[str, str]:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if not value:
             raise ConfigError(f"line {lineno}: empty value for key {key!r}")
+        if key in line_of:
+            raise ConfigError(f"line {lineno}: key {key!r} already set on line {line_of[key]}")
+        line_of[key] = lineno
         values[key] = value
     return values
 
@@ -180,6 +198,8 @@ def _convert(key: str, raw: str) -> object:
 
 
 def _validate_ranges(cfg: RunConfig) -> None:
+    # The keys that no dataclass built for every command checks: sweep
+    # configs need no auction, and replications and the axes have none.
     if cfg.n_required is not None and cfg.n_required < 1:
         raise ConfigError(f"n_required: must be >= 1, got {cfg.n_required}")
     if cfg.max_time is not None and not cfg.max_time > 0.0:
@@ -188,19 +208,8 @@ def _validate_ranges(cfg: RunConfig) -> None:
         math.isfinite(cfg.arrival_rate) and cfg.arrival_rate > 0.0
     ):
         raise ConfigError(f"arrival_rate: must be finite and > 0, got {cfg.arrival_rate}")
-    for key in ("dispatch_cost", "transport_cost_per_unit", "holding_rate",
-                "penalty_cost", "reorder_cost"):
-        value = getattr(cfg, key)
-        if value is not None and not (math.isfinite(value) and value >= 0.0):
-            raise ConfigError(f"{key}: must be finite and >= 0, got {value}")
-    if cfg.quantity is not None and not (math.isfinite(cfg.quantity) and cfg.quantity > 0.0):
-        raise ConfigError(f"quantity: must be finite and > 0, got {cfg.quantity}")
-    if cfg.num_cycles < 1:
-        raise ConfigError(f"num_cycles: must be >= 1, got {cfg.num_cycles}")
     if cfg.replications < 1:
         raise ConfigError(f"replications: must be >= 1, got {cfg.replications}")
-    if not 0 <= cfg.seed < 2**64:
-        raise ConfigError(f"seed: must satisfy 0 <= seed < 2**64, got {cfg.seed}")
     for key in ("n_values", "t_values", "lambda_values"):
         values = getattr(cfg, key)
         if values is not None and len(values) == 0:
@@ -210,18 +219,40 @@ def _validate_ranges(cfg: RunConfig) -> None:
 
 
 def load_run_config(config_path: str | None, overrides: dict[str, str]) -> RunConfig:
-    """Merge a config file with flag overrides into a validated RunConfig."""
+    """Merge a config file with flag overrides into a validated RunConfig.
+
+    Builds cfg.costs, cfg.simulation and, when quantity is given,
+    cfg.policy; a value those constructors reject is a ConfigError.
+    """
     raw: dict[str, str] = {}
     if config_path is not None:
         path = Path(config_path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {config_path}")
-        raw.update(parse_config_text(path.read_text(encoding="utf-8")))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {config_path}: {exc}") from None
+        raw.update(parse_config_text(text))
     raw.update(overrides)
     cfg = RunConfig()
     for key, value in raw.items():
         setattr(cfg, key, _convert(key, value))
     _validate_ranges(cfg)
+    _require(cfg, *_COST_FIELDS)
+    try:
+        cfg.costs = CostParams(**{field: getattr(cfg, key) for key, field in _COST_FIELDS.items()})
+        cfg.simulation = SimulationConfig(
+            cfg.num_cycles, cfg.seed, cfg.shortfall_rule, cfg.duration_sampler
+        )
+        if cfg.quantity is not None:
+            cfg.policy = Policy(cfg.quantity)
+    except ParameterError as exc:
+        # Name the config key, not the CostParams field, in the message.
+        message = str(exc)
+        for key, field in _COST_FIELDS.items():
+            message = message.replace(field, key)
+        raise ConfigError(message) from None
     return cfg
 
 
@@ -240,23 +271,11 @@ def _auction_from(cfg: RunConfig) -> AuctionParams:
     )
 
 
-def _costs_from(cfg: RunConfig) -> CostParams:
-    _require(cfg, "dispatch_cost", "transport_cost_per_unit", "holding_rate",
-             "penalty_cost", "reorder_cost")
-    return CostParams(
-        dispatch_cost=cfg.dispatch_cost,
-        unit_transport_cost=cfg.transport_cost_per_unit,
-        holding_rate=cfg.holding_rate,
-        failure_penalty=cfg.penalty_cost,
-        reorder_cost=cfg.reorder_cost,
-    )
-
-
 def _require_optimizable(costs: CostParams) -> None:
-    if costs.holding_rate <= 0.0:
-        raise ConfigError("holding_rate: must be > 0 to optimize the quantity")
-    if costs.reorder_cost <= 0.0:
-        raise ConfigError("reorder_cost: must be > 0 to optimize the quantity")
+    try:
+        check_optimizable(costs, "optimizing the quantity")
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _scenario_lines(auction: AuctionParams, costs: CostParams) -> list[str]:
@@ -280,7 +299,7 @@ def _fmt_z(z: float) -> str:
 def cmd_optimize(cfg: RunConfig) -> tuple[str, int]:
     """Closed-form report: auction statistics, Q*, cost breakdown."""
     auction = _auction_from(cfg)
-    costs = _costs_from(cfg)
+    costs = cfg.costs
     _require_optimizable(costs)
     stats = auction_statistics(auction)
     n = auction.n_required
@@ -347,19 +366,12 @@ def _result_block(title: str, result: SimulationResult) -> list[str]:
 def cmd_simulate(cfg: RunConfig) -> tuple[str, int]:
     """Monte Carlo run plus side-by-side analytic comparison."""
     auction = _auction_from(cfg)
-    costs = _costs_from(cfg)
+    costs = cfg.costs
     _require(cfg, "quantity")
     if auction.unbounded:
         raise ConfigError("max_time: must be finite for simulation")
-    policy = Policy(cfg.quantity)
-    sim_config = SimulationConfig(
-        num_cycles=cfg.num_cycles,
-        seed=cfg.seed,
-        shortfall_rule=cfg.shortfall_rule,
-        duration_sampler=cfg.duration_sampler,
-        td_mode_for_comparison="consistent",
-    )
-    results = replicate(auction, costs, policy, sim_config, cfg.replications)
+    policy = cfg.policy
+    results = replicate(auction, costs, policy, cfg.simulation, cfg.replications)
     stats = auction_statistics(auction)
     n = auction.n_required
 
@@ -380,7 +392,7 @@ def cmd_simulate(cfg: RunConfig) -> tuple[str, int]:
     primary = results[0]
     se_p = primary.p_hat_se
     se_interval = primary.mean_dispatch_interval_se
-    se_cost = primary.long_run_cost_halfwidth / _Z_95
+    se_cost = primary.long_run_cost_se
     lines.append("analytic comparison, stream 0 (z in standard errors)")
     z = (primary.p_hat - stats.p_success) / se_p if se_p > 0 else math.nan
     lines.append(f"  p_success                  {stats.p_success:>12.6f}   z={_fmt_z(z)}")
@@ -411,24 +423,15 @@ def cmd_simulate(cfg: RunConfig) -> tuple[str, int]:
 
 def cmd_sweep(cfg: RunConfig) -> tuple[str, int]:
     """Grid evaluation; exit 4 when any cell failed."""
-    costs = _costs_from(cfg)
-    _require_optimizable(costs)
+    _require_optimizable(cfg.costs)
     _require(cfg, "n_values", "t_values", "lambda_values")
-    simulation = None
-    if cfg.include_simulation:
-        simulation = SimulationConfig(
-            num_cycles=cfg.num_cycles,
-            seed=cfg.seed,
-            shortfall_rule=cfg.shortfall_rule,
-            duration_sampler=cfg.duration_sampler,
-        )
     spec = SweepSpec(
         n_values=cfg.n_values,
         t_values=cfg.t_values,
         lambda_values=cfg.lambda_values,
-        costs=costs,
+        costs=cfg.costs,
         td_mode=cfg.td_mode,
-        simulation=simulation,
+        simulation=cfg.simulation if cfg.include_simulation else None,
     )
     rows = run_sweep(spec)
     text = emit_report(rows, cfg.format)
@@ -501,7 +504,7 @@ def cmd_validate(cfg: RunConfig) -> tuple[str, int]:
     at the configured quantity or, when absent, the best integer optimum.
     """
     auction = _auction_from(cfg)
-    costs = _costs_from(cfg)
+    costs = cfg.costs
     _require_optimizable(costs)
     if auction.unbounded:
         raise ConfigError("max_time: must be finite for validation")
@@ -610,20 +613,13 @@ def cmd_validate(cfg: RunConfig) -> tuple[str, int]:
 
     stats = auction_statistics(auction)
     n = auction.n_required
-    if cfg.quantity is not None:
-        quantity = cfg.quantity
+    if cfg.policy is not None:
+        policy = cfg.policy
         quantity_origin = "config"
     else:
-        quantity = float(best_integer_quantity(stats, costs, n, cfg.td_mode))
+        policy = Policy(float(best_integer_quantity(stats, costs, n, cfg.td_mode)))
         quantity_origin = "best integer optimum"
-    policy = Policy(quantity)
-    sim_config = SimulationConfig(
-        num_cycles=cfg.num_cycles,
-        seed=cfg.seed,
-        shortfall_rule="reset_to_q",
-        duration_sampler=cfg.duration_sampler,
-    )
-    result = simulate(auction, costs, policy, sim_config)
+    result = simulate(auction, costs, policy, replace(cfg.simulation, shortfall_rule="reset_to_q"))
 
     se_p = result.p_hat_se
     z_p = (result.p_hat - stats.p_success) / se_p if se_p > 0 else math.nan
@@ -642,7 +638,7 @@ def cmd_validate(cfg: RunConfig) -> tuple[str, int]:
         f"simulated dispatch interval vs consistent mode: z={_fmt_z(z_interval)} (|z| <= 4)",
     )
     analytic_cost = long_run_average_cost(stats, costs, policy, n, "consistent", "exact")
-    se_cost = result.long_run_cost_halfwidth / _Z_95
+    se_cost = result.long_run_cost_se
     z_cost = (result.long_run_cost - analytic_cost) / se_cost if se_cost > 0 else math.nan
     check(
         math.isfinite(z_cost) and abs(z_cost) <= 4.0,
@@ -678,7 +674,7 @@ def cmd_validate(cfg: RunConfig) -> tuple[str, int]:
     lines = ["validation report"]
     lines += _scenario_lines(auction, costs)
     lines.append(
-        f"  simulation: cycles={cfg.num_cycles} seed={cfg.seed} quantity={quantity:g} "
+        f"  simulation: cycles={cfg.num_cycles} seed={cfg.seed} quantity={policy.quantity:g} "
         f"({quantity_origin}) sampler={cfg.duration_sampler} shortfall_rule=reset_to_q"
     )
     lines.append("")
@@ -734,15 +730,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_run_config(args.config, overrides)
         text, code = _COMMANDS[args.command](cfg)
+        if cfg.path is not None:
+            try:
+                Path(cfg.path).write_text(text, encoding="utf-8")
+            except OSError as exc:
+                raise ConfigError(f"cannot write report to {cfg.path}: {exc}") from None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, NumericsError, ParameterError) as exc:
         print(f"numeric domain error: {exc}", file=sys.stderr)
         return 3
-    if cfg.path is not None:
-        Path(cfg.path).write_text(text, encoding="utf-8")
-    else:
+    if cfg.path is None:
         sys.stdout.write(text)
     return code
 

@@ -105,6 +105,14 @@ def _check_n_required(n_required: int) -> None:
         raise ParameterError(f"n_required must be an integer >= 1, got {n_required!r}")
 
 
+def check_optimizable(costs: CostParams, operation: str) -> None:
+    """Raise ParameterError naming operation unless holding_rate and reorder_cost are > 0."""
+    if costs.holding_rate <= 0.0:
+        raise ParameterError(f"{operation} requires holding_rate > 0")
+    if costs.reorder_cost <= 0.0:
+        raise ParameterError(f"{operation} requires reorder_cost > 0")
+
+
 def _finite_dispatch_time(stats: AuctionStatistics, td_mode: TdMode) -> float:
     td = select_dispatch_time(stats, td_mode)
     if not math.isfinite(td) or td <= 0.0:
@@ -144,16 +152,13 @@ def cycle_cost_breakdown(
     level is averaged to (Q + N)/2 across A = Q/N intervals. Dispatching,
     transport and penalty scale with A; the reorder cost is charged once.
     """
-    _check_n_required(n_required)
+    batches = dispatches_per_cycle(policy.quantity, n_required, a_mode)
     td = _finite_dispatch_time(stats, td_mode)
-    check_a_mode(a_mode)
     q = policy.quantity
     n = float(n_required)
     if a_mode == "exact":
-        batches = float(math.ceil(q / n_required))
         holding = costs.holding_rate * td * batches * (q - (batches - 1.0) * n / 2.0)
     else:
-        batches = q / n
         holding = costs.holding_rate * batches * td * (q + n) / 2.0
     dispatching = costs.dispatch_cost * batches
     transport = costs.unit_transport_cost * batches * n
@@ -185,6 +190,18 @@ def long_run_average_cost(
     return cycle_cost_breakdown(stats, costs, policy, n_required, td_mode, a_mode).long_run_average
 
 
+def _q_free_rate_terms(
+    stats: AuctionStatistics, costs: CostParams, n: float, td: float
+) -> dict[str, float]:
+    # The four cost-rate terms that do not depend on Q, in report order.
+    return {
+        "holding_batch": costs.holding_rate * n / 2.0,
+        "dispatch": costs.dispatch_cost / td,
+        "transport": costs.unit_transport_cost * n / td,
+        "penalty": costs.failure_penalty * stats.expected_failures / td,
+    }
+
+
 def cost_rate_terms(
     stats: AuctionStatistics,
     costs: CostParams,
@@ -204,10 +221,7 @@ def cost_rate_terms(
     n = float(n_required)
     return {
         "holding_quantity": costs.holding_rate * q / 2.0,
-        "holding_batch": costs.holding_rate * n / 2.0,
-        "dispatch": costs.dispatch_cost / td,
-        "transport": costs.unit_transport_cost * n / td,
-        "penalty": costs.failure_penalty * stats.expected_failures / td,
+        **_q_free_rate_terms(stats, costs, n, td),
         "reorder": costs.reorder_cost * n / (q * td),
     }
 
@@ -246,10 +260,7 @@ def optimal_quantity(
     rate has no interior minimum (it becomes monotone in Q).
     """
     _check_n_required(n_required)
-    if costs.holding_rate <= 0.0:
-        raise ParameterError("optimal_quantity requires holding_rate > 0")
-    if costs.reorder_cost <= 0.0:
-        raise ParameterError("optimal_quantity requires reorder_cost > 0")
+    check_optimizable(costs, "optimal_quantity")
     td = _finite_dispatch_time(stats, td_mode)
     return math.sqrt(2.0 * costs.reorder_cost * n_required / (costs.holding_rate * td))
 
@@ -262,19 +273,15 @@ def optimal_cost(
 ) -> float:
     """Closed-form cost rate at Q*: sqrt(2*I*K*N/td) plus the Q-free terms."""
     _check_n_required(n_required)
-    if costs.holding_rate <= 0.0:
-        raise ParameterError("optimal_cost requires holding_rate > 0")
-    if costs.reorder_cost <= 0.0:
-        raise ParameterError("optimal_cost requires reorder_cost > 0")
+    check_optimizable(costs, "optimal_cost")
     td = _finite_dispatch_time(stats, td_mode)
     n = float(n_required)
-    return (
-        math.sqrt(2.0 * costs.holding_rate * costs.reorder_cost * n / td)
-        + costs.holding_rate * n / 2.0
-        + costs.dispatch_cost / td
-        + costs.unit_transport_cost * n / td
-        + costs.failure_penalty * stats.expected_failures / td
-    )
+    rate = math.sqrt(2.0 * costs.holding_rate * costs.reorder_cost * n / td)
+    # A left-to-right loop, not sum(): from Python 3.12 sum() compensates
+    # float roundoff, which would move the last printed digits.
+    for term in _q_free_rate_terms(stats, costs, n, td).values():
+        rate += term
+    return rate
 
 
 def best_integer_quantity(
@@ -310,8 +317,5 @@ def eoq_limit(costs: CostParams, arrival_rate: float) -> float:
     """
     if not math.isfinite(arrival_rate) or arrival_rate <= 0.0:
         raise ParameterError(f"arrival_rate must be finite and > 0, got {arrival_rate!r}")
-    if costs.holding_rate <= 0.0:
-        raise ParameterError("eoq_limit requires holding_rate > 0")
-    if costs.reorder_cost <= 0.0:
-        raise ParameterError("eoq_limit requires reorder_cost > 0")
+    check_optimizable(costs, "eoq_limit")
     return math.sqrt(2.0 * costs.reorder_cost * arrival_rate / costs.holding_rate)

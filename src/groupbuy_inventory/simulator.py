@@ -29,7 +29,7 @@ import numpy as np
 
 from .costmodel import CostParams, Policy
 from .errors import ConfigError, ParameterError
-from .stochastics import AuctionParams, TD_MODES, TdMode
+from .stochastics import AuctionParams
 
 ShortfallRule = Literal["reset_to_q", "carry_shortfall"]
 DurationSampler = Literal["interarrival_sum", "erlang"]
@@ -61,15 +61,12 @@ class SimulationConfig:
         gaps per window and sums them; "erlang" draws the window length
         in one gamma variate. Statistically identical, different draw
         streams.
-    td_mode_for_comparison: which analytic dispatch-time mode downstream
-        reports should compare against by default.
     """
 
     num_cycles: int
     seed: int = 0
     shortfall_rule: ShortfallRule = "reset_to_q"
     duration_sampler: DurationSampler = "interarrival_sum"
-    td_mode_for_comparison: TdMode = "consistent"
 
     def __post_init__(self) -> None:
         if isinstance(self.num_cycles, bool) or not isinstance(self.num_cycles, int):
@@ -87,10 +84,6 @@ class SimulationConfig:
         if self.duration_sampler not in DURATION_SAMPLERS:
             raise ParameterError(
                 f"duration_sampler must be one of {DURATION_SAMPLERS}, got {self.duration_sampler!r}"
-            )
-        if self.td_mode_for_comparison not in TD_MODES:
-            raise ParameterError(
-                f"td_mode_for_comparison must be one of {TD_MODES}, got {self.td_mode_for_comparison!r}"
             )
 
 
@@ -110,8 +103,9 @@ class SimulationResult:
 
     Standard-error fields are 0.0 when fewer than two observations exist.
     long_run_cost equals total_cost / total_time exactly (same division),
-    and long_run_cost_halfwidth is the 95% delta-method half-width for
-    that ratio estimator.
+    long_run_cost_se is the delta-method standard error of that ratio
+    estimator and long_run_cost_halfwidth is the 95% half-width, that
+    standard error times the two-sided 95% normal quantile.
     """
 
     p_hat: float
@@ -125,6 +119,7 @@ class SimulationResult:
     total_cost: float
     total_time: float
     long_run_cost: float
+    long_run_cost_se: float
     long_run_cost_halfwidth: float
     counts: SimulationCounts
 
@@ -158,7 +153,7 @@ def _mean_se(values: "np.ndarray") -> tuple[float, float]:
     return mean, float(values.std(ddof=1) / math.sqrt(n))
 
 
-def _ratio_halfwidth(costs_arr: "np.ndarray", lengths_arr: "np.ndarray", ratio: float) -> float:
+def _ratio_se(costs_arr: "np.ndarray", lengths_arr: "np.ndarray", ratio: float) -> float:
     n = costs_arr.size
     if n < 2:
         return 0.0
@@ -167,7 +162,7 @@ def _ratio_halfwidth(costs_arr: "np.ndarray", lengths_arr: "np.ndarray", ratio: 
     var_len = float(lengths_arr.var(ddof=1))
     cov = float(((costs_arr - costs_arr.mean()) * (lengths_arr - mean_len)).sum() / (n - 1))
     var_ratio = (var_cost - 2.0 * ratio * cov + ratio * ratio * var_len) / (n * mean_len * mean_len)
-    return _Z_95 * math.sqrt(max(var_ratio, 0.0))
+    return math.sqrt(max(var_ratio, 0.0))
 
 
 class _EventWriter:
@@ -289,6 +284,7 @@ def simulate(
     mean_interval, interval_se = _mean_se(intervals_arr)
     mean_length, length_se = _mean_se(lengths_arr)
     mean_cost, cost_se = _mean_se(costs_arr)
+    long_run_se = _ratio_se(costs_arr, lengths_arr, long_run)
     return SimulationResult(
         p_hat=p_hat,
         p_hat_se=p_se,
@@ -301,7 +297,8 @@ def simulate(
         total_cost=total_cost,
         total_time=total_time,
         long_run_cost=long_run,
-        long_run_cost_halfwidth=_ratio_halfwidth(costs_arr, lengths_arr, long_run),
+        long_run_cost_se=long_run_se,
+        long_run_cost_halfwidth=_Z_95 * long_run_se,
         counts=SimulationCounts(
             auctions=auctions, failures=failures, dispatches=dispatches, cycles=len(cycle_costs)
         ),

@@ -234,6 +234,30 @@ def erlang_pdf(t: float, params: AuctionParams) -> float:
     return math.exp(log_density)
 
 
+def _require_finite_window(params: AuctionParams, quantity: str) -> None:
+    if params.unbounded:
+        raise DomainError(
+            f"{quantity} requires a finite max_time; "
+            "the unbounded limit is n_required / arrival_rate"
+        )
+
+
+def _nondegenerate_success_probability(params: AuctionParams) -> float:
+    p = success_probability(params)
+    if p < MIN_SUCCESS_PROBABILITY:
+        raise DegenerateAuctionError(
+            f"success probability underflowed ({p!r}) for {params}; design is degenerate"
+        )
+    return p
+
+
+def _conditional_duration(params: AuctionParams, p: float) -> float:
+    # E[S | S < T] given the (already checked) success probability p.
+    x = params.arrival_rate * params.max_time
+    n = params.n_required
+    return (n / params.arrival_rate) * regularized_lower_gamma(n + 1.0, x) / p
+
+
 def truncated_mean_duration(params: AuctionParams) -> float:
     """Unconditional expected length E[min(S, T)] of one bidding window.
 
@@ -243,11 +267,7 @@ def truncated_mean_duration(params: AuctionParams) -> float:
     math.fsum. Requires a finite window; the unbounded limit is
     n_required / arrival_rate.
     """
-    if params.unbounded:
-        raise DomainError(
-            "truncated mean duration requires a finite max_time; "
-            "the unbounded limit is n_required / arrival_rate"
-        )
+    _require_finite_window(params, "truncated mean duration")
     x = params.arrival_rate * params.max_time
     total = math.fsum(regularized_lower_gamma(n + 1.0, x) for n in range(params.n_required))
     return total / params.arrival_rate
@@ -261,19 +281,8 @@ def conditional_success_duration(params: AuctionParams) -> float:
     conditional mean excludes the windows that ran the full length T.
     Raises DegenerateAuctionError when the success probability underflows.
     """
-    if params.unbounded:
-        raise DomainError(
-            "conditional duration requires a finite max_time; "
-            "the unbounded limit is n_required / arrival_rate"
-        )
-    p = success_probability(params)
-    if p < MIN_SUCCESS_PROBABILITY:
-        raise DegenerateAuctionError(
-            f"success probability underflowed ({p!r}) for {params}; design is degenerate"
-        )
-    x = params.arrival_rate * params.max_time
-    n = params.n_required
-    return (n / params.arrival_rate) * regularized_lower_gamma(n + 1.0, x) / p
+    _require_finite_window(params, "conditional duration")
+    return _conditional_duration(params, _nondegenerate_success_probability(params))
 
 
 def expected_failures(params: AuctionParams) -> float:
@@ -284,11 +293,7 @@ def expected_failures(params: AuctionParams) -> float:
     """
     if params.unbounded:
         return 0.0
-    p = success_probability(params)
-    if p < MIN_SUCCESS_PROBABILITY:
-        raise DegenerateAuctionError(
-            f"success probability underflowed ({p!r}) for {params}; design is degenerate"
-        )
+    p = _nondegenerate_success_probability(params)
     return (1.0 - p) / p
 
 
@@ -326,13 +331,9 @@ def auction_statistics(params: AuctionParams) -> AuctionStatistics:
             dispatch_time_paper=limit,
             dispatch_time_consistent=limit,
         )
-    p = success_probability(params)
-    if p < MIN_SUCCESS_PROBABILITY:
-        raise DegenerateAuctionError(
-            f"success probability underflowed ({p!r}) for {params}; design is degenerate"
-        )
+    p = _nondegenerate_success_probability(params)
     trunc = truncated_mean_duration(params)
-    cond = conditional_success_duration(params)
+    cond = _conditional_duration(params, p)
     failures = (1.0 - p) / p
     return AuctionStatistics(
         p_success=p,

@@ -88,14 +88,14 @@ class SweepRow:
     n: int
     t: float
     arrival_rate: float
-    p_success: float | None
-    dispatch_time: float | None
-    q_star_real: float | None
-    q_star_integer: int | None
-    optimal_cost: float | None
-    sim_cost: float | None
-    sim_halfwidth: float | None
-    delta: float | None
+    p_success: float | None = None
+    dispatch_time: float | None = None
+    q_star_real: float | None = None
+    q_star_integer: int | None = None
+    optimal_cost: float | None = None
+    sim_cost: float | None = None
+    sim_halfwidth: float | None = None
+    delta: float | None = None
     error: str | None = None
 
 
@@ -130,20 +130,7 @@ def _evaluate_cell(n: int, t: float, rate: float, spec: SweepSpec) -> SweepRow:
             delta=delta,
         )
     except GroupBuyError as exc:
-        return SweepRow(
-            n=n,
-            t=t,
-            arrival_rate=rate,
-            p_success=None,
-            dispatch_time=None,
-            q_star_real=None,
-            q_star_integer=None,
-            optimal_cost=None,
-            sim_cost=None,
-            sim_halfwidth=None,
-            delta=None,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return SweepRow(n=n, t=t, arrival_rate=rate, error=f"{type(exc).__name__}: {exc}")
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:

@@ -169,7 +169,7 @@ def test_criterion_07_simulation_cross_validation():
     result = simulate(BASE, COSTS, Policy(434.0), config)
     stats = auction_statistics(BASE)
     analytic = long_run_average_cost(stats, COSTS, Policy(434.0), 100, "consistent", "exact")
-    se = result.long_run_cost_halfwidth / 1.959963984540054
+    se = result.long_run_cost_se
     z = (result.long_run_cost - analytic) / se
     record(
         7, abs(z) <= 3.0,

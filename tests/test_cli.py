@@ -88,6 +88,14 @@ class TestOptimize:
         assert capsys.readouterr().out == ""
         assert "433.8597" in target.read_text(encoding="utf-8")
 
+    def test_unwritable_out_is_config_error(self, config_file, tmp_path, capsys):
+        target = tmp_path / "missing-dir" / "report.txt"
+        assert main(["optimize", config_file, "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error: cannot write report" in captured.err
+        assert str(target) in captured.err
+
 
 class TestSimulate:
     def test_runs_and_reports(self, config_file, capsys):
@@ -251,6 +259,47 @@ class TestConfigParsing:
         ])
         assert code == 0
         assert "433.8597" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag,value,key",
+        [
+            ("--num-cycles", "0", "num_cycles"),
+            ("--seed", "-1", "seed"),
+            ("--seed", str(2**64), "seed"),
+            ("--quantity", "-1", "quantity"),
+            ("--n-required", "0", "n_required"),
+            ("--arrival-rate", "inf", "arrival_rate"),
+            ("--replications", "0", "replications"),
+            ("--reorder-cost", "0", "reorder_cost"),
+            ("--penalty-cost", "-1", "penalty_cost"),
+            ("--transport-cost-per-unit", "inf", "transport_cost_per_unit"),
+        ],
+    )
+    def test_out_of_range_value_is_config_error(self, config_file, capsys, flag, value, key):
+        assert main(["optimize", config_file, flag, value]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_repeated_key_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "repeated.cfg"
+        cfg.write_text(BASE_CONFIG + "reorder_cost = 1\n", encoding="utf-8")
+        assert main(["optimize", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "'reorder_cost'" in err
+        assert "line 11" in err and "line 10" in err
+
+    def test_unreadable_config_file(self, config_file, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr("pathlib.Path.read_text", refuse)
+        assert main(["optimize", config_file]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
+    def test_undecodable_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "binary.cfg"
+        cfg.write_bytes(b"n_required = 100\n\xff\xfe\n")
+        assert main(["optimize", str(cfg)]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
 
     def test_malformed_line(self, tmp_path, capsys):
         cfg = tmp_path / "broken.cfg"

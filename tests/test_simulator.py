@@ -19,9 +19,6 @@ from groupbuy_inventory import (
     simulate,
 )
 
-Z95 = 1.959963984540054
-
-
 @pytest.fixture
 def base_policy() -> Policy:
     return Policy(434.0)
@@ -97,11 +94,19 @@ class TestResultContracts:
         result = simulate(base_auction, base_costs, base_policy, _config())
         assert result.long_run_cost == result.total_cost / result.total_time
 
+    def test_halfwidth_is_95_percent_normal_quantile_times_se(
+        self, base_auction, base_costs, base_policy
+    ):
+        result = simulate(base_auction, base_costs, base_policy, _config())
+        assert result.long_run_cost_se > 0.0
+        assert result.long_run_cost_halfwidth == 1.959963984540054 * result.long_run_cost_se
+
     def test_single_cycle_standard_errors_are_zero(self, base_auction, base_costs):
         result = simulate(base_auction, base_costs, Policy(50.0), _config(num_cycles=1))
         assert result.counts.cycles == 1
         assert result.mean_cycle_cost_se == 0.0
         assert result.mean_cycle_length_se == 0.0
+        assert result.long_run_cost_se == 0.0
         assert result.long_run_cost_halfwidth == 0.0
         # One dispatch drains 50 < 100 units, so exactly one interval exists.
         assert result.counts.dispatches == 1
@@ -137,7 +142,7 @@ class TestAgreementWithAnalytics:
         analytic = long_run_average_cost(
             stats, base_costs, Policy(quantity), 100, "consistent", "exact"
         )
-        se = result.long_run_cost_halfwidth / Z95
+        se = result.long_run_cost_se
         z = (result.long_run_cost - analytic) / se
         assert abs(z) <= 4.0
 
@@ -150,9 +155,7 @@ class TestAgreementWithAnalytics:
             base_auction, base_costs, base_policy,
             _config(num_cycles=10000, duration_sampler="erlang"),
         )
-        se = math.hypot(
-            gaps.long_run_cost_halfwidth / Z95, erlang.long_run_cost_halfwidth / Z95
-        )
+        se = math.hypot(gaps.long_run_cost_se, erlang.long_run_cost_se)
         z = (gaps.long_run_cost - erlang.long_run_cost) / se
         assert abs(z) <= 4.0
 
@@ -253,7 +256,6 @@ class TestValidation:
             dict(seed=2**64),
             dict(shortfall_rule="bounce"),
             dict(duration_sampler="uniform"),
-            dict(td_mode_for_comparison="typo"),
         ],
     )
     def test_config_validation(self, kwargs):

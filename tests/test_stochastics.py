@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -40,6 +41,20 @@ class TestKernel:
         # where the routine only promises graceful degradation.
         tol = 1e-12 if (s <= 1001.0 and x <= 1e4) else 1e-8
         assert regularized_lower_gamma(s, x) == pytest.approx(expected, abs=tol)
+
+    @pytest.mark.parametrize("s", [1e5, 2.5e5, 5e5, 1e6])
+    def test_large_shape_accuracy_near_the_mode(self, s):
+        # The documented "roughly 1e-9" toward s = x = 1e6, within three
+        # standard deviations sqrt(s) of the Poisson mean.
+        for k in (-3.0, -1.0, 0.0, 1.0, 3.0):
+            x = s + k * math.sqrt(s)
+            with mpmath.workdps(30):
+                if x < s:
+                    expected = float(mpmath.gammainc(s, 0, x, regularized=True))
+                else:
+                    # mpmath's lower-gamma series stalls above the mode.
+                    expected = float(1 - mpmath.gammainc(s, x, mpmath.inf, regularized=True))
+            assert regularized_lower_gamma(s, x) == pytest.approx(expected, abs=1e-9)
 
     def test_shape_one_is_exponential_cdf(self):
         for x in (1e-9, 0.1, 0.5, 1.0, 3.0, 10.0, 50.0):
