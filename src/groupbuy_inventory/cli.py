@@ -695,6 +695,23 @@ _COMMANDS = {
 _FLAG_KEYS = [key for key in _ALL_KEYS if key != "path"]
 
 
+class _StoreOnce(argparse.Action):
+    """Store a flag's value; a second flag for the same key is a ConfigError.
+
+    Covers a repeated flag and a flag given with its alias (--cycles and
+    --num-cycles), which argparse would otherwise resolve last-wins.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        first_flag = vars(namespace).setdefault("_first_flag", {})
+        if self.dest in first_flag:
+            raise ConfigError(
+                f"{self.dest} given twice ({first_flag[self.dest]}, then {option_string})"
+            )
+        first_flag[self.dest] = option_string
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupbuy-inventory",
@@ -712,22 +729,23 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("config", nargs="?", default=None,
                          help="path to a flat key = value config file")
         for key in _FLAG_KEYS:
-            sub.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None, metavar="V")
+            sub.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None, metavar="V",
+                             action=_StoreOnce)
         sub.add_argument("--cycles", dest="num_cycles", default=None, metavar="V",
-                         help="alias for --num-cycles")
+                         action=_StoreOnce, help="alias for --num-cycles")
         sub.add_argument("--out", dest="path", default=None, metavar="FILE",
-                         help="write the report to FILE instead of stdout")
+                         action=_StoreOnce, help="write the report to FILE instead of stdout")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    overrides = {
-        key: value
-        for key, value in vars(args).items()
-        if key in _ALL_KEYS and value is not None
-    }
     try:
+        args = build_parser().parse_args(argv)
+        overrides = {
+            key: value
+            for key, value in vars(args).items()
+            if key in _ALL_KEYS and value is not None
+        }
         cfg = load_run_config(args.config, overrides)
         text, code = _COMMANDS[args.command](cfg)
         if cfg.path is not None:

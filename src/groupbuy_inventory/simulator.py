@@ -23,13 +23,16 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Literal
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, Literal
 
 from .costmodel import CostParams, Policy
 from .errors import ConfigError, ParameterError
 from .stochastics import AuctionParams
+
+if TYPE_CHECKING:
+    # numpy is imported only where a simulation runs, so the closed-form
+    # paths (optimize, sweeps without simulation) never load it.
+    import numpy as np
 
 ShortfallRule = Literal["reset_to_q", "carry_shortfall"]
 DurationSampler = Literal["interarrival_sum", "erlang"]
@@ -132,6 +135,8 @@ def rng_stream(seed: int, index: int) -> np.random.Generator:
     """
     if index < 0:
         raise ParameterError(f"stream index must be >= 0, got {index}")
+    import numpy as np
+
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
@@ -213,6 +218,8 @@ def simulate(
         raise ConfigError(
             "carry_shortfall requires quantity >= n_required so the restart level stays positive"
         )
+    import numpy as np
+
     rng = rng_stream(config.seed, stream)
     n_required = auction.n_required
     max_time = auction.max_time

@@ -279,6 +279,20 @@ class TestConfigParsing:
         assert main(["optimize", config_file, flag, value]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags,key",
+        [
+            (["--num-cycles", "0", "--cycles", "300"], "num_cycles"),
+            (["--cycles", "300", "--num-cycles", "0"], "num_cycles"),
+            (["--seed", "1", "--seed", "2"], "seed"),
+        ],
+    )
+    def test_flag_given_twice_is_config_error(self, config_file, capsys, flags, key):
+        assert main(["simulate", config_file, "--quantity", "434", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {key} given twice")
+
     def test_repeated_key_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "repeated.cfg"
         cfg.write_text(BASE_CONFIG + "reorder_cost = 1\n", encoding="utf-8")
@@ -320,3 +334,24 @@ class TestSubprocessEntry:
         assert first.returncode == 0
         assert first.stdout == second.stdout
         assert first.stdout
+
+    @pytest.mark.parametrize(
+        "script",
+        [
+            "import groupbuy_inventory",
+            # What `python -m groupbuy_inventory.cli optimize <config>` runs.
+            "import runpy, sys\n"
+            "sys.argv = ['groupbuy-inventory', 'optimize', sys.argv[1]]\n"
+            "try:\n"
+            "    runpy.run_module('groupbuy_inventory.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code",
+        ],
+        ids=["import", "cli-optimize"],
+    )
+    def test_closed_form_paths_do_not_import_numpy(self, config_file, script):
+        check = "\nimport sys\nassert 'numpy' not in sys.modules, 'numpy was imported'"
+        result = subprocess.run(
+            [sys.executable, "-c", script + check, config_file], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr

@@ -2,7 +2,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -11,12 +11,15 @@ from groupbuy_inventory import (
     DegenerateAuctionError,
     DomainError,
     ParameterError,
+    SweepSpec,
     auction_statistics,
     conditional_success_duration,
     dispatch_time,
     erlang_pdf,
     expected_failures,
     regularized_lower_gamma,
+    run_sweep,
+    stochastics,
     success_probability,
     success_probability_poisson_tail,
     truncated_mean_duration,
@@ -32,6 +35,44 @@ from reference_values import (
     MC_TD_CONSISTENT_MEAN,
     MC_TD_CONSISTENT_SE,
 )
+
+
+def survival_sum_truncated_mean(params):
+    """E[min(S, T)] as the integral of the survival function, an O(n) oracle.
+
+    P(S > t) = sum_{k < n} e^(-rate t) (rate t)^k / k!, and integrating each
+    term over [0, T] gives (1 / rate) * sum_{k < n} P(k + 1, rate * T).
+    """
+    x = params.arrival_rate * params.max_time
+    total = math.fsum(regularized_lower_gamma(k + 1.0, x) for k in range(params.n_required))
+    return total / params.arrival_rate
+
+
+def mpmath_truncated_mean(params):
+    """E[min(S, T)] from the truncated Erlang identity in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        rate = mpmath.mpf(params.arrival_rate)
+        window = mpmath.mpf(params.max_time)
+        x = rate * window
+
+        def lower(s):
+            # mpmath's lower-gamma series stalls above the mode.
+            return 1 - mpmath.gammainc(s, x, mpmath.inf, regularized=True)
+
+        n = params.n_required
+        return float(n / rate * lower(n + 1) + window * (1 - lower(n)))
+
+
+def window_for_probability(n, p):
+    """rate * T at which the success probability P(n, rate * T) equals p."""
+    lo, hi = 0.0, n + 40.0 * math.sqrt(n) + 40.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if regularized_lower_gamma(float(n), mid) < p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 class TestKernel:
@@ -203,19 +244,33 @@ class TestDurations:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        n=st.integers(min_value=1, max_value=300),
-        max_time=st.floats(min_value=0.05, max_value=50.0, allow_nan=False),
+        log_n=st.floats(min_value=0.0, max_value=4.0),
+        log_odds=st.floats(min_value=-6.0, max_value=6.0),
         rate=st.floats(min_value=0.05, max_value=50.0, allow_nan=False),
     )
-    def test_truncated_mean_closed_form_identity(self, n, max_time, rate):
-        # E[min(S, T)] = (n/rate) * P(n+1, rate*T) + T * (1 - P(n, rate*T)).
-        params = AuctionParams(n_required=n, max_time=max_time, arrival_rate=rate)
-        x = rate * max_time
-        identity = (n / rate) * regularized_lower_gamma(n + 1.0, x) + max_time * (
-            1.0 - regularized_lower_gamma(float(n), x)
+    @example(log_n=4.0, log_odds=-6.0, rate=14.0)
+    @example(log_n=4.0, log_odds=0.0, rate=14.0)
+    @example(log_n=4.0, log_odds=6.0, rate=14.0)
+    def test_truncated_mean_closed_form_identity(self, log_n, log_odds, rate):
+        # The O(1) identity (n/rate) * P(n+1, rate*T) + T * (1 - P(n, rate*T))
+        # against the O(n) survival-function sum, for n up to 1e4 and success
+        # probabilities from about 1e-6 to 1 - 1e-6.
+        n = round(10.0**log_n)
+        p = 1.0 / (1.0 + 10.0**-log_odds)
+        params = AuctionParams(
+            n_required=n, max_time=window_for_probability(n, p) / rate, arrival_rate=rate
         )
         value = truncated_mean_duration(params)
-        assert value == pytest.approx(identity, rel=1e-10, abs=1e-12)
+        assert value == pytest.approx(survival_sum_truncated_mean(params), rel=1e-11)
+
+    @pytest.mark.parametrize("n", [10, 100, 1000, 5000])
+    def test_truncated_mean_matches_mpmath(self, n):
+        for k in (-3.0, -1.0, 0.0, 1.0, 3.0):
+            params = AuctionParams(
+                n_required=n, max_time=(n + k * math.sqrt(n)) / 14.0, arrival_rate=14.0
+            )
+            stats = auction_statistics(params)
+            assert stats.e_min_duration == pytest.approx(mpmath_truncated_mean(params), rel=1e-11)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -288,6 +343,42 @@ class TestAuctionStatistics:
             expected_failures(params)
         with pytest.raises(DegenerateAuctionError):
             conditional_success_duration(params)
+
+
+class TestWorkCounts:
+    @staticmethod
+    def _count_calls(monkeypatch, name):
+        calls = []
+        original = getattr(stochastics, name)
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(stochastics, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("n", [10, 10_000])
+    def test_auction_statistics_makes_two_kernel_calls(self, monkeypatch, n):
+        calls = self._count_calls(monkeypatch, "regularized_lower_gamma")
+        auction_statistics(AuctionParams(n_required=n, max_time=n / 14.0, arrival_rate=14.0))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("mode", ["paper", "consistent"])
+    def test_dispatch_time_computes_p_once(self, monkeypatch, base_auction, mode):
+        calls = self._count_calls(monkeypatch, "success_probability")
+        dispatch_time(base_auction, mode)
+        assert len(calls) == 1
+
+    def test_sweep_at_large_batch_size_finishes(self, base_costs):
+        rows = run_sweep(SweepSpec(
+            n_values=(100_000, 101_000),
+            t_values=(7200.0, 7300.0),
+            lambda_values=(14.0,),
+            costs=base_costs,
+        ))
+        assert len(rows) == 4
+        assert all(row.error is None for row in rows)
 
 
 class TestParamsValidation:
