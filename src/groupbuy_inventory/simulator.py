@@ -12,9 +12,10 @@ confidence interval for that ratio.
 
 Determinism contract: results are a pure function of (auction, costs,
 policy, config, stream). Random numbers come from
-numpy.random.default_rng(SeedSequence(seed, spawn_key=(stream,))) and are
-drawn in fixed-size batches whose size depends only on the sampler and
-n_required, so repeated runs consume identical draw sequences.
+numpy.random.default_rng(SeedSequence(seed, spawn_key=(stream,))). Window
+durations are drawn in batches, but the sequence of durations does not
+depend on the batch size, because numpy fills exponential and gamma draws
+sequentially; so repeated runs consume identical draw sequences.
 """
 
 from __future__ import annotations
@@ -41,9 +42,10 @@ SHORTFALL_RULES: tuple[str, ...] = ("reset_to_q", "carry_shortfall")
 DURATION_SAMPLERS: tuple[str, ...] = ("interarrival_sum", "erlang")
 
 _MAX_SEED = 2**64
-# Draw batches target ~2M exponentials so per-chunk memory stays modest.
+# Windows per duration draw, and exponentials per interarrival_sum draw:
+# a batch costs little memory and little unused work when a run is short.
+_DRAW_BATCH = 1 << 12
 _CHUNK_BUDGET = 1 << 21
-_ERLANG_CHUNK = 1 << 14
 # Two-sided 95% normal quantile.
 _Z_95 = 1.959963984540054
 
@@ -144,10 +146,10 @@ def _draw_durations(
     rng: np.random.Generator, sampler: DurationSampler, n_required: int, arrival_rate: float
 ) -> list[float]:
     if sampler == "interarrival_sum":
-        chunk = max(256, _CHUNK_BUDGET // n_required)
-        gaps = rng.standard_exponential((chunk, n_required))
+        windows = max(1, min(_DRAW_BATCH, _CHUNK_BUDGET // n_required))
+        gaps = rng.standard_exponential((windows, n_required))
         return (gaps.sum(axis=1) / arrival_rate).tolist()
-    return rng.gamma(shape=float(n_required), scale=1.0 / arrival_rate, size=_ERLANG_CHUNK).tolist()
+    return rng.gamma(shape=float(n_required), scale=1.0 / arrival_rate, size=_DRAW_BATCH).tolist()
 
 
 def _mean_se(values: "np.ndarray") -> tuple[float, float]:

@@ -1,8 +1,17 @@
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+from groupbuy_inventory import (
+    Policy,
+    SimulationConfig,
+    auction_statistics,
+    long_run_average_cost,
+    simulate,
+)
+from groupbuy_inventory import cli
 from groupbuy_inventory.cli import main
 
 BASE_CONFIG = """\
@@ -146,6 +155,22 @@ class TestSimulate:
         assert code == 2
         assert "num_cycles" in capsys.readouterr().err
 
+    def test_comparison_z_matches_library(self, config_file, capsys, base_auction, base_costs):
+        assert main(["simulate", config_file, "--quantity", "434", "--cycles", "2000",
+                     "--seed", "7"]) == 0
+        printed = {}
+        for line in capsys.readouterr().out.splitlines():
+            label, _, z = line.partition("z=")
+            printed[" ".join(label.split()[:-1])] = z
+        policy = Policy(434.0)
+        result = simulate(base_auction, base_costs, policy, SimulationConfig(2000, seed=7))
+        stats = auction_statistics(base_auction)
+        z_p = (result.p_hat - stats.p_success) / result.p_hat_se
+        analytic = long_run_average_cost(stats, base_costs, policy, 100, "consistent", "exact")
+        z_cost = (result.long_run_cost - analytic) / result.long_run_cost_se
+        assert printed["p_success"] == f"{z_p:+.2f}"
+        assert printed["cost rate td=consistent a_mode=exact"] == f"{z_cost:+.2f}"
+
     def test_replications(self, config_file, capsys):
         code = main([
             "simulate", config_file, "--quantity", "434",
@@ -235,6 +260,45 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "reference cost-rate grid deltas" in out
         assert "n=100 t=7: +0.6" in out
+
+
+    def test_roundoff_readout_prints_the_verdict_only(self, config_file, capsys):
+        assert main(["validate", config_file, "--cycles", "2000", "--seed", "7"]) == 0
+        out = capsys.readouterr().out
+        assert "[PASS] closed-form vs direct cost at Q*: all 9 cells within 1e-09\n" in out
+
+    def test_single_cycle_run_fails_the_cost_rate_check(self, config_file, capsys):
+        # One cycle gives the cost-rate estimator no standard error.
+        assert main(["validate", config_file, "--cycles", "1", "--seed", "3"]) == 1
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == [
+            "[FAIL] simulated cost rate vs consistent/exact analytic: z=n/a (|z| <= 4)"
+        ]
+        assert "summary: 13 passed, 1 failed, 3 informational\n" in out
+
+    def test_reference_grid_mismatch_fails(self, config_file, capsys, monkeypatch):
+        grid = dict(cli._REFERENCE_GRID)
+        p, td, _, cost = grid[100, 7.0]
+        grid[100, 7.0] = (p, td, 433, cost)
+        monkeypatch.setattr(cli, "_REFERENCE_GRID", grid)
+        assert main(["validate", config_file, "--cycles", "2000", "--seed", "7"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] grid integer quantity mismatches: n=100 t=7: 434 vs 433\n" in out
+        # The base scenario is the grid's (100, 7) cell and reads its references.
+        assert "[FAIL] base integer quantity 434 vs 433\n" in out
+
+    def test_work_counts(self, config_file, capsys, monkeypatch):
+        calls = Counter()
+        for name in ("best_integer_quantity", "optimal_cost"):
+            def counting(*args, _name=name, _original=getattr(cli, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counting)
+        assert main(["validate", config_file, "--cycles", "2000", "--seed", "7"]) == 0
+        # One integer optimum for the base scenario, one per grid cell and one
+        # for the simulated policy; one optimal cost per grid cell.
+        assert calls == {"best_integer_quantity": 11, "optimal_cost": 9}
 
 
 class TestConfigParsing:

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from groupbuy_inventory import (
     rng_stream,
     simulate,
 )
+from groupbuy_inventory import simulator
 
 @pytest.fixture
 def base_policy() -> Policy:
@@ -111,6 +113,33 @@ class TestResultContracts:
         # One dispatch drains 50 < 100 units, so exactly one interval exists.
         assert result.counts.dispatches == 1
         assert result.mean_dispatch_interval_se == 0.0
+
+
+class TestDrawBatches:
+    @pytest.mark.parametrize("sampler", ["interarrival_sum", "erlang"])
+    def test_result_does_not_depend_on_batch_size(
+        self, monkeypatch, base_auction, base_costs, base_policy, sampler
+    ):
+        # Numpy fills exponential and gamma draws sequentially, so many small
+        # batches yield the same duration sequence as one large batch.
+        config = _config(num_cycles=300, duration_sampler=sampler)
+        default = simulate(base_auction, base_costs, base_policy, config)
+        monkeypatch.setattr(simulator, "_DRAW_BATCH", 7)
+        assert simulate(base_auction, base_costs, base_policy, config) == default
+
+    def test_one_auction_run_draws_a_small_batch(self, base_costs):
+        auction = AuctionParams(n_required=1, max_time=1.0, arrival_rate=5.0)
+        config = _config(num_cycles=1, duration_sampler="interarrival_sum")
+        # The first run loads numpy's generator machinery; trace the second.
+        simulate(auction, base_costs, Policy(1.0), config)
+        tracemalloc.start()
+        try:
+            result = simulate(auction, base_costs, Policy(1.0), config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.counts.cycles == 1
+        assert peak < 2 * 2**20
 
 
 class TestAgreementWithAnalytics:

@@ -1,0 +1,99 @@
+"""Golden diff of the CLI between two source trees.
+
+Usage: python3 tools/cli_golden.py OLD_SRC NEW_SRC
+
+Each SRC is a checkout root (its ``src/`` is used) or a directory that
+holds the ``groupbuy_inventory`` package. Every command below runs once
+per tree as ``python -m groupbuy_inventory.cli`` on the base scenario
+(n_required=100, max_time=7, arrival_rate=14, costs 40/4/0.02/10/300);
+stdout and the exit code are compared byte for byte. The script prints
+one line per command, the differing stdout lines, and a summary; it
+exits 0 when every command is identical and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import difflib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+BASE_CONFIG = """\
+n_required = 100
+max_time = 7
+arrival_rate = 14
+dispatch_cost = 40
+transport_cost_per_unit = 4
+holding_rate = 0.02
+penalty_cost = 10
+reorder_cost = 300
+"""
+
+VALIDATE = ["validate", "--cycles", "2000", "--seed", "7"]
+SIMULATE = ["simulate", "--quantity", "434", "--cycles", "2000", "--seed", "7", "--replications", "2"]
+COMMANDS = [
+    VALIDATE,
+    VALIDATE + ["--quantity", "434"],
+    VALIDATE + ["--td-mode", "consistent", "--duration-sampler", "erlang"],
+    ["validate", "--cycles", "300", "--seed", "3", "--n-required", "120", "--max-time", "6"],
+    ["validate", "--cycles", "1", "--seed", "3"],
+    SIMULATE,
+    SIMULATE + ["--duration-sampler", "erlang", "--shortfall-rule", "carry_shortfall"],
+    ["simulate", "--quantity", "50", "--cycles", "50", "--seed", "1"],
+    ["simulate", "--quantity", "1", "--n-required", "1", "--max-time", "1",
+     "--arrival-rate", "5", "--cycles", "1"],
+    ["optimize"],
+    ["optimize", "--td-mode", "consistent", "--a-mode", "exact"],
+    ["sweep", "--n-values", "20,40", "--t-values", "3,4", "--lambda-values", "10",
+     "--include-simulation", "true", "--cycles", "200", "--format", "csv"],
+]
+
+
+def package_root(path: str) -> Path:
+    root = Path(path).resolve()
+    if (root / "groupbuy_inventory").is_dir():
+        return root
+    if (root / "src" / "groupbuy_inventory").is_dir():
+        return root / "src"
+    sys.exit(f"no groupbuy_inventory package under {path}")
+
+
+def run(src: Path, config: Path, argv: list[str]) -> tuple[int, str]:
+    command, *flags = argv
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "groupbuy_inventory.cli", command, str(config), *flags],
+        capture_output=True, text=True, env=env,
+    )
+    return done.returncode, done.stdout
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        sys.exit(__doc__.split("\n\n")[1])
+    old_src, new_src = (package_root(path) for path in argv)
+    identical = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "base.cfg"
+        config.write_text(BASE_CONFIG, encoding="utf-8")
+        for index, command in enumerate(COMMANDS, start=1):
+            old_code, old_out = run(old_src, config, command)
+            new_code, new_out = run(new_src, config, command)
+            same = old_code == new_code and old_out == new_out
+            identical += same
+            label = " ".join(command)
+            print(f"[{'same' if same else 'DIFF'}] {index:>2} {label} (exit {old_code} -> {new_code})")
+            if old_out != new_out:
+                diff = difflib.unified_diff(
+                    old_out.splitlines(), new_out.splitlines(), "old", "new", n=0, lineterm=""
+                )
+                for line in list(diff)[2:]:
+                    print(f"       {line}")
+    print(f"summary: {identical}/{len(COMMANDS)} commands byte-identical (stdout and exit code)")
+    return 0 if identical == len(COMMANDS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
