@@ -198,25 +198,26 @@ def _convert(key: str, raw: str) -> object:
     return raw
 
 
+# Each auction quantity's scalar key, its sweep axis key and their one rule.
+_AUCTION_RANGES = (
+    ("n_required", "n_values", lambda n: n >= 1, "must be >= 1"),
+    ("max_time", "t_values", lambda t: t > 0.0, "must be > 0 (inf allowed)"),
+    ("arrival_rate", "lambda_values", lambda r: math.isfinite(r) and r > 0.0, "must be finite and > 0"),
+)
+
+
 def _validate_ranges(cfg: RunConfig) -> None:
     # The keys that no dataclass built for every command checks: sweep
     # configs need no auction, and replications and the axes have none.
-    if cfg.n_required is not None and cfg.n_required < 1:
-        raise ConfigError(f"n_required: must be >= 1, got {cfg.n_required}")
-    if cfg.max_time is not None and not cfg.max_time > 0.0:
-        raise ConfigError(f"max_time: must be > 0 (inf allowed), got {cfg.max_time}")
-    if cfg.arrival_rate is not None and not (
-        math.isfinite(cfg.arrival_rate) and cfg.arrival_rate > 0.0
-    ):
-        raise ConfigError(f"arrival_rate: must be finite and > 0, got {cfg.arrival_rate}")
+    for key, axis, ok, rule in _AUCTION_RANGES:
+        value = getattr(cfg, key)
+        if value is not None and not ok(value):
+            raise ConfigError(f"{key}: {rule}, got {value}")
+        values = getattr(cfg, axis)
+        if values is not None and not all(map(ok, values)):
+            raise ConfigError(f"{axis}: every entry {rule}")
     if cfg.replications < 1:
         raise ConfigError(f"replications: must be >= 1, got {cfg.replications}")
-    for key in ("n_values", "t_values", "lambda_values"):
-        values = getattr(cfg, key)
-        if values is not None and len(values) == 0:
-            raise ConfigError(f"{key}: must be non-empty")
-    if cfg.n_values is not None and any(n < 1 for n in cfg.n_values):
-        raise ConfigError("n_values: every entry must be >= 1")
 
 
 def load_run_config(config_path: str | None, overrides: dict[str, str]) -> RunConfig:

@@ -20,15 +20,16 @@ sequentially; so repeated runs consume identical draw sequences.
 
 from __future__ import annotations
 
-import json
+import contextlib
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Literal
+from typing import IO, TYPE_CHECKING, Iterator, Literal
 
 from .costmodel import CostParams, Policy
 from .errors import ConfigError, ParameterError
-from .stochastics import AuctionParams
+from .stochastics import AuctionParams, _nondegenerate_success_probability
 
 if TYPE_CHECKING:
     # numpy is imported only where a simulation runs, so the closed-form
@@ -144,12 +145,23 @@ def rng_stream(seed: int, index: int) -> np.random.Generator:
 
 def _draw_durations(
     rng: np.random.Generator, sampler: DurationSampler, n_required: int, arrival_rate: float
-) -> list[float]:
+) -> Iterator[float]:
+    """Every window's duration, drawn at most _DRAW_BATCH windows per batch."""
     if sampler == "interarrival_sum":
         windows = max(1, min(_DRAW_BATCH, _CHUNK_BUDGET // n_required))
-        gaps = rng.standard_exponential((windows, n_required))
-        return (gaps.sum(axis=1) / arrival_rate).tolist()
-    return rng.gamma(shape=float(n_required), scale=1.0 / arrival_rate, size=_DRAW_BATCH).tolist()
+
+        def draw() -> list[float]:
+            gaps = rng.standard_exponential((windows, n_required))
+            return (gaps.sum(axis=1) / arrival_rate).tolist()
+
+    else:
+
+        def draw() -> list[float]:
+            shape, scale = float(n_required), 1.0 / arrival_rate
+            return rng.gamma(shape=shape, scale=scale, size=_DRAW_BATCH).tolist()
+
+    # chain.from_iterable adds no per-window cost; a `yield from` generator does.
+    return itertools.chain.from_iterable(iter(draw, None))
 
 
 def _mean_se(values: "np.ndarray") -> tuple[float, float]:
@@ -172,30 +184,6 @@ def _ratio_se(costs_arr: "np.ndarray", lengths_arr: "np.ndarray", ratio: float) 
     return math.sqrt(max(var_ratio, 0.0))
 
 
-class _EventWriter:
-    def __init__(self, target: str | Path | IO[str]):
-        if hasattr(target, "write"):
-            self._fh: IO[str] = target  # type: ignore[assignment]
-            self._owned = False
-        else:
-            self._fh = open(target, "w", encoding="utf-8")
-            self._owned = True
-
-    def write(self, auction: int, start: float, duration: float, outcome: str, level_after: float) -> None:
-        record = {
-            "auction": auction,
-            "start": start,
-            "duration": duration,
-            "outcome": outcome,
-            "level_after": level_after,
-        }
-        self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-
-    def close(self) -> None:
-        if self._owned:
-            self._fh.close()
-
-
 def simulate(
     auction: AuctionParams,
     costs: CostParams,
@@ -209,7 +197,9 @@ def simulate(
 
     Requires a finite bidding window (an unbounded window never fails and
     needs no simulation) and, under "carry_shortfall", a policy quantity
-    of at least n_required. When event_log is given (path or open text
+    of at least n_required. Raises DegenerateAuctionError before drawing
+    anything when the success probability underflows, as such a run would
+    never end. When event_log is given (path or open text
     file), one JSON line is written per bidding window with keys
     auction, start, duration, outcome and level_after; level_after is the
     stock after any dispatch and replenishment triggered by that window.
@@ -220,6 +210,7 @@ def simulate(
         raise ConfigError(
             "carry_shortfall requires quantity >= n_required so the restart level stays positive"
         )
+    _nondegenerate_success_probability(auction)
     import numpy as np
 
     rng = rng_stream(config.seed, stream)
@@ -228,59 +219,57 @@ def simulate(
     dispatch_charge = costs.dispatch_cost + costs.unit_transport_cost * n_required
     reset = config.shortfall_rule == "reset_to_q"
 
-    writer = _EventWriter(event_log) if event_log is not None else None
     cycle_costs: list[float] = []
     cycle_lengths: list[float] = []
     intervals: list[float] = []
     auctions = 0
-    failures = 0
     dispatches = 0
     clock = 0.0
     last_dispatch = 0.0
     cycle_start = 0.0
     cycle_cost = 0.0
     level = policy.quantity
-    done = False
+    cycles_left = config.num_cycles
 
-    try:
-        while not done:
-            durations = _draw_durations(rng, config.duration_sampler, n_required, auction.arrival_rate)
-            for duration in durations:
-                auctions += 1
-                start = clock
-                if duration < max_time:
-                    clock += duration
-                    cycle_cost += costs.holding_rate * level * duration + dispatch_charge
-                    dispatches += 1
-                    intervals.append(clock - last_dispatch)
-                    last_dispatch = clock
-                    remaining = level - n_required
-                    if remaining <= 0.0:
-                        cycle_cost += costs.reorder_cost
-                        cycle_costs.append(cycle_cost)
-                        cycle_lengths.append(clock - cycle_start)
-                        level = policy.quantity if reset else policy.quantity + remaining
-                        cycle_start = clock
-                        cycle_cost = 0.0
-                        if len(cycle_costs) >= config.num_cycles:
-                            done = True
-                    else:
-                        level = remaining
-                    outcome = "success"
-                    logged_duration = duration
+    with contextlib.ExitStack() as stack:
+        if event_log is None or hasattr(event_log, "write"):
+            log = event_log
+        else:
+            log = stack.enter_context(open(event_log, "w", encoding="utf-8"))
+        durations = _draw_durations(rng, config.duration_sampler, n_required, auction.arrival_rate)
+        for duration in durations:
+            auctions += 1
+            success = duration < max_time
+            window = duration if success else max_time
+            start = clock
+            clock += window
+            cycle_cost += costs.holding_rate * level * window + (
+                dispatch_charge if success else costs.failure_penalty
+            )
+            if success:
+                dispatches += 1
+                intervals.append(clock - last_dispatch)
+                last_dispatch = clock
+                remaining = level - n_required
+                if remaining <= 0.0:
+                    cycle_cost += costs.reorder_cost
+                    cycle_costs.append(cycle_cost)
+                    cycle_lengths.append(clock - cycle_start)
+                    level = policy.quantity if reset else policy.quantity + remaining
+                    cycle_start = clock
+                    cycle_cost = 0.0
+                    cycles_left -= 1
                 else:
-                    clock += max_time
-                    cycle_cost += costs.holding_rate * level * max_time + costs.failure_penalty
-                    failures += 1
-                    outcome = "failure"
-                    logged_duration = max_time
-                if writer is not None:
-                    writer.write(auctions, start, logged_duration, outcome, level)
-                if done:
-                    break
-    finally:
-        if writer is not None:
-            writer.close()
+                    level = remaining
+            if log is not None:
+                # The bytes json.dumps(record, separators=(",", ":")) gives:
+                # both print finite numbers by their shortest repr.
+                log.write(
+                    f'{{"auction":{auctions},"start":{start},"duration":{window},'
+                    f'"outcome":"{"success" if success else "failure"}","level_after":{level}}}\n'
+                )
+            if not cycles_left:
+                break
 
     costs_arr = np.asarray(cycle_costs)
     lengths_arr = np.asarray(cycle_lengths)
@@ -309,7 +298,10 @@ def simulate(
         long_run_cost_se=long_run_se,
         long_run_cost_halfwidth=_Z_95 * long_run_se,
         counts=SimulationCounts(
-            auctions=auctions, failures=failures, dispatches=dispatches, cycles=len(cycle_costs)
+            auctions=auctions,
+            failures=auctions - dispatches,
+            dispatches=dispatches,
+            cycles=len(cycle_costs),
         ),
     )
 

@@ -337,6 +337,10 @@ class TestConfigParsing:
             ("--reorder-cost", "0", "reorder_cost"),
             ("--penalty-cost", "-1", "penalty_cost"),
             ("--transport-cost-per-unit", "inf", "transport_cost_per_unit"),
+            ("--n-values", "0,100", "n_values"),
+            ("--t-values", "-1", "t_values"),
+            ("--lambda-values", "0", "lambda_values"),
+            ("--lambda-values", "inf", "lambda_values"),
         ],
     )
     def test_out_of_range_value_is_config_error(self, config_file, capsys, flag, value, key):
@@ -398,6 +402,19 @@ class TestSubprocessEntry:
         assert first.returncode == 0
         assert first.stdout == second.stdout
         assert first.stdout
+
+    def test_degenerate_simulate_is_numeric_error(self, config_file):
+        # Without the up-front check this run never ends; the timeout turns
+        # a hang into a failure.
+        argv = [
+            sys.executable, "-m", "groupbuy_inventory.cli",
+            "simulate", config_file, "--quantity", "434", "--n-required", "500",
+            "--max-time", "0.5", "--arrival-rate", "0.5", "--cycles", "1",
+        ]
+        result = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert "degenerate" in result.stderr
 
     @pytest.mark.parametrize(
         "script",

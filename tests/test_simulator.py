@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -233,6 +235,42 @@ class TestShortfallRules:
         assert lines
         assert json.loads(lines[0])["auction"] == 1
 
+    def test_event_log_bytes_are_pinned(self, base_auction, base_costs):
+        buffer = io.StringIO()
+        simulate(
+            base_auction, base_costs, Policy(150.0), _config(num_cycles=3, seed=1), event_log=buffer
+        )
+        assert buffer.getvalue().splitlines(keepends=True)[:4] == [
+            '{"auction":1,"start":0.0,"duration":7.0,"outcome":"failure","level_after":150.0}\n',
+            '{"auction":2,"start":7.0,"duration":6.914693396026527,"outcome":"success",'
+            '"level_after":50.0}\n',
+            '{"auction":3,"start":13.914693396026527,"duration":6.704398633804365,'
+            '"outcome":"success","level_after":150.0}\n',
+            '{"auction":4,"start":20.61909202983089,"duration":7.0,"outcome":"failure",'
+            '"level_after":150.0}\n',
+        ]
+
+    @pytest.mark.parametrize(
+        "quantity,max_time",
+        [(150, 7), (np.float64(150.0), np.float64(7.0))],
+        ids=["int", "numpy-float64"],
+    )
+    def test_event_log_lines_are_json_for_other_number_types(
+        self, base_costs, quantity, max_time
+    ):
+        def records(quantity, max_time):
+            buffer = io.StringIO()
+            auction = AuctionParams(n_required=100, max_time=max_time, arrival_rate=14.0)
+            simulate(auction, base_costs, Policy(quantity), _config(num_cycles=20), event_log=buffer)
+            return buffer.getvalue().splitlines()
+
+        lines = records(quantity, max_time)
+        parsed = [json.loads(line) for line in lines]
+        # Each line is exactly what json.dumps writes for its values ...
+        assert lines == [json.dumps(record, separators=(",", ":")) for record in parsed]
+        # ... and those values equal a run with Python floats.
+        assert parsed == [json.loads(line) for line in records(150.0, 7.0)]
+
     def test_carry_shortfall_shortens_cycles(self, base_auction, base_costs, base_policy):
         reset = simulate(
             base_auction, base_costs, base_policy,
@@ -275,6 +313,23 @@ class TestValidation:
         auction = AuctionParams(n_required=100, max_time=math.inf, arrival_rate=14.0)
         with pytest.raises(ConfigError):
             simulate(auction, base_costs, base_policy, _config())
+
+    def test_degenerate_design_raises_before_drawing(self):
+        # p underflows to 0, so a run would never complete a cycle; the
+        # subprocess timeout turns a hang into a failure.
+        script = (
+            "import groupbuy_inventory as gb\n"
+            "auction = gb.AuctionParams(n_required=500, max_time=0.5, arrival_rate=0.5)\n"
+            "costs = gb.CostParams(40.0, 4.0, 0.02, 10.0, 300.0)\n"
+            "try:\n"
+            "    gb.simulate(auction, costs, gb.Policy(434.0), gb.SimulationConfig(1))\n"
+            "except gb.DegenerateAuctionError:\n"
+            "    print('degenerate')\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        )
+        assert (result.returncode, result.stdout) == (0, "degenerate\n"), result.stderr
 
     @pytest.mark.parametrize(
         "kwargs",

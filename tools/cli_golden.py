@@ -6,9 +6,11 @@ Each SRC is a checkout root (its ``src/`` is used) or a directory that
 holds the ``groupbuy_inventory`` package. Every command below runs once
 per tree as ``python -m groupbuy_inventory.cli`` on the base scenario
 (n_required=100, max_time=7, arrival_rate=14, costs 40/4/0.02/10/300);
-stdout and the exit code are compared byte for byte. The script prints
-one line per command, the differing stdout lines, and a summary; it
-exits 0 when every command is identical and 1 otherwise.
+stdout and the exit code are compared byte for byte. A command that runs
+longer than TIMEOUT_S seconds on either tree is stopped and counts as a
+difference. The script prints one line per command, the differing stdout
+lines, and a summary; it exits 0 when every command is identical and 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ penalty_cost = 10
 reorder_cost = 300
 """
 
+TIMEOUT_S = 30
 VALIDATE = ["validate", "--cycles", "2000", "--seed", "7"]
 SIMULATE = ["simulate", "--quantity", "434", "--cycles", "2000", "--seed", "7", "--replications", "2"]
 COMMANDS = [
@@ -44,6 +47,9 @@ COMMANDS = [
     ["simulate", "--quantity", "50", "--cycles", "50", "--seed", "1"],
     ["simulate", "--quantity", "1", "--n-required", "1", "--max-time", "1",
      "--arrival-rate", "5", "--cycles", "1"],
+    # Degenerate design: the success probability underflows to 0.
+    ["simulate", "--quantity", "434", "--n-required", "500", "--max-time", "0.5",
+     "--arrival-rate", "0.5", "--cycles", "1"],
     ["optimize"],
     ["optimize", "--td-mode", "consistent", "--a-mode", "exact"],
     ["sweep", "--n-values", "20,40", "--t-values", "3,4", "--lambda-values", "10",
@@ -60,13 +66,16 @@ def package_root(path: str) -> Path:
     sys.exit(f"no groupbuy_inventory package under {path}")
 
 
-def run(src: Path, config: Path, argv: list[str]) -> tuple[int, str]:
+def run(src: Path, config: Path, argv: list[str]) -> tuple[int | str, str]:
     command, *flags = argv
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run(
-        [sys.executable, "-m", "groupbuy_inventory.cli", command, str(config), *flags],
-        capture_output=True, text=True, env=env,
-    )
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "groupbuy_inventory.cli", command, str(config), *flags],
+            capture_output=True, text=True, env=env, timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return "timeout", ""
     return done.returncode, done.stdout
 
 
@@ -81,7 +90,7 @@ def main(argv: list[str]) -> int:
         for index, command in enumerate(COMMANDS, start=1):
             old_code, old_out = run(old_src, config, command)
             new_code, new_out = run(new_src, config, command)
-            same = old_code == new_code and old_out == new_out
+            same = old_code == new_code != "timeout" and old_out == new_out
             identical += same
             label = " ".join(command)
             print(f"[{'same' if same else 'DIFF'}] {index:>2} {label} (exit {old_code} -> {new_code})")
