@@ -120,6 +120,12 @@ def _finite_dispatch_time(stats: AuctionStatistics, td_mode: TdMode) -> float:
     return td
 
 
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise NumericsError(f"{what} is not finite: {value!r}")
+    return value
+
+
 def dispatches_per_cycle(quantity: float, n_required: int, mode: AMode = "approx") -> float:
     """Number of dispatches one cycle supports.
 
@@ -257,12 +263,14 @@ def optimal_quantity(
     """The real-valued minimizer Q* = sqrt(2*K*N / (I*td)) of the cost rate.
 
     Requires holding_rate > 0 and reorder_cost > 0; with either at zero the
-    rate has no interior minimum (it becomes monotone in Q).
+    rate has no interior minimum (it becomes monotone in Q). Raises
+    NumericsError when Q* overflows to infinity.
     """
     _check_n_required(n_required)
     check_optimizable(costs, "optimal_quantity")
     td = _finite_dispatch_time(stats, td_mode)
-    return math.sqrt(2.0 * costs.reorder_cost * n_required / (costs.holding_rate * td))
+    q_star = math.sqrt(2.0 * costs.reorder_cost * n_required / (costs.holding_rate * td))
+    return _finite(q_star, "optimal quantity")
 
 
 def optimal_cost(
@@ -271,7 +279,10 @@ def optimal_cost(
     n_required: int,
     td_mode: TdMode = "paper",
 ) -> float:
-    """Closed-form cost rate at Q*: sqrt(2*I*K*N/td) plus the Q-free terms."""
+    """Closed-form cost rate at Q*: sqrt(2*I*K*N/td) plus the Q-free terms.
+
+    Raises NumericsError when the rate overflows to infinity.
+    """
     _check_n_required(n_required)
     check_optimizable(costs, "optimal_cost")
     td = _finite_dispatch_time(stats, td_mode)
@@ -281,7 +292,7 @@ def optimal_cost(
     # float roundoff, which would move the last printed digits.
     for term in _q_free_rate_terms(stats, costs, n, td).values():
         rate += term
-    return rate
+    return _finite(rate, "optimal cost rate")
 
 
 def best_integer_quantity(
@@ -294,7 +305,8 @@ def best_integer_quantity(
 
     Compares floor(Q*) and ceil(Q*) under the approx-A rate; convexity
     makes one of them the integer optimum. Ties go to the larger quantity,
-    and a floor below 1 falls back to the ceiling.
+    and a floor below 1 falls back to the ceiling. Raises NumericsError
+    when Q* or a compared cost rate is not finite.
     """
     q_star = optimal_quantity(stats, costs, n_required, td_mode)
     lo = math.floor(q_star)
@@ -305,6 +317,10 @@ def best_integer_quantity(
         return int(hi)
     cost_lo = long_run_average_cost(stats, costs, Policy(float(lo)), n_required, td_mode, "approx")
     cost_hi = long_run_average_cost(stats, costs, Policy(float(hi)), n_required, td_mode, "approx")
+    if not math.isfinite(cost_lo + cost_hi):
+        raise NumericsError(
+            f"cost rate at quantity {lo} or {hi} is not finite: {cost_lo + cost_hi!r}"
+        )
     return int(hi) if cost_hi <= cost_lo else int(lo)
 
 

@@ -1,34 +1,41 @@
 """Discrete-event Monte Carlo cross-check of the closed-form cost model.
 
-The simulator replays the system one bidding window at a time: a window
+The simulated system runs one bidding window after another: a window
 either closes with a full batch before max_time (dispatch n_required
 units, charge the dispatch and transport costs) or runs the full window
 length (charge the failure penalty). Holding cost accrues on the current
-inventory level for the duration of every window. When a dispatch drains
-the level to or below zero the cycle ends, the reorder cost is charged
-and the level returns to the policy quantity. The long-run cost rate is
-estimated as total cycle cost over total cycle time, with a delta-method
-confidence interval for that ratio.
+inventory level the whole time. When a dispatch drains the level to or
+below zero the cycle ends, the reorder cost is charged and the level
+returns to the policy quantity. The long-run cost rate is estimated as
+total cycle cost over total cycle time (the regenerative ratio
+estimator), with a delta-method confidence interval for that ratio.
+
+The accounting runs per batch of drawn windows, in numpy array
+operations: the level only changes at dispatches, so a cycle's cost is
+a sum over its dispatches of holding (level times the time since the
+previous dispatch), the penalties of the failed windows before the
+dispatch and the dispatch charge.
 
 Determinism contract: results are a pure function of (auction, costs,
 policy, config, stream). Random numbers come from
 numpy.random.default_rng(SeedSequence(seed, spawn_key=(stream,))). Window
 durations are drawn in batches, but the sequence of durations does not
 depend on the batch size, because numpy fills exponential and gamma draws
-sequentially; so repeated runs consume identical draw sequences.
+sequentially; so repeated runs consume identical draw sequences. Each
+cycle's cost is summed over all its terms at once, wherever batches
+split it, so results do not depend on the batch size either.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterator, Literal
 
-from .costmodel import CostParams, Policy
-from .errors import ConfigError, ParameterError
+from .costmodel import CostParams, Policy, dispatches_per_cycle
+from .errors import ConfigError, NumericsError, ParameterError
 from .stochastics import AuctionParams, _nondegenerate_success_probability
 
 if TYPE_CHECKING:
@@ -145,23 +152,16 @@ def rng_stream(seed: int, index: int) -> np.random.Generator:
 
 def _draw_durations(
     rng: np.random.Generator, sampler: DurationSampler, n_required: int, arrival_rate: float
-) -> Iterator[float]:
-    """Every window's duration, drawn at most _DRAW_BATCH windows per batch."""
+) -> Iterator[np.ndarray]:
+    """Every window's duration, in arrays of at most _DRAW_BATCH windows."""
     if sampler == "interarrival_sum":
         windows = max(1, min(_DRAW_BATCH, _CHUNK_BUDGET // n_required))
-
-        def draw() -> list[float]:
-            gaps = rng.standard_exponential((windows, n_required))
-            return (gaps.sum(axis=1) / arrival_rate).tolist()
-
+        while True:
+            yield rng.standard_exponential((windows, n_required)).sum(axis=1) / arrival_rate
     else:
-
-        def draw() -> list[float]:
-            shape, scale = float(n_required), 1.0 / arrival_rate
-            return rng.gamma(shape=shape, scale=scale, size=_DRAW_BATCH).tolist()
-
-    # chain.from_iterable adds no per-window cost; a `yield from` generator does.
-    return itertools.chain.from_iterable(iter(draw, None))
+        shape, scale = float(n_required), 1.0 / arrival_rate
+        while True:
+            yield rng.gamma(shape=shape, scale=scale, size=_DRAW_BATCH)
 
 
 def _mean_se(values: "np.ndarray") -> tuple[float, float]:
@@ -199,8 +199,10 @@ def simulate(
     needs no simulation) and, under "carry_shortfall", a policy quantity
     of at least n_required. Raises DegenerateAuctionError before drawing
     anything when the success probability underflows, as such a run would
-    never end. When event_log is given (path or open text
-    file), one JSON line is written per bidding window with keys
+    never end, and NumericsError when the clock overflows double
+    precision; the clock is checked before a batch is logged, so the log
+    never holds a non-finite time. When event_log is given (path or open
+    text file), one JSON line is written per bidding window with keys
     auction, start, duration, outcome and level_after; level_after is the
     stock after any dispatch and replenishment triggered by that window.
     """
@@ -216,66 +218,121 @@ def simulate(
     rng = rng_stream(config.seed, stream)
     n_required = auction.n_required
     max_time = auction.max_time
+    quantity = policy.quantity
     dispatch_charge = costs.dispatch_cost + costs.unit_transport_cost * n_required
-    reset = config.shortfall_rule == "reset_to_q"
 
-    cycle_costs: list[float] = []
-    cycle_lengths: list[float] = []
-    intervals: list[float] = []
+    # The stock before dispatch number m (counted from 0 over the run) is a
+    # closed form of m; it is also the stock after dispatch m - 1. Below
+    # 2**53 units every subtraction is exact, so the levels equal those of a
+    # step-by-step replay bit for bit, and an int quantity keeps int levels.
+    if config.shortfall_rule == "reset_to_q":
+        per_cycle = int(dispatches_per_cycle(quantity, n_required, "exact"))
+
+        def level_before(m: np.ndarray) -> np.ndarray:
+            return quantity - (m % per_cycle) * n_required
+
+    else:
+
+        def level_before(m: np.ndarray) -> np.ndarray:
+            return quantity - np.fmod(m * n_required, quantity)
+
+    # Per-batch arrays, joined at the end.
+    cycle_costs: list[np.ndarray] = []
+    cycle_lengths: list[np.ndarray] = []
+    intervals: list[np.ndarray] = []
+    # Per-dispatch cost terms of the cycle still open after the last batch:
+    # a cycle is summed over all its terms at once, so the sum does not
+    # depend on where batches split it.
+    open_terms: list[np.ndarray] = []
     auctions = 0
     dispatches = 0
+    failures_pending = 0
     clock = 0.0
     last_dispatch = 0.0
     cycle_start = 0.0
-    cycle_cost = 0.0
-    level = policy.quantity
     cycles_left = config.num_cycles
 
     with contextlib.ExitStack() as stack:
+        # The clock is checked for overflow below, not warned about per array.
+        stack.enter_context(np.errstate(over="ignore"))
         if event_log is None or hasattr(event_log, "write"):
             log = event_log
         else:
             log = stack.enter_context(open(event_log, "w", encoding="utf-8"))
         durations = _draw_durations(rng, config.duration_sampler, n_required, auction.arrival_rate)
         for duration in durations:
-            auctions += 1
             success = duration < max_time
-            window = duration if success else max_time
-            start = clock
-            clock += window
-            cycle_cost += costs.holding_rate * level * window + (
-                dispatch_charge if success else costs.failure_penalty
+            # Window index of each dispatch, and dispatch index of each cycle end.
+            dispatched = np.flatnonzero(success)
+            level = level_before(dispatches + np.arange(dispatched.size))
+            closing = np.flatnonzero(level <= n_required)
+            if closing.size >= cycles_left:
+                # The run ends with the dispatch that closes the last cycle.
+                closing = closing[:cycles_left]
+                dispatched, level = dispatched[: closing[-1] + 1], level[: closing[-1] + 1]
+                duration, success = duration[: dispatched[-1] + 1], success[: dispatched[-1] + 1]
+            window = np.minimum(duration, max_time)
+            # A cumulative sum adds in sequence, exactly as `clock += window`.
+            starts = np.cumsum(np.concatenate(([clock], window)))
+            if not math.isfinite(starts[-1]):
+                overflowed_at = auctions + int(np.argmin(np.isfinite(starts)))
+                raise NumericsError(
+                    f"simulation clock overflowed at auction {overflowed_at}: "
+                    f"{auction} has a time scale beyond double precision"
+                )
+            times = starts[dispatched + 1]
+            gaps = np.diff(times, prepend=last_dispatch)
+            failures_before = np.diff(dispatched, prepend=-1 - failures_pending) - 1
+            terms = (
+                costs.holding_rate * level * gaps
+                + costs.failure_penalty * failures_before
+                + dispatch_charge
             )
-            if success:
-                dispatches += 1
-                intervals.append(clock - last_dispatch)
-                last_dispatch = clock
-                remaining = level - n_required
-                if remaining <= 0.0:
-                    cycle_cost += costs.reorder_cost
-                    cycle_costs.append(cycle_cost)
-                    cycle_lengths.append(clock - cycle_start)
-                    level = policy.quantity if reset else policy.quantity + remaining
-                    cycle_start = clock
-                    cycle_cost = 0.0
-                    cycles_left -= 1
-                else:
-                    level = remaining
+            if closing.size:
+                closed = closing[-1] + 1
+                cycle_terms = np.concatenate([*open_terms, terms[:closed]])
+                first = np.concatenate(([0], closing[:-1] + 1 + cycle_terms.size - closed))
+                cycle_costs.append(np.add.reduceat(cycle_terms, first) + costs.reorder_cost)
+                open_terms = [terms[closed:]]
+                cycle_ends = times[closing]
+                cycle_lengths.append(np.diff(cycle_ends, prepend=cycle_start))
+                cycle_start = cycle_ends[-1]
+            else:
+                open_terms.append(terms)
+            intervals.append(gaps)
             if log is not None:
+                level_after = level_before(dispatches + np.cumsum(success))
                 # The bytes json.dumps(record, separators=(",", ":")) gives:
                 # both print finite numbers by their shortest repr.
-                log.write(
-                    f'{{"auction":{auctions},"start":{start},"duration":{window},'
-                    f'"outcome":"{"success" if success else "failure"}","level_after":{level}}}\n'
-                )
+                log.write("".join(
+                    f'{{"auction":{index},"start":{start},"duration":'
+                    f'{d if ok else max_time},"outcome":"{"success" if ok else "failure"}",'
+                    f'"level_after":{after}}}\n'
+                    for index, start, d, ok, after in zip(
+                        range(auctions + 1, auctions + window.size + 1),
+                        starts[:-1].tolist(),
+                        duration.tolist(),
+                        success.tolist(),
+                        level_after.tolist(),
+                    )
+                ))
+            auctions += window.size
+            dispatches += dispatched.size
+            if dispatched.size:
+                failures_pending = window.size - 1 - dispatched[-1]
+                last_dispatch = times[-1]
+            else:
+                failures_pending += window.size
+            clock = starts[-1]
+            cycles_left -= closing.size
             if not cycles_left:
                 break
 
-    costs_arr = np.asarray(cycle_costs)
-    lengths_arr = np.asarray(cycle_lengths)
-    intervals_arr = np.asarray(intervals)
-    total_cost = math.fsum(cycle_costs)
-    total_time = math.fsum(cycle_lengths)
+    costs_arr = np.concatenate(cycle_costs)
+    lengths_arr = np.concatenate(cycle_lengths)
+    intervals_arr = np.concatenate(intervals)
+    total_cost = math.fsum(costs_arr.tolist())
+    total_time = math.fsum(lengths_arr.tolist())
     long_run = total_cost / total_time
     p_hat = dispatches / auctions
     p_se = math.sqrt(p_hat * (1.0 - p_hat) / auctions) if auctions > 1 else 0.0
@@ -301,7 +358,7 @@ def simulate(
             auctions=auctions,
             failures=auctions - dispatches,
             dispatches=dispatches,
-            cycles=len(cycle_costs),
+            cycles=costs_arr.size,
         ),
     )
 

@@ -87,6 +87,17 @@ class TestOptimize:
         assert code == 3
         assert "numeric domain error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--arrival-rate", "1e308"], ["--penalty-cost", "1e308", "--max-time", "6.5"]],
+        ids=["infinite-optimum", "infinite-cost-rate"],
+    )
+    def test_overflowing_result_is_numeric_error(self, config_file, capsys, flags):
+        assert main(["optimize", config_file, *flags]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is not finite: inf" in captured.err
+
     def test_missing_config_file(self, capsys):
         assert main(["optimize", "/nonexistent/path.cfg"]) == 2
         assert "not found" in capsys.readouterr().err
@@ -216,6 +227,17 @@ class TestSweep:
         assert code == 4
         out = capsys.readouterr().out
         assert len(out.splitlines()) == 9  # header + 8 rows, failures included
+
+    def test_overflowing_cell_is_error_cell(self, config_file, capsys):
+        code = main([
+            "sweep", config_file, "--n-values", "100", "--t-values", "7",
+            "--lambda-values", "14,1e308", "--format", "csv",
+        ])
+        assert code == 4
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 3
+        assert rows[1].startswith("100,7,14,0.433311,")
+        assert rows[2] == "100,7,1e+308" + "," * 8
 
     def test_include_simulation_adds_columns(self, config_file, capsys):
         code = main([
@@ -415,6 +437,19 @@ class TestSubprocessEntry:
         assert result.returncode == 3
         assert result.stdout == ""
         assert "degenerate" in result.stderr
+
+    def test_overflowing_clock_simulate_is_numeric_error(self, config_file):
+        # p is about 0.5, but the clock overflows after about 20 windows.
+        argv = [
+            sys.executable, "-m", "groupbuy_inventory.cli",
+            "simulate", config_file, "--quantity", "434", "--max-time", "1e307",
+            "--arrival-rate", "1e-305", "--cycles", "50",
+        ]
+        result = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert "clock overflowed" in result.stderr
 
     @pytest.mark.parametrize(
         "script",

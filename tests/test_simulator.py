@@ -1,4 +1,6 @@
+import dataclasses
 import io
+import itertools
 import json
 import math
 import subprocess
@@ -12,6 +14,7 @@ from groupbuy_inventory import (
     AuctionParams,
     ConfigError,
     CostParams,
+    NumericsError,
     ParameterError,
     Policy,
     SimulationConfig,
@@ -22,6 +25,78 @@ from groupbuy_inventory import (
     simulate,
 )
 from groupbuy_inventory import simulator
+from groupbuy_inventory.simulator import SimulationCounts, SimulationResult
+
+
+def reference_simulate(auction, costs, policy, config, *, stream=0, event_log=None):
+    """The step-by-step oracle: one Python iteration per bidding window.
+
+    It draws the same durations as simulate and accrues holding cost as
+    level * window per window, where simulate sums level * (time since the
+    previous dispatch) per dispatch; the two agree up to roundoff.
+    """
+    rng = simulator.rng_stream(config.seed, stream)
+    n_required = auction.n_required
+    max_time = auction.max_time
+    dispatch_charge = costs.dispatch_cost + costs.unit_transport_cost * n_required
+    reset = config.shortfall_rule == "reset_to_q"
+    cycle_costs, cycle_lengths, intervals = [], [], []
+    auctions = dispatches = 0
+    clock = last_dispatch = cycle_start = cycle_cost = 0.0
+    level = policy.quantity
+    cycles_left = config.num_cycles
+    batches = simulator._draw_durations(
+        rng, config.duration_sampler, n_required, auction.arrival_rate
+    )
+    for duration in itertools.chain.from_iterable(batch.tolist() for batch in batches):
+        auctions += 1
+        success = duration < max_time
+        window = duration if success else max_time
+        start = clock
+        clock += window
+        cycle_cost += costs.holding_rate * level * window + (
+            dispatch_charge if success else costs.failure_penalty
+        )
+        if success:
+            dispatches += 1
+            intervals.append(clock - last_dispatch)
+            last_dispatch = clock
+            remaining = level - n_required
+            if remaining <= 0.0:
+                cycle_cost += costs.reorder_cost
+                cycle_costs.append(cycle_cost)
+                cycle_lengths.append(clock - cycle_start)
+                level = policy.quantity if reset else policy.quantity + remaining
+                cycle_start = clock
+                cycle_cost = 0.0
+                cycles_left -= 1
+            else:
+                level = remaining
+        if event_log is not None:
+            event_log.write(
+                f'{{"auction":{auctions},"start":{start},"duration":{window},'
+                f'"outcome":"{"success" if success else "failure"}","level_after":{level}}}\n'
+            )
+        if not cycles_left:
+            break
+    costs_arr, lengths_arr = np.asarray(cycle_costs), np.asarray(cycle_lengths)
+    long_run = math.fsum(cycle_costs) / math.fsum(cycle_lengths)
+    p_hat = dispatches / auctions
+    long_run_se = simulator._ratio_se(costs_arr, lengths_arr, long_run)
+    return SimulationResult(
+        p_hat,
+        math.sqrt(p_hat * (1.0 - p_hat) / auctions) if auctions > 1 else 0.0,
+        *simulator._mean_se(np.asarray(intervals)),
+        *simulator._mean_se(lengths_arr),
+        *simulator._mean_se(costs_arr),
+        math.fsum(cycle_costs),
+        math.fsum(cycle_lengths),
+        long_run,
+        long_run_se,
+        simulator._Z_95 * long_run_se,
+        SimulationCounts(auctions, auctions - dispatches, dispatches, len(cycle_costs)),
+    )
+
 
 @pytest.fixture
 def base_policy() -> Policy:
@@ -142,6 +217,75 @@ class TestDrawBatches:
             tracemalloc.stop()
         assert result.counts.cycles == 1
         assert peak < 2 * 2**20
+
+
+BASE = AuctionParams(n_required=100, max_time=7.0, arrival_rate=14.0)
+Q_STAR = 433.8596995663529
+
+
+class TestReferenceEquivalence:
+    # (auction, quantity, shortfall rule, cycles)
+    DESIGNS = {
+        "int-q-int-window": (AuctionParams(100, 7, 14.0), 150, "reset_to_q", 300),
+        "fractional-q": (BASE, Q_STAR, "reset_to_q", 300),
+        "q-multiple-of-n": (BASE, 300.0, "reset_to_q", 300),
+        "q-below-n": (BASE, 50.0, "reset_to_q", 300),
+        "n-required-1": (AuctionParams(1, 1.0, 5.0), 37.0, "reset_to_q", 50),
+        "carry-fractional-q": (BASE, Q_STAR, "carry_shortfall", 300),
+        "carry-int-q": (BASE, 150, "carry_shortfall", 300),
+        "carry-q-multiple-of-n": (BASE, 300.0, "carry_shortfall", 300),
+        "carry-n-required-1": (AuctionParams(1, 1.0, 5.0), 37.25, "carry_shortfall", 50),
+    }
+
+    @pytest.mark.parametrize("batch", [7, simulator._DRAW_BATCH], ids=["batch-7", "batch-default"])
+    @pytest.mark.parametrize("sampler", ["interarrival_sum", "erlang"])
+    @pytest.mark.parametrize("design", list(DESIGNS))
+    def test_matches_step_by_step_reference(self, monkeypatch, base_costs, design, sampler, batch):
+        auction, quantity, rule, cycles = self.DESIGNS[design]
+        config = _config(num_cycles=cycles, shortfall_rule=rule, duration_sampler=sampler)
+        monkeypatch.setattr(simulator, "_DRAW_BATCH", batch)
+        log, reference_log = io.StringIO(), io.StringIO()
+        result = simulate(auction, base_costs, Policy(quantity), config, event_log=log)
+        reference = reference_simulate(
+            auction, base_costs, Policy(quantity), config, event_log=reference_log
+        )
+        assert result.counts == reference.counts
+        text, reference_text = log.getvalue(), reference_log.getvalue()
+        if text != reference_text:
+            # Name the first differing line; a full diff of the logs takes minutes.
+            pairs = zip(text.splitlines(), reference_text.splitlines())
+            first = next((pair for pair in pairs if pair[0] != pair[1]), "the end")
+            pytest.fail(f"event logs differ at {first}")
+        fields = dataclasses.asdict(result)
+        for name, value in dataclasses.asdict(reference).items():
+            if name != "counts":
+                assert math.isclose(fields[name], value, rel_tol=1e-12), name
+
+    def test_long_cycles_do_not_depend_on_batch_size(self, monkeypatch, base_costs):
+        # 10k dispatches per cycle: each cycle spans many 7-window batches,
+        # and its cost is still summed over the same terms in one go.
+        auction = AuctionParams(n_required=1, max_time=1.0, arrival_rate=5.0)
+        config = _config(num_cycles=3, duration_sampler="erlang")
+        default = simulate(auction, base_costs, Policy(1e4), config)
+        monkeypatch.setattr(simulator, "_DRAW_BATCH", 7)
+        assert simulate(auction, base_costs, Policy(1e4), config) == default
+
+    @pytest.mark.parametrize("sampler", ["interarrival_sum", "erlang"])
+    def test_event_log_is_written_once_per_batch(self, base_costs, sampler):
+        class CountingLog(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        log = CountingLog()
+        result = simulate(
+            BASE, base_costs, Policy(Q_STAR), _config(num_cycles=2000, duration_sampler=sampler),
+            event_log=log,
+        )
+        assert log.getvalue().count("\n") == result.counts.auctions
+        assert log.writes <= math.ceil(result.counts.auctions / simulator._DRAW_BATCH) + 1
 
 
 class TestAgreementWithAnalytics:
@@ -313,6 +457,19 @@ class TestValidation:
         auction = AuctionParams(n_required=100, max_time=math.inf, arrival_rate=14.0)
         with pytest.raises(ConfigError):
             simulate(auction, base_costs, base_policy, _config())
+
+    def test_overflowing_clock_raises_before_logging_it(self, monkeypatch, base_costs):
+        # p is about 0.5, but 1e307-long windows overflow the clock after
+        # about 20 of them; with 7-window batches the first ones are logged.
+        monkeypatch.setattr(simulator, "_DRAW_BATCH", 7)
+        auction = AuctionParams(n_required=100, max_time=1e307, arrival_rate=1e-305)
+        log = io.StringIO()
+        with pytest.raises(NumericsError, match="clock overflowed"):
+            simulate(auction, base_costs, Policy(434.0), _config(num_cycles=50), event_log=log)
+        records = [json.loads(line) for line in log.getvalue().splitlines()]
+        assert records
+        assert all(math.isfinite(record["start"]) for record in records)
+        assert "inf" not in log.getvalue()
 
     def test_degenerate_design_raises_before_drawing(self):
         # p underflows to 0, so a run would never complete a cycle; the

@@ -50,6 +50,13 @@ COMMANDS = [
     # Degenerate design: the success probability underflows to 0.
     ["simulate", "--quantity", "434", "--n-required", "500", "--max-time", "0.5",
      "--arrival-rate", "0.5", "--cycles", "1"],
+    ["simulate", "--quantity", "433.86", "--shortfall-rule", "carry_shortfall",
+     "--cycles", "2000", "--seed", "7"],
+    # Q equals n_required: every dispatch drains the stock to exactly 0.
+    ["simulate", "--quantity", "100", "--cycles", "500", "--seed", "7"],
+    # Low-probability cell (120, 6): about 7.5k windows per dispatch.
+    ["simulate", "--n-required", "120", "--max-time", "6", "--quantity", "9",
+     "--cycles", "200", "--duration-sampler", "erlang"],
     ["optimize"],
     ["optimize", "--td-mode", "consistent", "--a-mode", "exact"],
     ["sweep", "--n-values", "20,40", "--t-values", "3,4", "--lambda-values", "10",
