@@ -6,9 +6,9 @@ the file. All reports are plain deterministic text on stdout, or written
 to the file named by ``path`` / ``--out``.
 
 Exit codes: 0 success, 1 validation checks failed, 2 configuration
-error (including a config file that cannot be read and a report that
-cannot be written), 3 numeric domain error, 4 sweep finished with failed
-cells.
+error (including a usage error, a config file that cannot be read and a
+report that cannot be written), 3 numeric domain error, 4 sweep finished
+with failed cells.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .costmodel import (
@@ -50,40 +50,6 @@ from .stochastics import (
 )
 from .sweep import REPORT_FORMATS, SweepSpec, emit_report, run_sweep
 
-_CHOICES = {
-    "td_mode": TD_MODES,
-    "a_mode": A_MODES,
-    "shortfall_rule": SHORTFALL_RULES,
-    "duration_sampler": DURATION_SAMPLERS,
-    "format": REPORT_FORMATS,
-}
-
-_INT_KEYS = ("n_required", "num_cycles", "replications", "seed")
-_FLOAT_KEYS = (
-    "max_time",
-    "arrival_rate",
-    "dispatch_cost",
-    "transport_cost_per_unit",
-    "holding_rate",
-    "penalty_cost",
-    "reorder_cost",
-    "quantity",
-)
-_LIST_INT_KEYS = ("n_values",)
-_LIST_FLOAT_KEYS = ("t_values", "lambda_values")
-_BOOL_KEYS = ("include_simulation",)
-_STR_KEYS = ("path",)
-
-_ALL_KEYS = (
-    _INT_KEYS
-    + _FLOAT_KEYS
-    + tuple(_CHOICES)
-    + _LIST_INT_KEYS
-    + _LIST_FLOAT_KEYS
-    + _BOOL_KEYS
-    + _STR_KEYS
-)
-
 # The cost keys every command requires, and the CostParams field each fills.
 _COST_FIELDS = {
     "dispatch_cost": "dispatch_cost",
@@ -94,36 +60,111 @@ _COST_FIELDS = {
 }
 
 
+def _int(key: str, raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
+
+
+def _float(key: str, raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+    if math.isnan(value):
+        raise ConfigError(f"{key}: must not be NaN")
+    return value
+
+
+def _bool(key: str, raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered in ("true", "1", "yes", "on"):
+        return True
+    if lowered in ("false", "0", "no", "off"):
+        return False
+    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+
+
+def _one_of(choices: tuple[str, ...]):
+    def parse(key: str, raw: str) -> str:
+        if raw not in choices:
+            raise ConfigError(f"{key}: must be one of {choices}, got {raw!r}")
+        return raw
+
+    return parse
+
+
+def _ruled(convert, ok, rule: str):
+    """A scalar key's parser and its sweep axis's parser, under one range rule.
+
+    Only keys that no dataclass built for every command checks get a rule:
+    sweep configs need no auction, and replications and the axes have none.
+    """
+
+    def scalar(key: str, raw: str):
+        value = convert(key, raw)
+        if not ok(value):
+            raise ConfigError(f"{key}: {rule}, got {value}")
+        return value
+
+    def axis(key: str, raw: str) -> tuple:
+        values = tuple(convert(key, part.strip()) for part in raw.split(","))
+        if not all(map(ok, values)):
+            raise ConfigError(f"{key}: every entry {rule}")
+        return values
+
+    return scalar, axis
+
+
+_POSITIVE_INT, _POSITIVE_INTS = _ruled(_int, lambda n: n >= 1, "must be >= 1")
+_WINDOW, _WINDOWS = _ruled(_float, lambda t: t > 0.0, "must be > 0 (inf allowed)")
+_RATE, _RATES = _ruled(_float, lambda r: math.isfinite(r) and r > 0.0, "must be finite and > 0")
+
+
+def _key(parse, default=None):
+    """A config key: a RunConfig field that carries its value parser."""
+    return field(default=default, metadata={"parse": parse})
+
+
 @dataclass
 class RunConfig:
-    """Fully parsed run configuration; None means the key was not given."""
+    """Fully parsed run configuration; None means the key was not given.
 
-    n_required: int | None = None
-    max_time: float | None = None
-    arrival_rate: float | None = None
-    dispatch_cost: float | None = None
-    transport_cost_per_unit: float | None = None
-    holding_rate: float | None = None
-    penalty_cost: float | None = None
-    reorder_cost: float | None = None
-    quantity: float | None = None
-    td_mode: str = "paper"
-    a_mode: str = "approx"
-    shortfall_rule: str = "reset_to_q"
-    duration_sampler: str = "interarrival_sum"
-    num_cycles: int = 20000
-    replications: int = 1
-    seed: int = 0
-    format: str = "markdown"
-    path: str | None = None
-    n_values: tuple[int, ...] | None = None
-    t_values: tuple[float, ...] | None = None
-    lambda_values: tuple[float, ...] | None = None
-    include_simulation: bool = False
+    Every field made by _key is a config key and has a same-named flag,
+    registered in field order; ``path``'s flag is ``--out``.
+    """
+
+    n_required: int | None = _key(_POSITIVE_INT)
+    num_cycles: int = _key(_int, 20000)
+    replications: int = _key(_POSITIVE_INT, 1)
+    seed: int = _key(_int, 0)
+    max_time: float | None = _key(_WINDOW)
+    arrival_rate: float | None = _key(_RATE)
+    dispatch_cost: float | None = _key(_float)
+    transport_cost_per_unit: float | None = _key(_float)
+    holding_rate: float | None = _key(_float)
+    penalty_cost: float | None = _key(_float)
+    reorder_cost: float | None = _key(_float)
+    quantity: float | None = _key(_float)
+    td_mode: str = _key(_one_of(TD_MODES), "paper")
+    a_mode: str = _key(_one_of(A_MODES), "approx")
+    shortfall_rule: str = _key(_one_of(SHORTFALL_RULES), "reset_to_q")
+    duration_sampler: str = _key(_one_of(DURATION_SAMPLERS), "interarrival_sum")
+    format: str = _key(_one_of(REPORT_FORMATS), "markdown")
+    n_values: tuple[int, ...] | None = _key(_POSITIVE_INTS)
+    t_values: tuple[float, ...] | None = _key(_WINDOWS)
+    lambda_values: tuple[float, ...] | None = _key(_RATES)
+    include_simulation: bool = _key(_bool, False)
+    path: str | None = _key(lambda key, raw: raw)
     # Built from the keys above by load_run_config.
     costs: CostParams | None = None
     simulation: SimulationConfig | None = None
     policy: Policy | None = None
+
+
+# Every config key and its parser, in flag order.
+_PARSERS = {f.name: f.metadata["parse"] for f in fields(RunConfig) if "parse" in f.metadata}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -143,7 +184,7 @@ def parse_config_text(text: str) -> dict[str, str]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if not value:
             raise ConfigError(f"line {lineno}: empty value for key {key!r}")
@@ -152,72 +193,6 @@ def parse_config_text(text: str) -> dict[str, str]:
         line_of[key] = lineno
         values[key] = value
     return values
-
-
-def _to_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-
-
-def _to_float(key: str, raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-    if math.isnan(value):
-        raise ConfigError(f"{key}: must not be NaN")
-    return value
-
-
-def _to_bool(key: str, raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-
-
-def _convert(key: str, raw: str) -> object:
-    if key in _INT_KEYS:
-        return _to_int(key, raw)
-    if key in _FLOAT_KEYS:
-        return _to_float(key, raw)
-    if key in _CHOICES:
-        if raw not in _CHOICES[key]:
-            raise ConfigError(f"{key}: must be one of {_CHOICES[key]}, got {raw!r}")
-        return raw
-    if key in _LIST_INT_KEYS:
-        return tuple(_to_int(key, part.strip()) for part in raw.split(","))
-    if key in _LIST_FLOAT_KEYS:
-        return tuple(_to_float(key, part.strip()) for part in raw.split(","))
-    if key in _BOOL_KEYS:
-        return _to_bool(key, raw)
-    return raw
-
-
-# Each auction quantity's scalar key, its sweep axis key and their one rule.
-_AUCTION_RANGES = (
-    ("n_required", "n_values", lambda n: n >= 1, "must be >= 1"),
-    ("max_time", "t_values", lambda t: t > 0.0, "must be > 0 (inf allowed)"),
-    ("arrival_rate", "lambda_values", lambda r: math.isfinite(r) and r > 0.0, "must be finite and > 0"),
-)
-
-
-def _validate_ranges(cfg: RunConfig) -> None:
-    # The keys that no dataclass built for every command checks: sweep
-    # configs need no auction, and replications and the axes have none.
-    for key, axis, ok, rule in _AUCTION_RANGES:
-        value = getattr(cfg, key)
-        if value is not None and not ok(value):
-            raise ConfigError(f"{key}: {rule}, got {value}")
-        values = getattr(cfg, axis)
-        if values is not None and not all(map(ok, values)):
-            raise ConfigError(f"{axis}: every entry {rule}")
-    if cfg.replications < 1:
-        raise ConfigError(f"replications: must be >= 1, got {cfg.replications}")
 
 
 def load_run_config(config_path: str | None, overrides: dict[str, str]) -> RunConfig:
@@ -239,11 +214,10 @@ def load_run_config(config_path: str | None, overrides: dict[str, str]) -> RunCo
     raw.update(overrides)
     cfg = RunConfig()
     for key, value in raw.items():
-        setattr(cfg, key, _convert(key, value))
-    _validate_ranges(cfg)
+        setattr(cfg, key, _PARSERS[key](key, value))
     _require(cfg, *_COST_FIELDS)
     try:
-        cfg.costs = CostParams(**{field: getattr(cfg, key) for key, field in _COST_FIELDS.items()})
+        cfg.costs = CostParams(**{name: getattr(cfg, key) for key, name in _COST_FIELDS.items()})
         cfg.simulation = SimulationConfig(
             cfg.num_cycles, cfg.seed, cfg.shortfall_rule, cfg.duration_sampler
         )
@@ -252,8 +226,8 @@ def load_run_config(config_path: str | None, overrides: dict[str, str]) -> RunCo
     except ParameterError as exc:
         # Name the config key, not the CostParams field, in the message.
         message = str(exc)
-        for key, field in _COST_FIELDS.items():
-            message = message.replace(field, key)
+        for key, name in _COST_FIELDS.items():
+            message = message.replace(name, key)
         raise ConfigError(message) from None
     return cfg
 
@@ -430,8 +404,11 @@ def cmd_simulate(cfg: RunConfig) -> tuple[str, int]:
         lines.append(f"  {label:<27}{value:>12.6f}   z={_fmt_z(z)}")
     if cfg.replications > 1:
         costs_across = [r.long_run_cost for r in results]
-        mean = math.fsum(costs_across) / len(costs_across)
-        var = math.fsum((c - mean) ** 2 for c in costs_across) / (len(costs_across) - 1)
+        try:
+            mean = math.fsum(costs_across) / len(costs_across)
+            var = math.fsum((c - mean) ** 2 for c in costs_across) / (len(costs_across) - 1)
+        except OverflowError:
+            raise NumericsError("replication summary of the long-run cost is not finite") from None
         lines.append("")
         lines.append(
             f"replication summary: long-run cost mean {mean:.6f} sd {math.sqrt(var):.6f} "
@@ -650,7 +627,12 @@ _COMMANDS = {
     "validate": cmd_validate,
 }
 
-_FLAG_KEYS = [key for key in _ALL_KEYS if key != "path"]
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors (unknown flag, missing value, unknown command) exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 class _StoreOnce(argparse.Action):
@@ -671,7 +653,7 @@ class _StoreOnce(argparse.Action):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="groupbuy-inventory",
         description="Replenishment analytics for inventory feeding group-buying auctions.",
     )
@@ -686,9 +668,10 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("config", nargs="?", default=None,
                          help="path to a flat key = value config file")
-        for key in _FLAG_KEYS:
-            sub.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None, metavar="V",
-                             action=_StoreOnce)
+        for key in _PARSERS:
+            if key != "path":
+                sub.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None,
+                                 metavar="V", action=_StoreOnce)
         sub.add_argument("--cycles", dest="num_cycles", default=None, metavar="V",
                          action=_StoreOnce, help="alias for --num-cycles")
         sub.add_argument("--out", dest="path", default=None, metavar="FILE",
@@ -702,7 +685,7 @@ def main(argv: list[str] | None = None) -> int:
         overrides = {
             key: value
             for key, value in vars(args).items()
-            if key in _ALL_KEYS and value is not None
+            if key in _PARSERS and value is not None
         }
         cfg = load_run_config(args.config, overrides)
         text, code = _COMMANDS[args.command](cfg)

@@ -164,6 +164,13 @@ def _draw_durations(
             yield rng.gamma(shape=shape, scale=scale, size=_DRAW_BATCH)
 
 
+def _fsum(values: "np.ndarray") -> float:
+    try:
+        return math.fsum(values.tolist())
+    except OverflowError:  # finite terms whose sum overflows
+        return math.inf
+
+
 def _mean_se(values: "np.ndarray") -> tuple[float, float]:
     n = values.size
     mean = float(values.mean()) if n else 0.0
@@ -330,17 +337,18 @@ def simulate(
 
     costs_arr = np.concatenate(cycle_costs)
     lengths_arr = np.concatenate(cycle_lengths)
-    intervals_arr = np.concatenate(intervals)
-    total_cost = math.fsum(costs_arr.tolist())
-    total_time = math.fsum(lengths_arr.tolist())
+    total_cost = _fsum(costs_arr)
+    total_time = _fsum(lengths_arr)
     long_run = total_cost / total_time
     p_hat = dispatches / auctions
     p_se = math.sqrt(p_hat * (1.0 - p_hat) / auctions) if auctions > 1 else 0.0
-    mean_interval, interval_se = _mean_se(intervals_arr)
-    mean_length, length_se = _mean_se(lengths_arr)
-    mean_cost, cost_se = _mean_se(costs_arr)
-    long_run_se = _ratio_se(costs_arr, lengths_arr, long_run)
-    return SimulationResult(
+    # Estimates that overflow are checked below, not warned about per array.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_interval, interval_se = _mean_se(np.concatenate(intervals))
+        mean_length, length_se = _mean_se(lengths_arr)
+        mean_cost, cost_se = _mean_se(costs_arr)
+        long_run_se = _ratio_se(costs_arr, lengths_arr, long_run)
+    result = SimulationResult(
         p_hat=p_hat,
         p_hat_se=p_se,
         mean_dispatch_interval=mean_interval,
@@ -361,6 +369,10 @@ def simulate(
             cycles=costs_arr.size,
         ),
     )
+    for name, value in vars(result).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise NumericsError(f"simulated {name} is not finite: {value!r}")
+    return result
 
 
 def replicate(

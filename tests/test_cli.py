@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 from collections import Counter
@@ -12,7 +13,7 @@ from groupbuy_inventory import (
     simulate,
 )
 from groupbuy_inventory import cli
-from groupbuy_inventory.cli import main
+from groupbuy_inventory.cli import RunConfig, main
 
 BASE_CONFIG = """\
 # base scenario
@@ -383,6 +384,23 @@ class TestConfigParsing:
         assert captured.out == ""
         assert captured.err.startswith(f"config error: {key} given twice")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--bogus", "1"],
+            ["optimize", "--seed"],
+            ["forecast"],
+        ],
+        ids=["unknown-flag", "missing-value", "unknown-command"],
+    )
+    def test_usage_error_is_config_error(self, config_file, capsys, argv):
+        command, *flags = argv
+        assert main([command, config_file, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert "usage:" not in captured.err
+
     def test_repeated_key_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "repeated.cfg"
         cfg.write_text(BASE_CONFIG + "reorder_cost = 1\n", encoding="utf-8")
@@ -410,6 +428,65 @@ class TestConfigParsing:
         cfg.write_text("n_required 100\n", encoding="utf-8")
         assert main(["optimize", str(cfg)]) == 2
         assert "key = value" in capsys.readouterr().err
+
+
+# One valid value per config key, unlike both its default and the base
+# scenario; a key the schema gains without a value here fails the test below.
+SCHEMA_SAMPLES = {
+    "n_required": "80",
+    "num_cycles": "500",
+    "replications": "2",
+    "seed": "7",
+    "max_time": "6.5",
+    "arrival_rate": "12",
+    "dispatch_cost": "41",
+    "transport_cost_per_unit": "3.5",
+    "holding_rate": "0.03",
+    "penalty_cost": "9",
+    "reorder_cost": "310",
+    "quantity": "434",
+    "td_mode": "consistent",
+    "a_mode": "exact",
+    "shortfall_rule": "carry_shortfall",
+    "duration_sampler": "erlang",
+    "format": "csv",
+    "n_values": "80, 100",
+    "t_values": "6,7.5",
+    "lambda_values": "12,14.5",
+    "include_simulation": "yes",
+    "path": "report.txt",
+}
+SCHEMA_KEYS = [field.name for field in dataclasses.fields(RunConfig) if "parse" in field.metadata]
+
+
+class TestSchema:
+    def test_every_key_has_a_sample(self):
+        assert SCHEMA_KEYS == list(SCHEMA_SAMPLES)
+
+    @pytest.mark.parametrize("key", SCHEMA_KEYS)
+    def test_file_key_equals_its_flag(self, tmp_path, monkeypatch, capsys, key):
+        seen = []
+
+        def record(cfg):
+            seen.append(cfg)
+            return "", 0
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setitem(cli._COMMANDS, "optimize", record)
+        value = SCHEMA_SAMPLES[key]
+        base = dict(line.split(" = ") for line in BASE_CONFIG.splitlines()[1:] if line)
+        flag = "--out" if key == "path" else f"--{key.replace('_', '-')}"
+        (tmp_path / "base.cfg").write_text(BASE_CONFIG, encoding="utf-8")
+        (tmp_path / "keyed.cfg").write_text(
+            "".join(f"{k} = {v}\n" for k, v in {**base, key: value}.items()), encoding="utf-8"
+        )
+        assert main(["optimize", "base.cfg"]) == 0
+        assert main(["optimize", "keyed.cfg"]) == 0
+        assert main(["optimize", "base.cfg", flag, value]) == 0
+        assert capsys.readouterr().err == ""
+        unset, from_file, from_flag = seen
+        assert from_file == from_flag
+        assert getattr(from_file, key) != getattr(unset, key)
 
 
 class TestSubprocessEntry:
@@ -450,6 +527,32 @@ class TestSubprocessEntry:
         assert result.stdout == ""
         assert "Traceback" not in result.stderr
         assert "clock overflowed" in result.stderr
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--cycles", "3", "--replications", "2", "--penalty-cost", "1e300"],
+             "simulated mean_cycle_cost_se is not finite: inf"),
+            (["--holding-rate", "1e300", "--cycles", "5"],
+             "simulated mean_cycle_cost_se is not finite: inf"),
+            # One cycle per stream has no standard error; the spread across
+            # the two streams overflows instead.
+            (["--cycles", "1", "--replications", "2", "--penalty-cost", "1e200"],
+             "replication summary of the long-run cost is not finite"),
+        ],
+        ids=["replications", "holding-rate", "replication-summary"],
+    )
+    def test_overflowing_estimate_simulate_is_numeric_error(self, config_file, flags, message):
+        argv = [
+            sys.executable, "-m", "groupbuy_inventory.cli",
+            "simulate", config_file, "--quantity", "434", *flags,
+        ]
+        result = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert "RuntimeWarning" not in result.stderr
+        assert result.stderr == f"numeric domain error: {message}\n"
 
     @pytest.mark.parametrize(
         "script",

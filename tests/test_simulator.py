@@ -471,6 +471,23 @@ class TestValidation:
         assert all(math.isfinite(record["start"]) for record in records)
         assert "inf" not in log.getvalue()
 
+    @pytest.mark.parametrize(
+        "costs,field",
+        [
+            # Finite cycle costs whose squared deviations overflow.
+            (CostParams(40.0, 4.0, 1e300, 10.0, 300.0), "mean_cycle_cost_se"),
+            # Finite cycle costs whose sum overflows.
+            (CostParams(40.0, 4.0, 5e303, 10.0, 300.0), "mean_cycle_cost"),
+            # Cycle costs that overflow in the accounting itself.
+            (CostParams(40.0, 4.0, 0.02, 1e308, 300.0), "mean_cycle_cost"),
+        ],
+        ids=["overflowing-se", "overflowing-sum", "overflowing-cost"],
+    )
+    def test_non_finite_estimate_raises(self, base_auction, costs, field):
+        # filterwarnings = error also turns any escaped numpy warning into a failure.
+        with pytest.raises(NumericsError, match=f"simulated {field} is not finite: inf"):
+            simulate(base_auction, costs, Policy(434.0), _config(num_cycles=5))
+
     def test_degenerate_design_raises_before_drawing(self):
         # p underflows to 0, so a run would never complete a cycle; the
         # subprocess timeout turns a hang into a failure.

@@ -6,9 +6,11 @@ Each SRC is a checkout root (its ``src/`` is used) or a directory that
 holds the ``groupbuy_inventory`` package. Every command below runs once
 per tree as ``python -m groupbuy_inventory.cli`` on the base scenario
 (n_required=100, max_time=7, arrival_rate=14, costs 40/4/0.02/10/300);
-stdout and the exit code are compared byte for byte. A command that runs
-longer than TIMEOUT_S seconds on either tree is stopped and counts as a
-difference. The script prints one line per command, the differing stdout
+stdout, stderr and the exit code are compared byte for byte. The
+commands cover reports, ``--help``, rejected configs (exit 2) and
+overflowing simulations (exit 3). A command that runs longer than
+TIMEOUT_S seconds on either tree is stopped and counts as a difference.
+The script prints one line per command, the differing stdout and stderr
 lines, and a summary; it exits 0 when every command is identical and 1
 otherwise.
 """
@@ -61,6 +63,22 @@ COMMANDS = [
     ["optimize", "--td-mode", "consistent", "--a-mode", "exact"],
     ["sweep", "--n-values", "20,40", "--t-values", "3,4", "--lambda-values", "10",
      "--include-simulation", "true", "--cycles", "200", "--format", "csv"],
+    ["optimize", "--help"],
+    # Rejected configs: exit 2 with one config error line on stderr.
+    ["optimize", "--num-cycles", "0"],
+    ["optimize", "--seed", "-1"],
+    ["optimize", "--t-values=-1,7"],
+    ["optimize", "--lambda-values", "inf"],
+    ["optimize", "--format", "yaml"],
+    ["optimize", "--include-simulation", "maybe"],
+    ["optimize", "--n-values", "1,x"],
+    ["optimize", "--seed", "1", "--seed", "2"],
+    # Simulated statistics that overflow double precision: exit 3.
+    ["simulate", "--quantity", "434", "--cycles", "3", "--replications", "2",
+     "--penalty-cost", "1e300"],
+    ["simulate", "--quantity", "434", "--holding-rate", "1e300", "--cycles", "5"],
+    ["simulate", "--quantity", "434", "--cycles", "1", "--replications", "2",
+     "--penalty-cost", "1e200"],
 ]
 
 
@@ -73,7 +91,7 @@ def package_root(path: str) -> Path:
     sys.exit(f"no groupbuy_inventory package under {path}")
 
 
-def run(src: Path, config: Path, argv: list[str]) -> tuple[int | str, str]:
+def run(src: Path, config: Path, argv: list[str]) -> tuple[int | str, str, str]:
     command, *flags = argv
     env = dict(os.environ, PYTHONPATH=str(src))
     try:
@@ -82,8 +100,8 @@ def run(src: Path, config: Path, argv: list[str]) -> tuple[int | str, str]:
             capture_output=True, text=True, env=env, timeout=TIMEOUT_S,
         )
     except subprocess.TimeoutExpired:
-        return "timeout", ""
-    return done.returncode, done.stdout
+        return "timeout", "", ""
+    return done.returncode, done.stdout, done.stderr
 
 
 def main(argv: list[str]) -> int:
@@ -95,19 +113,23 @@ def main(argv: list[str]) -> int:
         config = Path(tmp) / "base.cfg"
         config.write_text(BASE_CONFIG, encoding="utf-8")
         for index, command in enumerate(COMMANDS, start=1):
-            old_code, old_out = run(old_src, config, command)
-            new_code, new_out = run(new_src, config, command)
-            same = old_code == new_code != "timeout" and old_out == new_out
+            old_code, *old_streams = run(old_src, config, command)
+            new_code, *new_streams = run(new_src, config, command)
+            same = old_code == new_code != "timeout" and old_streams == new_streams
             identical += same
             label = " ".join(command)
             print(f"[{'same' if same else 'DIFF'}] {index:>2} {label} (exit {old_code} -> {new_code})")
-            if old_out != new_out:
+            for name, old, new in zip(("stdout", "stderr"), old_streams, new_streams):
                 diff = difflib.unified_diff(
-                    old_out.splitlines(), new_out.splitlines(), "old", "new", n=0, lineterm=""
+                    old.splitlines(), new.splitlines(), f"old {name}", f"new {name}",
+                    n=0, lineterm="",
                 )
                 for line in list(diff)[2:]:
-                    print(f"       {line}")
-    print(f"summary: {identical}/{len(COMMANDS)} commands byte-identical (stdout and exit code)")
+                    print(f"       {name}: {line}")
+    print(
+        f"summary: {identical}/{len(COMMANDS)} commands byte-identical "
+        "(stdout, stderr and exit code)"
+    )
     return 0 if identical == len(COMMANDS) else 1
 
 
