@@ -50,14 +50,10 @@ from .stochastics import (
     AuctionStatistics,
     TdMode,
     auction_statistics,
-    conditional_success_duration,
-    dispatch_time,
     erlang_pdf,
-    expected_failures,
     regularized_lower_gamma,
     success_probability,
     success_probability_poisson_tail,
-    truncated_mean_duration,
 )
 from .sweep import CSV_COLUMNS, REPORT_FORMATS, SweepRow, SweepSpec, emit_report, run_sweep
 
@@ -93,16 +89,13 @@ __all__ = [
     "TdMode",
     "auction_statistics",
     "best_integer_quantity",
-    "conditional_success_duration",
     "cost_derivatives",
     "cost_rate_terms",
     "cycle_cost_breakdown",
-    "dispatch_time",
     "dispatches_per_cycle",
     "emit_report",
     "eoq_limit",
     "erlang_pdf",
-    "expected_failures",
     "long_run_average_cost",
     "optimal_cost",
     "optimal_quantity",
@@ -113,5 +106,4 @@ __all__ = [
     "simulate",
     "success_probability",
     "success_probability_poisson_tail",
-    "truncated_mean_duration",
 ]

@@ -126,6 +126,13 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
+def _divide(numerator: float, denominator: float, what: str) -> float:
+    # A product of positive factors can underflow to zero.
+    if denominator == 0.0:
+        raise NumericsError(f"{what} underflowed to zero")
+    return numerator / denominator
+
+
 def dispatches_per_cycle(quantity: float, n_required: int, mode: AMode = "approx") -> float:
     """Number of dispatches one cycle supports.
 
@@ -157,6 +164,7 @@ def cycle_cost_breakdown(
     I * td * A * (Q - (A-1)*N/2) with A = ceil(Q/N). In approx mode the
     level is averaged to (Q + N)/2 across A = Q/N intervals. Dispatching,
     transport and penalty scale with A; the reorder cost is charged once.
+    Raises NumericsError naming the first field that is not finite.
     """
     batches = dispatches_per_cycle(policy.quantity, n_required, a_mode)
     td = _finite_dispatch_time(stats, td_mode)
@@ -172,7 +180,7 @@ def cycle_cost_breakdown(
     reorder = costs.reorder_cost
     cycle_length = batches * td
     cycle_total = holding + dispatching + transport + penalty + reorder
-    return CostBreakdown(
+    breakdown = CostBreakdown(
         holding=holding,
         dispatching=dispatching,
         transport=transport,
@@ -180,8 +188,12 @@ def cycle_cost_breakdown(
         reorder=reorder,
         cycle_length=cycle_length,
         cycle_total=cycle_total,
-        long_run_average=cycle_total / cycle_length,
+        long_run_average=_divide(cycle_total, cycle_length, "cycle length"),
     )
+    for name, value in vars(breakdown).items():
+        if not math.isfinite(value):
+            raise NumericsError(f"expected {name} is not finite: {value!r}")
+    return breakdown
 
 
 def long_run_average_cost(
@@ -228,7 +240,7 @@ def cost_rate_terms(
     return {
         "holding_quantity": costs.holding_rate * q / 2.0,
         **_q_free_rate_terms(stats, costs, n, td),
-        "reorder": costs.reorder_cost * n / (q * td),
+        "reorder": _divide(costs.reorder_cost * n, q * td, "quantity * dispatch time"),
     }
 
 
@@ -249,8 +261,10 @@ def cost_derivatives(
     td = _finite_dispatch_time(stats, td_mode)
     q = policy.quantity
     n = float(n_required)
-    first = costs.holding_rate / 2.0 - costs.reorder_cost * n / (q * q * td)
-    second = 2.0 * costs.reorder_cost * n / (q * q * q * td)
+    first = costs.holding_rate / 2.0 - _divide(
+        costs.reorder_cost * n, q * q * td, "quantity^2 * dispatch time"
+    )
+    second = _divide(2.0 * costs.reorder_cost * n, q * q * q * td, "quantity^3 * dispatch time")
     return first, second
 
 
@@ -264,12 +278,15 @@ def optimal_quantity(
 
     Requires holding_rate > 0 and reorder_cost > 0; with either at zero the
     rate has no interior minimum (it becomes monotone in Q). Raises
-    NumericsError when Q* overflows to infinity.
+    NumericsError when Q* overflows to infinity or I*td underflows to zero.
     """
     _check_n_required(n_required)
     check_optimizable(costs, "optimal_quantity")
     td = _finite_dispatch_time(stats, td_mode)
-    q_star = math.sqrt(2.0 * costs.reorder_cost * n_required / (costs.holding_rate * td))
+    q_star = math.sqrt(_divide(
+        2.0 * costs.reorder_cost * n_required, costs.holding_rate * td,
+        "holding_rate * dispatch time",
+    ))
     return _finite(q_star, "optimal quantity")
 
 
@@ -317,10 +334,6 @@ def best_integer_quantity(
         return int(hi)
     cost_lo = long_run_average_cost(stats, costs, Policy(float(lo)), n_required, td_mode, "approx")
     cost_hi = long_run_average_cost(stats, costs, Policy(float(hi)), n_required, td_mode, "approx")
-    if not math.isfinite(cost_lo + cost_hi):
-        raise NumericsError(
-            f"cost rate at quantity {lo} or {hi} is not finite: {cost_lo + cost_hi!r}"
-        )
     return int(hi) if cost_hi <= cost_lo else int(lo)
 
 
@@ -329,9 +342,11 @@ def eoq_limit(costs: CostParams, arrival_rate: float) -> float:
 
     This is Q* in the unbounded-window limit: with max_time infinite the
     dispatch spacing is n_required / arrival_rate, and n_required cancels
-    out of the square root. Requires holding_rate > 0 and reorder_cost > 0.
+    out of the square root. Requires holding_rate > 0 and reorder_cost > 0;
+    raises NumericsError when the quantity overflows to infinity.
     """
     if not math.isfinite(arrival_rate) or arrival_rate <= 0.0:
         raise ParameterError(f"arrival_rate must be finite and > 0, got {arrival_rate!r}")
     check_optimizable(costs, "eoq_limit")
-    return math.sqrt(2.0 * costs.reorder_cost * arrival_rate / costs.holding_rate)
+    eoq = math.sqrt(2.0 * costs.reorder_cost * arrival_rate / costs.holding_rate)
+    return _finite(eoq, "eoq limit")

@@ -54,6 +54,9 @@ _MAX_SEED = 2**64
 # a batch costs little memory and little unused work when a run is short.
 _DRAW_BATCH = 1 << 12
 _CHUNK_BUDGET = 1 << 21
+# Most bidding windows one simulate call may draw: minutes, not years, at
+# the measured 0.5 us (erlang) to 1.6 us (interarrival_sum) per window.
+_MAX_WINDOWS = 10**9
 # Two-sided 95% normal quantile.
 _Z_95 = 1.959963984540054
 
@@ -206,7 +209,9 @@ def simulate(
     needs no simulation) and, under "carry_shortfall", a policy quantity
     of at least n_required. Raises DegenerateAuctionError before drawing
     anything when the success probability underflows, as such a run would
-    never end, and NumericsError when the clock overflows double
+    never end; NumericsError, also before drawing anything, when the
+    estimated window count num_cycles * ceil(Q / n_required) / p_success
+    exceeds _MAX_WINDOWS; and NumericsError when the clock overflows double
     precision; the clock is checked before a batch is logged, so the log
     never holds a non-finite time. When event_log is given (path or open
     text file), one JSON line is written per bidding window with keys
@@ -219,13 +224,20 @@ def simulate(
         raise ConfigError(
             "carry_shortfall requires quantity >= n_required so the restart level stays positive"
         )
-    _nondegenerate_success_probability(auction)
+    n_required = auction.n_required
+    quantity = policy.quantity
+    batches = dispatches_per_cycle(quantity, n_required, "exact")
+    windows = config.num_cycles * batches / _nondegenerate_success_probability(auction)
+    if windows > _MAX_WINDOWS:
+        raise NumericsError(
+            f"simulation would draw about {windows:.3g} bidding windows "
+            f"(cycles * ceil(quantity / n_required) / p_success), over the budget of "
+            f"{_MAX_WINDOWS:.0e}; use fewer cycles or a smaller quantity"
+        )
     import numpy as np
 
     rng = rng_stream(config.seed, stream)
-    n_required = auction.n_required
     max_time = auction.max_time
-    quantity = policy.quantity
     dispatch_charge = costs.dispatch_cost + costs.unit_transport_cost * n_required
 
     # The stock before dispatch number m (counted from 0 over the run) is a
@@ -233,7 +245,7 @@ def simulate(
     # 2**53 units every subtraction is exact, so the levels equal those of a
     # step-by-step replay bit for bit, and an int quantity keeps int levels.
     if config.shortfall_rule == "reset_to_q":
-        per_cycle = int(dispatches_per_cycle(quantity, n_required, "exact"))
+        per_cycle = int(batches)
 
         def level_before(m: np.ndarray) -> np.ndarray:
             return quantity - (m % per_cycle) * n_required

@@ -234,14 +234,6 @@ def erlang_pdf(t: float, params: AuctionParams) -> float:
     return math.exp(log_density)
 
 
-def _require_finite_window(params: AuctionParams, quantity: str) -> None:
-    if params.unbounded:
-        raise DomainError(
-            f"{quantity} requires a finite max_time; "
-            "the unbounded limit is n_required / arrival_rate"
-        )
-
-
 def _nondegenerate_success_probability(params: AuctionParams) -> float:
     p = success_probability(params)
     if p < MIN_SUCCESS_PROBABILITY:
@@ -251,86 +243,14 @@ def _nondegenerate_success_probability(params: AuctionParams) -> float:
     return p
 
 
-def _next_shape_probability(params: AuctionParams) -> float:
-    # P(n_required + 1, rate * T), the kernel value behind both window means.
-    # A kernel call of its own: the recurrence P(n, x) - e^(-x) x^n / n!
-    # cancels badly when rate * T is far below n_required.
-    return regularized_lower_gamma(params.n_required + 1.0, params.arrival_rate * params.max_time)
-
-
-def _truncated_mean(params: AuctionParams, p: float, p_next: float) -> float:
-    # E[min(S, T)] = E[S 1{S < T}] + T P(S >= T).
-    return (params.n_required / params.arrival_rate) * p_next + params.max_time * (1.0 - p)
-
-
-def _conditional_duration(params: AuctionParams, p: float, p_next: float) -> float:
-    # E[S | S < T] given the (already checked) success probability p.
-    return (params.n_required / params.arrival_rate) * p_next / p
-
-
-def _failures_per_success(p: float) -> float:
-    return (1.0 - p) / p
-
-
-def truncated_mean_duration(params: AuctionParams) -> float:
-    """Unconditional expected length E[min(S, T)] of one bidding window.
-
-    S is the arrival time of the final required bidder and T = max_time.
-    Splitting min(S, T) into S 1{S < T} + T 1{S >= T} gives the truncated
-    Erlang identity (n / rate) * P(n + 1, rate * T) + T * (1 - P(n, rate * T)):
-    two kernel calls whatever n_required is. Relative error against
-    50-digit references is about 4e-14, 2e-13 and 4e-12 for n_required in
-    [10, 100), [100, 1e3) and [1e3, 1e4). Requires a finite window; the
-    unbounded limit is n_required / arrival_rate.
-    """
-    _require_finite_window(params, "truncated mean duration")
-    return _truncated_mean(params, success_probability(params), _next_shape_probability(params))
-
-
-def conditional_success_duration(params: AuctionParams) -> float:
-    """Expected window length given success, E[S | S < T].
-
-    Equals (n_required / rate) * P(n_required + 1, rate*T) / P(n_required, rate*T).
-    Always at most the truncated mean, never below it in reverse: the
-    conditional mean excludes the windows that ran the full length T.
-    Raises DegenerateAuctionError when the success probability underflows.
-    """
-    _require_finite_window(params, "conditional duration")
-    p = _nondegenerate_success_probability(params)
-    return _conditional_duration(params, p, _next_shape_probability(params))
-
-
-def expected_failures(params: AuctionParams) -> float:
-    """Expected number of failed windows before each success, (1 - p) / p.
-
-    Failed windows are geometric with success parameter p_success. Zero for
-    an unbounded window. Raises DegenerateAuctionError when p underflows.
-    """
-    if params.unbounded:
-        return 0.0
-    return _failures_per_success(_nondegenerate_success_probability(params))
-
-
-def dispatch_time(params: AuctionParams, mode: TdMode = "paper") -> float:
-    """Expected time between consecutive dispatches, counting failed windows.
-
-    Both modes charge expected_failures * max_time for the failed windows
-    that precede a success. Mode "paper" adds the unconditional truncated
-    mean E[min(S, T)] for the closing window; mode "consistent" adds the
-    conditional mean E[S | S < T]. Both give n_required / arrival_rate for
-    an unbounded window.
-    """
-    check_td_mode(mode)
-    if params.unbounded:
-        return params.n_required / params.arrival_rate
-    return select_dispatch_time(auction_statistics(params), mode)
-
-
 def auction_statistics(params: AuctionParams) -> AuctionStatistics:
     """Compute the full closed-form summary for one auction design.
 
     Two kernel calls, P(n, rate*T) and P(n + 1, rate*T), for any n_required.
-    For an unbounded window every duration field equals
+    The truncated Erlang identity E[min(S, T)] = (n / rate) * P(n + 1, rate*T)
+    + T * (1 - p) is within about 4e-14, 2e-13 and 4e-12 relative of 50-digit
+    references for n_required in [10, 100), [100, 1e3) and [1e3, 1e4). For
+    an unbounded window every duration field equals
     n_required / arrival_rate, p_success is 1.0 and expected_failures 0.0.
     Raises DegenerateAuctionError when the success probability underflows.
     """
@@ -345,10 +265,13 @@ def auction_statistics(params: AuctionParams) -> AuctionStatistics:
             dispatch_time_consistent=limit,
         )
     p = _nondegenerate_success_probability(params)
-    p_next = _next_shape_probability(params)
-    trunc = _truncated_mean(params, p, p_next)
-    cond = _conditional_duration(params, p, p_next)
-    failures = _failures_per_success(p)
+    # A kernel call of its own for P(n_required + 1, rate * T): the recurrence
+    # P(n, x) - e^(-x) x^n / n! cancels badly when rate * T is far below
+    # n_required.
+    p_next = regularized_lower_gamma(params.n_required + 1.0, params.arrival_rate * params.max_time)
+    trunc = (params.n_required / params.arrival_rate) * p_next + params.max_time * (1.0 - p)
+    cond = (params.n_required / params.arrival_rate) * p_next / p
+    failures = (1.0 - p) / p
     return AuctionStatistics(
         p_success=p,
         e_min_duration=trunc,

@@ -21,7 +21,6 @@ from groupbuy_inventory import (
     SimulationConfig,
     auction_statistics,
     best_integer_quantity,
-    dispatch_time,
     eoq_limit,
     erlang_pdf,
     long_run_average_cost,
@@ -30,7 +29,6 @@ from groupbuy_inventory import (
     simulate,
     success_probability,
     success_probability_poisson_tail,
-    truncated_mean_duration,
 )
 from reference_values import (
     BASE_COST_STAR,
@@ -159,7 +157,7 @@ def test_criterion_06_quadrature_equivalence():
             worst = max(
                 worst,
                 abs(success_probability(params) - p_quad),
-                abs(truncated_mean_duration(params) - truncated_quad),
+                abs(auction_statistics(params).e_min_duration - truncated_quad),
             )
     record(6, worst <= 1e-10, f"quadrature equivalence (n <= 10): max abs delta {worst:.2e} <= 1e-10")
 

@@ -1,9 +1,14 @@
+import contextlib
 import dataclasses
+import io
+import re
 import subprocess
 import sys
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from groupbuy_inventory import (
     Policy,
@@ -27,6 +32,25 @@ holding_rate = 0.02
 penalty_cost = 10
 reorder_cost = 300
 """
+
+
+# The base scenario as flags, and the sweep axis each auction key becomes.
+BASE_KEYS = {
+    "n_required": 100, "max_time": 7, "arrival_rate": 14, "dispatch_cost": 40,
+    "transport_cost_per_unit": 4, "holding_rate": 0.02, "penalty_cost": 10, "reorder_cost": 300,
+}
+SWEEP_AXES = {"n_required": "n_values", "max_time": "t_values", "arrival_rate": "lambda_values"}
+LOG_UNIFORM = st.floats(min_value=-300.0, max_value=308.0).map(lambda exponent: 10.0**exponent)
+
+
+def closed_form_argv(command, keys):
+    """Every key as a flag; a sweep takes the auction keys as axes."""
+    argv = [command]
+    for key, value in keys.items():
+        if command == "sweep":
+            key = SWEEP_AXES.get(key, key)
+        argv += [f"--{key.replace('_', '-')}", str(value)]
+    return argv
 
 
 @pytest.fixture
@@ -89,15 +113,29 @@ class TestOptimize:
         assert "numeric domain error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flags",
-        [["--arrival-rate", "1e308"], ["--penalty-cost", "1e308", "--max-time", "6.5"]],
-        ids=["infinite-optimum", "infinite-cost-rate"],
+        "flags,message",
+        [
+            (["--arrival-rate", "1e308"], "is not finite: inf"),
+            (["--penalty-cost", "1e308", "--max-time", "6.5"], "is not finite: inf"),
+            # holding_rate * td underflows to 0.0 in the denominator of Q*.
+            (["--arrival-rate", "1e300", "--holding-rate", "1e-30"],
+             "holding_rate * dispatch time underflowed to zero"),
+            # Q* is an integer-valued float, so no cost rate is compared.
+            (["--reorder-cost", "1e300", "--transport-cost-per-unit", "1e300"],
+             "expected transport is not finite: inf"),
+            (["--reorder-cost", "1e300", "--arrival-rate", "1e10", "--holding-rate", "1e-5",
+              "--max-time", "5e-9"], "eoq limit is not finite: inf"),
+        ],
+        ids=[
+            "infinite-optimum", "infinite-cost-rate", "underflowing-denominator",
+            "infinite-cycle-cost", "infinite-eoq-limit",
+        ],
     )
-    def test_overflowing_result_is_numeric_error(self, config_file, capsys, flags):
+    def test_overflowing_result_is_numeric_error(self, config_file, capsys, flags, message):
         assert main(["optimize", config_file, *flags]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "is not finite: inf" in captured.err
+        assert message in captured.err
 
     def test_missing_config_file(self, capsys):
         assert main(["optimize", "/nonexistent/path.cfg"]) == 2
@@ -239,6 +277,17 @@ class TestSweep:
         assert len(rows) == 3
         assert rows[1].startswith("100,7,14,0.433311,")
         assert rows[2] == "100,7,1e+308" + "," * 8
+
+    def test_underflowing_cell_is_error_cell(self, config_file, capsys):
+        code = main([
+            "sweep", config_file, "--n-values", "100", "--t-values", "7",
+            "--lambda-values", "14,1e300", "--holding-rate", "1e-30", "--format", "csv",
+        ])
+        assert code == 4
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 3
+        assert rows[1].startswith("100,7,14,0.433311,")
+        assert rows[2] == "100,7,1e+300" + "," * 8
 
     def test_include_simulation_adds_columns(self, config_file, capsys):
         code = main([
@@ -529,6 +578,27 @@ class TestSubprocessEntry:
         assert "clock overflowed" in result.stderr
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            # About 1e13 dispatches in one cycle.
+            ["simulate", "--quantity", "1e15", "--cycles", "1"],
+            # The best integer Q = 9 at p = 5.7e-11: about 3.5e14 windows.
+            ["validate", "--n-required", "150", "--max-time", "6"],
+        ],
+        ids=["simulate", "validate"],
+    )
+    def test_work_over_budget_is_numeric_error(self, config_file, argv):
+        command, *flags = argv
+        result = subprocess.run(
+            [sys.executable, "-m", "groupbuy_inventory.cli", command, config_file, *flags],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert "bidding windows" in result.stderr
+
+    @pytest.mark.parametrize(
         "flags,message",
         [
             (["--cycles", "3", "--replications", "2", "--penalty-cost", "1e300"],
@@ -574,3 +644,37 @@ class TestSubprocessEntry:
             [sys.executable, "-c", script + check, config_file], capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
+
+
+class TestClosedFormProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        command=st.sampled_from(["optimize", "sweep"]),
+        keys=st.fixed_dictionaries({
+            "n_required": st.integers(min_value=1, max_value=10**6),
+            **{key: LOG_UNIFORM for key in BASE_KEYS if key != "n_required"},
+        }),
+    )
+    @example(command="optimize", keys={**BASE_KEYS, "arrival_rate": 1e300, "holding_rate": 1e-30})
+    @example(
+        command="sweep", keys={**BASE_KEYS, "arrival_rate": "14,1e300", "holding_rate": 1e-30}
+    )
+    @example(
+        command="optimize",
+        keys={**BASE_KEYS, "reorder_cost": 1e300, "transport_cost_per_unit": 1e300},
+    )
+    @example(
+        command="optimize",
+        keys={
+            **BASE_KEYS, "reorder_cost": 1e300, "arrival_rate": 1e10, "holding_rate": 1e-5,
+            "max_time": 5e-9,
+        },
+    )
+    def test_exits_0_to_4_and_prints_only_finite_numbers(self, command, keys):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(closed_form_argv(command, keys))
+        assert 0 <= code <= 4, err.getvalue()
+        if code == 0:
+            text = out.getvalue().replace("eoq limit (window -> inf)", "")
+            assert not re.search(r"\b(inf|infinity|nan)\b", text, re.IGNORECASE), text

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from groupbuy_inventory import (
     AuctionParams,
     AuctionStatistics,
     CostParams,
+    NumericsError,
     ParameterError,
     Policy,
     auction_statistics,
@@ -255,6 +257,32 @@ class TestBreakdown:
         assert terms["reorder"] > 0.0
 
 
+class TestNumericGuards:
+    # With td = 1e-300, a 1e-30 holding rate or quantity makes each
+    # denominator underflow to zero.
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda stats, costs: optimal_quantity(
+                stats, dataclasses.replace(costs, holding_rate=1e-30), 100
+            ),
+            lambda stats, costs: cost_rate_terms(stats, costs, Policy(1e-30), 100),
+            lambda stats, costs: cost_derivatives(stats, costs, Policy(1e-30), 100),
+            lambda stats, costs: cycle_cost_breakdown(stats, costs, Policy(1e-30), 100),
+        ],
+        ids=["optimal_quantity", "cost_rate_terms", "cost_derivatives", "cycle_cost_breakdown"],
+    )
+    def test_underflowing_denominator_is_numeric_error(self, base_costs, operation):
+        with pytest.raises(NumericsError, match="underflowed to zero"):
+            operation(_synthetic_stats(1e-300), base_costs)
+
+    @pytest.mark.parametrize("a_mode", ["exact", "approx"])
+    def test_breakdown_names_the_first_field_that_is_not_finite(self, base_stats, a_mode):
+        costs = CostParams(40.0, 1e300, 0.02, 10.0, 300.0)
+        with pytest.raises(NumericsError, match=r"^expected transport is not finite: inf$"):
+            cycle_cost_breakdown(base_stats, costs, Policy(1e152), 100, "paper", a_mode)
+
+
 class TestSelfConsistency:
     def test_closed_form_matches_direct_rate_at_optimum(self, base_costs):
         for (n, t) in GRID_P:
@@ -287,6 +315,11 @@ class TestEoqLimit:
             eoq_limit(base_costs, 0.0)
         with pytest.raises(ParameterError):
             eoq_limit(CostParams(40.0, 4.0, 0.0, 10.0, 300.0), 14.0)
+
+    def test_overflow_is_numeric_error(self):
+        costs = CostParams(40.0, 4.0, 1e-5, 10.0, 1e300)
+        with pytest.raises(NumericsError, match="eoq limit is not finite: inf"):
+            eoq_limit(costs, 1e10)
 
 
 class TestDispatchesPerCycle:

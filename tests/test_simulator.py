@@ -488,6 +488,32 @@ class TestValidation:
         with pytest.raises(NumericsError, match=f"simulated {field} is not finite: inf"):
             simulate(base_auction, costs, Policy(434.0), _config(num_cycles=5))
 
+    def test_work_over_budget_raises_before_drawing(self, monkeypatch, base_costs):
+        # About 1e13 dispatches at p = 0.88: without the estimate this run
+        # never ends and its per-dispatch arrays grow without limit.
+        def no_draws(*args):
+            raise AssertionError("windows were drawn")
+
+        monkeypatch.setattr(simulator, "_draw_durations", no_draws)
+        auction = AuctionParams(n_required=100, max_time=8.0, arrival_rate=14.0)
+        log = io.StringIO()
+        with pytest.raises(NumericsError, match=r"about 1\.13e\+13 bidding windows"):
+            simulate(auction, base_costs, Policy(1e15), _config(num_cycles=1), event_log=log)
+        assert log.getvalue() == ""
+
+    @pytest.mark.parametrize("budget,refused", [(115, True), (116, False)])
+    def test_work_estimate_is_cycles_times_dispatches_over_p(
+        self, monkeypatch, base_auction, base_costs, budget, refused
+    ):
+        # 10 cycles of ceil(434 / 100) = 5 dispatches at p = 0.4333: 115.4 windows.
+        monkeypatch.setattr(simulator, "_MAX_WINDOWS", budget)
+        config = _config(num_cycles=10)
+        if refused:
+            with pytest.raises(NumericsError, match="about 115 bidding windows"):
+                simulate(base_auction, base_costs, Policy(434.0), config)
+        else:
+            assert simulate(base_auction, base_costs, Policy(434.0), config).counts.cycles == 10
+
     def test_degenerate_design_raises_before_drawing(self):
         # p underflows to 0, so a run would never complete a cycle; the
         # subprocess timeout turns a hang into a failure.

@@ -13,16 +13,12 @@ from groupbuy_inventory import (
     ParameterError,
     SweepSpec,
     auction_statistics,
-    conditional_success_duration,
-    dispatch_time,
     erlang_pdf,
-    expected_failures,
     regularized_lower_gamma,
     run_sweep,
     stochastics,
     success_probability,
     success_probability_poisson_tail,
-    truncated_mean_duration,
 )
 from reference_values import (
     BASE_CONDITIONAL,
@@ -194,31 +190,31 @@ class TestErlangPdf:
 
 class TestDurations:
     def test_base_truncated_mean(self, base_auction):
-        assert truncated_mean_duration(base_auction) == pytest.approx(BASE_TRUNCATED, abs=1e-9)
+        stats = auction_statistics(base_auction)
+        assert stats.e_min_duration == pytest.approx(BASE_TRUNCATED, abs=1e-9)
 
     def test_base_conditional_matches_quadrature_pin(self, base_auction):
-        assert conditional_success_duration(base_auction) == pytest.approx(
-            BASE_CONDITIONAL, abs=1e-9
-        )
+        stats = auction_statistics(base_auction)
+        assert stats.e_cond_duration == pytest.approx(BASE_CONDITIONAL, abs=1e-9)
 
     def test_base_expected_failures(self, base_auction):
-        assert expected_failures(base_auction) == pytest.approx(BASE_FAILURES, abs=1e-9)
+        stats = auction_statistics(base_auction)
+        assert stats.expected_failures == pytest.approx(BASE_FAILURES, abs=1e-9)
         # Display-precision route: (1 - 0.4333) / 0.4333.
-        assert expected_failures(base_auction) == pytest.approx(
-            (1.0 - 0.4333) / 0.4333, abs=2e-4
-        )
+        assert stats.expected_failures == pytest.approx((1.0 - 0.4333) / 0.4333, abs=2e-4)
 
     def test_base_dispatch_times(self, base_auction):
-        assert dispatch_time(base_auction, "paper") == pytest.approx(BASE_TD_PAPER, abs=1e-9)
-        assert dispatch_time(base_auction, "consistent") == pytest.approx(
-            BASE_TD_CONSISTENT, abs=1e-9
-        )
+        stats = auction_statistics(base_auction)
+        assert stats.dispatch_time_paper == pytest.approx(BASE_TD_PAPER, abs=1e-9)
+        assert stats.dispatch_time_consistent == pytest.approx(BASE_TD_CONSISTENT, abs=1e-9)
 
     def test_consistent_mode_matches_monte_carlo_pin(self, base_auction):
-        value = dispatch_time(base_auction, "consistent")
-        assert abs(value - MC_TD_CONSISTENT_MEAN) <= 3.0 * MC_TD_CONSISTENT_SE
+        stats = auction_statistics(base_auction)
+        assert abs(stats.dispatch_time_consistent - MC_TD_CONSISTENT_MEAN) <= (
+            3.0 * MC_TD_CONSISTENT_SE
+        )
         # td_mode="paper" sits far outside the same Monte Carlo band.
-        assert abs(dispatch_time(base_auction, "paper") - MC_TD_CONSISTENT_MEAN) > (
+        assert abs(stats.dispatch_time_paper - MC_TD_CONSISTENT_MEAN) > (
             10.0 * MC_TD_CONSISTENT_SE
         )
 
@@ -233,14 +229,11 @@ class TestDurations:
                     lambda t: t * erlang_pdf(t, params), 0.0, max_time
                 )
                 truncated_quad = mean_quad + max_time * (1.0 - p_quad)
+                stats = auction_statistics(params)
                 assert success_probability(params) == pytest.approx(p_quad, abs=1e-10)
-                assert truncated_mean_duration(params) == pytest.approx(
-                    truncated_quad, abs=1e-10
-                )
+                assert stats.e_min_duration == pytest.approx(truncated_quad, abs=1e-10)
                 if p_quad > 0.0:
-                    assert conditional_success_duration(params) == pytest.approx(
-                        mean_quad / p_quad, abs=1e-9
-                    )
+                    assert stats.e_cond_duration == pytest.approx(mean_quad / p_quad, abs=1e-9)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -260,7 +253,7 @@ class TestDurations:
         params = AuctionParams(
             n_required=n, max_time=window_for_probability(n, p) / rate, arrival_rate=rate
         )
-        value = truncated_mean_duration(params)
+        value = auction_statistics(params).e_min_duration
         assert value == pytest.approx(survival_sum_truncated_mean(params), rel=1e-11)
 
     @pytest.mark.parametrize("n", [10, 100, 1000, 5000])
@@ -281,52 +274,43 @@ class TestDurations:
     def test_duration_sandwich(self, n, max_time, rate):
         params = AuctionParams(n_required=n, max_time=max_time, arrival_rate=rate)
         try:
-            conditional = conditional_success_duration(params)
+            stats = auction_statistics(params)
         except DegenerateAuctionError:
             assume(False)
             return
-        truncated = truncated_mean_duration(params)
+        conditional, truncated = stats.e_cond_duration, stats.e_min_duration
         slack = 1e-12 * max(1.0, truncated)
         assert 0.0 < conditional <= truncated + slack
         assert truncated <= min(max_time, n / rate) + slack
 
-    def test_requires_finite_window(self):
-        params = AuctionParams(n_required=4, max_time=math.inf, arrival_rate=2.0)
-        with pytest.raises(DomainError):
-            truncated_mean_duration(params)
-        with pytest.raises(DomainError):
-            conditional_success_duration(params)
-
 
 class TestDispatchTime:
     def test_paper_exceeds_consistent_when_failure_possible(self, base_auction):
-        assert dispatch_time(base_auction, "paper") > dispatch_time(base_auction, "consistent")
+        stats = auction_statistics(base_auction)
+        assert stats.dispatch_time_paper > stats.dispatch_time_consistent
 
     def test_mode_validation(self, base_auction):
         with pytest.raises(ParameterError):
-            dispatch_time(base_auction, "typo")
+            stochastics.select_dispatch_time(auction_statistics(base_auction), "typo")
 
     def test_unbounded_limit(self):
         params = AuctionParams(n_required=100, max_time=math.inf, arrival_rate=14.0)
-        assert dispatch_time(params, "paper") == 100 / 14.0
-        assert dispatch_time(params, "consistent") == 100 / 14.0
+        stats = auction_statistics(params)
+        assert stats.dispatch_time_paper == 100 / 14.0
+        assert stats.dispatch_time_consistent == 100 / 14.0
 
     def test_long_window_approaches_limit(self):
         params = AuctionParams(n_required=100, max_time=1e5, arrival_rate=14.0)
+        stats = auction_statistics(params)
         limit = 100 / 14.0
-        assert dispatch_time(params, "paper") == pytest.approx(limit, rel=1e-12)
-        assert dispatch_time(params, "consistent") == pytest.approx(limit, rel=1e-12)
+        assert stats.dispatch_time_paper == pytest.approx(limit, rel=1e-12)
+        assert stats.dispatch_time_consistent == pytest.approx(limit, rel=1e-12)
 
 
 class TestAuctionStatistics:
     def test_fields_match_individual_operations(self, base_auction):
         stats = auction_statistics(base_auction)
         assert stats.p_success == success_probability(base_auction)
-        assert stats.e_min_duration == truncated_mean_duration(base_auction)
-        assert stats.e_cond_duration == conditional_success_duration(base_auction)
-        assert stats.expected_failures == expected_failures(base_auction)
-        assert stats.dispatch_time_paper == dispatch_time(base_auction, "paper")
-        assert stats.dispatch_time_consistent == dispatch_time(base_auction, "consistent")
 
     def test_unbounded_window(self):
         stats = auction_statistics(AuctionParams(n_required=7, max_time=math.inf, arrival_rate=2.0))
@@ -339,10 +323,6 @@ class TestAuctionStatistics:
         params = AuctionParams(n_required=500, max_time=0.5, arrival_rate=0.5)
         with pytest.raises(DegenerateAuctionError):
             auction_statistics(params)
-        with pytest.raises(DegenerateAuctionError):
-            expected_failures(params)
-        with pytest.raises(DegenerateAuctionError):
-            conditional_success_duration(params)
 
 
 class TestWorkCounts:
@@ -364,10 +344,9 @@ class TestWorkCounts:
         auction_statistics(AuctionParams(n_required=n, max_time=n / 14.0, arrival_rate=14.0))
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("mode", ["paper", "consistent"])
-    def test_dispatch_time_computes_p_once(self, monkeypatch, base_auction, mode):
+    def test_auction_statistics_computes_p_once(self, monkeypatch, base_auction):
         calls = self._count_calls(monkeypatch, "success_probability")
-        dispatch_time(base_auction, mode)
+        auction_statistics(base_auction)
         assert len(calls) == 1
 
     def test_sweep_at_large_batch_size_finishes(self, base_costs):

@@ -7,8 +7,9 @@ holds the ``groupbuy_inventory`` package. Every command below runs once
 per tree as ``python -m groupbuy_inventory.cli`` on the base scenario
 (n_required=100, max_time=7, arrival_rate=14, costs 40/4/0.02/10/300);
 stdout, stderr and the exit code are compared byte for byte. The
-commands cover reports, ``--help``, rejected configs (exit 2) and
-overflowing simulations (exit 3). A command that runs longer than
+commands cover reports, ``--help``, rejected configs (exit 2),
+overflowing or underflowing results and simulations over the work
+budget (exit 3). A command that runs longer than
 TIMEOUT_S seconds on either tree is stopped and counts as a difference.
 The script prints one line per command, the differing stdout and stderr
 lines, and a summary; it exits 0 when every command is identical and 1
@@ -79,6 +80,18 @@ COMMANDS = [
     ["simulate", "--quantity", "434", "--holding-rate", "1e300", "--cycles", "5"],
     ["simulate", "--quantity", "434", "--cycles", "1", "--replications", "2",
      "--penalty-cost", "1e200"],
+    # Closed-form results whose denominator underflows to 0.0: exit 3, or an
+    # error cell (exit 4) in a sweep.
+    ["optimize", "--arrival-rate", "1e300", "--holding-rate", "1e-30"],
+    ["sweep", "--n-values", "100", "--t-values", "7", "--lambda-values", "14,1e300",
+     "--holding-rate", "1e-30", "--format", "csv"],
+    # Closed-form results that overflow to inf: exit 3.
+    ["optimize", "--reorder-cost", "1e300", "--transport-cost-per-unit", "1e300"],
+    ["optimize", "--reorder-cost", "1e300", "--arrival-rate", "1e10", "--holding-rate", "1e-5",
+     "--max-time", "5e-9"],
+    # Simulations over the window budget: exit 3 before drawing anything.
+    ["simulate", "--quantity", "1e15", "--cycles", "1"],
+    ["validate", "--n-required", "150", "--max-time", "6"],
 ]
 
 
