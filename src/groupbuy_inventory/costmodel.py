@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import NumericsError, ParameterError
+from .errors import NumericsError, ParameterError, check_choice
 from .stochastics import AuctionStatistics, TdMode, select_dispatch_time
 
 AMode = Literal["exact", "approx"]
@@ -94,12 +94,6 @@ class CostBreakdown:
     long_run_average: float
 
 
-def check_a_mode(mode: str) -> None:
-    """Raise ParameterError unless mode is a known dispatch-count mode."""
-    if mode not in A_MODES:
-        raise ParameterError(f"a_mode must be one of {A_MODES}, got {mode!r}")
-
-
 def _check_n_required(n_required: int) -> None:
     if isinstance(n_required, bool) or not isinstance(n_required, int) or n_required < 1:
         raise ParameterError(f"n_required must be an integer >= 1, got {n_required!r}")
@@ -141,7 +135,7 @@ def dispatches_per_cycle(quantity: float, n_required: int, mode: AMode = "approx
     "approx" returns the real ratio used by the closed-form cost rate.
     """
     _check_n_required(n_required)
-    check_a_mode(mode)
+    check_choice("a_mode", mode, A_MODES)
     if not math.isfinite(quantity) or quantity <= 0.0:
         raise ParameterError(f"quantity must be finite and > 0, got {quantity!r}")
     if mode == "exact":

@@ -1,9 +1,9 @@
 """Exception hierarchy for the replenishment toolkit.
 
 Every error raised by this package derives from GroupBuyError, so callers
-can catch one base class. The leaf classes additionally subclass the
-closest builtin (ValueError or ArithmeticError) so that generic handlers
-keep working.
+can catch one base class; the leaf classes also subclass the closest
+builtin (ValueError or ArithmeticError). check_choice holds the one check
+that a mode argument is one of its allowed values.
 """
 
 
@@ -34,3 +34,9 @@ class DegenerateAuctionError(NumericsError):
 
 class ConfigError(GroupBuyError, ValueError):
     """A run configuration (CLI flags or config file) failed validation."""
+
+
+def check_choice(name: str, value: str, choices: tuple[str, ...]) -> None:
+    """Raise ParameterError unless value is one of choices."""
+    if value not in choices:
+        raise ParameterError(f"{name} must be one of {choices}, got {value!r}")

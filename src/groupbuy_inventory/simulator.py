@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterator, Literal
 
 from .costmodel import CostParams, Policy, dispatches_per_cycle
-from .errors import ConfigError, NumericsError, ParameterError
+from .errors import ConfigError, NumericsError, ParameterError, check_choice
 from .stochastics import AuctionParams, _nondegenerate_success_probability
 
 if TYPE_CHECKING:
@@ -50,8 +50,9 @@ SHORTFALL_RULES: tuple[str, ...] = ("reset_to_q", "carry_shortfall")
 DURATION_SAMPLERS: tuple[str, ...] = ("interarrival_sum", "erlang")
 
 _MAX_SEED = 2**64
-# Windows per duration draw, and exponentials per interarrival_sum draw:
-# a batch costs little memory and little unused work when a run is short.
+# Windows per duration draw, and exponentials per interarrival_sum draw (a
+# longer window is drawn in slices): a batch costs little memory and little
+# unused work when a run is short.
 _DRAW_BATCH = 1 << 12
 _CHUNK_BUDGET = 1 << 21
 # Most bidding windows one simulate call may draw: minutes, not years, at
@@ -93,14 +94,8 @@ class SimulationConfig:
             raise ParameterError("seed must be an integer")
         if not 0 <= self.seed < _MAX_SEED:
             raise ParameterError(f"seed must satisfy 0 <= seed < 2**64, got {self.seed}")
-        if self.shortfall_rule not in SHORTFALL_RULES:
-            raise ParameterError(
-                f"shortfall_rule must be one of {SHORTFALL_RULES}, got {self.shortfall_rule!r}"
-            )
-        if self.duration_sampler not in DURATION_SAMPLERS:
-            raise ParameterError(
-                f"duration_sampler must be one of {DURATION_SAMPLERS}, got {self.duration_sampler!r}"
-            )
+        check_choice("shortfall_rule", self.shortfall_rule, SHORTFALL_RULES)
+        check_choice("duration_sampler", self.duration_sampler, DURATION_SAMPLERS)
 
 
 @dataclass(frozen=True)
@@ -158,9 +153,15 @@ def _draw_durations(
 ) -> Iterator[np.ndarray]:
     """Every window's duration, in arrays of at most _DRAW_BATCH windows."""
     if sampler == "interarrival_sum":
+        width = min(n_required, _CHUNK_BUDGET)
         windows = max(1, min(_DRAW_BATCH, _CHUNK_BUDGET // n_required))
         while True:
-            yield rng.standard_exponential((windows, n_required)).sum(axis=1) / arrival_rate
+            # Slice sums add in draw order (0 + x is x). A batch held in a local
+            # across the yield raised a base-case simulate's peak RSS by 3 MB.
+            yield sum(
+                rng.standard_exponential((windows, min(width, n_required - start))).sum(axis=1)
+                for start in range(0, n_required, width)
+            ) / arrival_rate
     else:
         shape, scale = float(n_required), 1.0 / arrival_rate
         while True:

@@ -14,10 +14,11 @@ CSV report parsed back agrees with the JSON report exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .costmodel import (
     CostParams,
@@ -26,11 +27,9 @@ from .costmodel import (
     optimal_cost,
     optimal_quantity,
 )
-from .errors import GroupBuyError, ParameterError
+from .errors import GroupBuyError, ParameterError, check_choice
 from .simulator import SimulationConfig, simulate
-from .stochastics import AuctionParams, TdMode, auction_statistics, check_td_mode, select_dispatch_time
-
-REPORT_FORMATS: tuple[str, ...] = ("csv", "json", "markdown")
+from .stochastics import TD_MODES, AuctionParams, TdMode, auction_statistics, select_dispatch_time
 
 CSV_COLUMNS: tuple[str, ...] = (
     "n",
@@ -73,13 +72,14 @@ class SweepSpec:
         for name in ("n_values", "t_values", "lambda_values"):
             if len(getattr(self, name)) == 0:
                 raise ParameterError(f"{name} must be non-empty")
-        check_td_mode(self.td_mode)
+        check_choice("td_mode", self.td_mode, TD_MODES)
 
 
 @dataclass(frozen=True)
 class SweepRow:
     """One evaluated grid cell.
 
+    The fields before error are the report columns, in CSV_COLUMNS order.
     The numeric fields are None either because the cell failed (error
     holds the reason) or, for the sim_* fields, because the sweep ran
     without simulation. delta is sim_cost - optimal_cost.
@@ -97,10 +97,6 @@ class SweepRow:
     sim_halfwidth: float | None = None
     delta: float | None = None
     error: str | None = None
-
-
-def _sorted_unique(values: Sequence[float]) -> list[float]:
-    return sorted(set(values))
 
 
 def _evaluate_cell(n: int, t: float, rate: float, spec: SweepSpec) -> SweepRow:
@@ -141,12 +137,12 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     cell; failed cells carry an error marker instead of numbers.
     """
     n_axis: list[int] = []
-    for value in _sorted_unique(spec.n_values):
+    for value in sorted(set(spec.n_values)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ParameterError(f"n_values entries must be integers, got {value!r}")
         n_axis.append(value)
-    t_axis = [float(v) for v in _sorted_unique(spec.t_values)]
-    rate_axis = [float(v) for v in _sorted_unique(spec.lambda_values)]
+    t_axis = [float(v) for v in sorted(set(spec.t_values))]
+    rate_axis = [float(v) for v in sorted(set(spec.lambda_values))]
     return [
         _evaluate_cell(n, t, rate, spec)
         for n in n_axis
@@ -163,29 +159,8 @@ def _format_number(value: float | int | None) -> str:
     return f"{value:.6g}"
 
 
-def _rounded(value: float | int | None) -> float | int | None:
-    # JSON carries the same 6-significant-digit values the CSV prints.
-    if value is None or isinstance(value, int):
-        return value
-    if not math.isfinite(value):
-        return value
-    return float(f"{value:.6g}")
-
-
-def _row_cells(row: SweepRow) -> tuple[float | int | None, ...]:
-    return (
-        row.n,
-        row.t,
-        row.arrival_rate,
-        row.p_success,
-        row.dispatch_time,
-        row.q_star_real,
-        row.q_star_integer,
-        row.optimal_cost,
-        row.sim_cost,
-        row.sim_halfwidth,
-        row.delta,
-    )
+# A row's report cells: every SweepRow field but the last one, error.
+_row_cells = operator.attrgetter(*(field.name for field in dataclasses.fields(SweepRow)[:-1]))
 
 
 def _emit_csv(rows: Sequence[SweepRow]) -> str:
@@ -196,8 +171,12 @@ def _emit_csv(rows: Sequence[SweepRow]) -> str:
 
 
 def _emit_json(rows: Sequence[SweepRow]) -> str:
+    # Floats carry the same 6-significant-digit values the CSV prints.
     payload = [
-        {name: _rounded(cell) for name, cell in zip(CSV_COLUMNS, _row_cells(row))}
+        {
+            name: float(_format_number(cell)) if isinstance(cell, float) else cell
+            for name, cell in zip(CSV_COLUMNS, _row_cells(row))
+        }
         for row in rows
     ]
     return json.dumps(payload, indent=2) + "\n"
@@ -207,7 +186,7 @@ def _grid_table(
     group: Sequence[SweepRow],
     n_axis: Sequence[int],
     t_axis: Sequence[float],
-    value_of: Callable[[SweepRow], float | int | None],
+    field: str,
 ) -> list[str]:
     by_cell = {(row.n, row.t): row for row in group}
     lines = ["| n \\ t | " + " | ".join(_format_number(t) for t in t_axis) + " |"]
@@ -221,7 +200,7 @@ def _grid_table(
             elif row.error is not None:
                 cells.append("ERR")
             else:
-                cells.append(_format_number(value_of(row)))
+                cells.append(_format_number(getattr(row, field)))
         lines.append(f"| {n} | " + " | ".join(cells) + " |")
     return lines
 
@@ -234,16 +213,15 @@ def _emit_markdown(rows: Sequence[SweepRow]) -> str:
         t_axis = sorted({row.t for row in group})
         lines.append(f"## arrival_rate = {_format_number(rate)}")
         lines.append("")
-        sections: tuple[tuple[str, Callable[[SweepRow], float | int | None]], ...] = (
-            ("success probability", lambda row: row.p_success),
-            ("expected dispatch time", lambda row: row.dispatch_time),
-            ("optimal quantity (integer)", lambda row: row.q_star_integer),
-            ("optimal cost rate", lambda row: row.optimal_cost),
-        )
-        for title, value_of in sections:
+        for title, field in (
+            ("success probability", "p_success"),
+            ("expected dispatch time", "dispatch_time"),
+            ("optimal quantity (integer)", "q_star_integer"),
+            ("optimal cost rate", "optimal_cost"),
+        ):
             lines.append(f"### {title}")
             lines.append("")
-            lines.extend(_grid_table(group, n_axis, t_axis, value_of))
+            lines.extend(_grid_table(group, n_axis, t_axis, field))
             lines.append("")
         sim_rows = [row for row in group if row.sim_cost is not None]
         if sim_rows:
@@ -262,11 +240,13 @@ def _emit_markdown(rows: Sequence[SweepRow]) -> str:
             lines.append("### errors")
             lines.append("")
             for row in errors:
-                lines.append(
-                    f"- n={row.n} t={_format_number(row.t)}: {row.error}"
-                )
+                lines.append(f"- n={row.n} t={_format_number(row.t)}: {row.error}")
             lines.append("")
     return "\n".join(lines).rstrip("\n") + "\n"
+
+
+_EMITTERS = {"csv": _emit_csv, "json": _emit_json, "markdown": _emit_markdown}
+REPORT_FORMATS: tuple[str, ...] = tuple(_EMITTERS)
 
 
 def emit_report(rows: Sequence[SweepRow], format: str = "csv") -> str:
@@ -279,10 +259,5 @@ def emit_report(rows: Sequence[SweepRow], format: str = "csv") -> str:
     """
     if len(rows) == 0:
         raise ParameterError("rows must be non-empty")
-    if format == "csv":
-        return _emit_csv(rows)
-    if format == "json":
-        return _emit_json(rows)
-    if format == "markdown":
-        return _emit_markdown(rows)
-    raise ParameterError(f"format must be one of {REPORT_FORMATS}, got {format!r}")
+    check_choice("format", format, REPORT_FORMATS)
+    return _EMITTERS[format](rows)

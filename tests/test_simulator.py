@@ -204,8 +204,10 @@ class TestDrawBatches:
         monkeypatch.setattr(simulator, "_DRAW_BATCH", 7)
         assert simulate(base_auction, base_costs, base_policy, config) == default
 
-    def test_one_auction_run_draws_a_small_batch(self, base_costs):
-        auction = AuctionParams(n_required=1, max_time=1.0, arrival_rate=5.0)
+    # A window of 2**23 exponentials is drawn in slices of 2**21 (16 MiB).
+    @pytest.mark.parametrize("n_required,bound", [(1, 2 * 2**20), (2**23, 20 * 2**20)])
+    def test_one_auction_run_draws_a_small_batch(self, base_costs, n_required, bound):
+        auction = AuctionParams(n_required=n_required, max_time=float(n_required), arrival_rate=5.0)
         config = _config(num_cycles=1, duration_sampler="interarrival_sum")
         # The first run loads numpy's generator machinery; trace the second.
         simulate(auction, base_costs, Policy(1.0), config)
@@ -216,7 +218,7 @@ class TestDrawBatches:
         finally:
             tracemalloc.stop()
         assert result.counts.cycles == 1
-        assert peak < 2 * 2**20
+        assert peak < bound
 
 
 BASE = AuctionParams(n_required=100, max_time=7.0, arrival_rate=14.0)

@@ -244,6 +244,9 @@ class TestDurations:
     @example(log_n=4.0, log_odds=-6.0, rate=14.0)
     @example(log_n=4.0, log_odds=0.0, rate=14.0)
     @example(log_n=4.0, log_odds=6.0, rate=14.0)
+    # n = 7437 at rate * T = 7442.6, where a direct log-space prefactor was
+    # 1.01e-11 relative off.
+    @example(log_n=3.871404546110276, log_odds=0.04771982229692284, rate=1.0)
     def test_truncated_mean_closed_form_identity(self, log_n, log_odds, rate):
         # The O(1) identity (n/rate) * P(n+1, rate*T) + T * (1 - P(n, rate*T))
         # against the O(n) survival-function sum, for n up to 1e4 and success

@@ -7,10 +7,11 @@ holds the ``groupbuy_inventory`` package. Every command below runs once
 per tree as ``python -m groupbuy_inventory.cli`` on the base scenario
 (n_required=100, max_time=7, arrival_rate=14, costs 40/4/0.02/10/300);
 stdout, stderr and the exit code are compared byte for byte. The
-commands cover reports, ``--help``, rejected configs (exit 2),
-overflowing or underflowing results and simulations over the work
-budget (exit 3). A command that runs longer than
-TIMEOUT_S seconds on either tree is stopped and counts as a difference.
+commands cover reports (sweeps in all three formats), ``--help``,
+rejected configs (exit 2), overflowing or underflowing results and
+simulations over the work budget (exit 3). A command that runs longer
+than TIMEOUT_S seconds on either tree is stopped and counts as a
+difference.
 The script prints one line per command, the differing stdout and stderr
 lines, and a summary; it exits 0 when every command is identical and 1
 otherwise.
@@ -64,6 +65,11 @@ COMMANDS = [
     ["optimize", "--td-mode", "consistent", "--a-mode", "exact"],
     ["sweep", "--n-values", "20,40", "--t-values", "3,4", "--lambda-values", "10",
      "--include-simulation", "true", "--cycles", "200", "--format", "csv"],
+    # Error cells (exit 4) next to a simulation table, in the other two formats.
+    ["sweep", "--n-values", "20,500", "--t-values", "3,4", "--lambda-values", "10",
+     "--include-simulation", "true", "--cycles", "200", "--format", "json"],
+    ["sweep", "--n-values", "20,500", "--t-values", "3,4", "--lambda-values", "10",
+     "--include-simulation", "true", "--cycles", "200", "--format", "markdown"],
     ["optimize", "--help"],
     # Rejected configs: exit 2 with one config error line on stderr.
     ["optimize", "--num-cycles", "0"],
