@@ -374,8 +374,6 @@ def cmd_simulate(cfg: RunConfig) -> tuple[str, int]:
     auction = _auction_from(cfg)
     costs = cfg.costs
     _require(cfg, "quantity")
-    if auction.unbounded:
-        raise ConfigError("max_time: must be finite for simulation")
     policy = cfg.policy
     results = replicate(auction, costs, policy, cfg.simulation, cfg.replications)
     stats = auction_statistics(auction)

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import NumericsError, ParameterError, check_choice
+from .errors import NumericsError, ParameterError, check_choice, check_int
 from .stochastics import AuctionStatistics, TdMode, select_dispatch_time
 
 AMode = Literal["exact", "approx"]
@@ -94,11 +94,6 @@ class CostBreakdown:
     long_run_average: float
 
 
-def _check_n_required(n_required: int) -> None:
-    if isinstance(n_required, bool) or not isinstance(n_required, int) or n_required < 1:
-        raise ParameterError(f"n_required must be an integer >= 1, got {n_required!r}")
-
-
 def check_optimizable(costs: CostParams, operation: str) -> None:
     """Raise ParameterError naming operation unless holding_rate and reorder_cost are > 0."""
     if costs.holding_rate <= 0.0:
@@ -107,11 +102,13 @@ def check_optimizable(costs: CostParams, operation: str) -> None:
         raise ParameterError(f"{operation} requires reorder_cost > 0")
 
 
-def _finite_dispatch_time(stats: AuctionStatistics, td_mode: TdMode) -> float:
+def _n_and_td(stats: AuctionStatistics, n_required: int, td_mode: TdMode) -> tuple[float, float]:
+    # The checked inputs every cost formula starts from: (N, td).
+    check_int("n_required", n_required, 1)
     td = select_dispatch_time(stats, td_mode)
     if not math.isfinite(td) or td <= 0.0:
         raise NumericsError(f"dispatch time is not a positive finite number: {td!r}")
-    return td
+    return float(n_required), td
 
 
 def _finite(value: float, what: str) -> float:
@@ -134,10 +131,9 @@ def dispatches_per_cycle(quantity: float, n_required: int, mode: AMode = "approx
     stock actually covers (the final batch may oversell the remainder);
     "approx" returns the real ratio used by the closed-form cost rate.
     """
-    _check_n_required(n_required)
+    check_int("n_required", n_required, 1)
     check_choice("a_mode", mode, A_MODES)
-    if not math.isfinite(quantity) or quantity <= 0.0:
-        raise ParameterError(f"quantity must be finite and > 0, got {quantity!r}")
+    Policy(quantity)
     if mode == "exact":
         return float(math.ceil(quantity / n_required))
     return quantity / n_required
@@ -160,10 +156,9 @@ def cycle_cost_breakdown(
     transport and penalty scale with A; the reorder cost is charged once.
     Raises NumericsError naming the first field that is not finite.
     """
+    n, td = _n_and_td(stats, n_required, td_mode)
     batches = dispatches_per_cycle(policy.quantity, n_required, a_mode)
-    td = _finite_dispatch_time(stats, td_mode)
     q = policy.quantity
-    n = float(n_required)
     if a_mode == "exact":
         holding = costs.holding_rate * td * batches * (q - (batches - 1.0) * n / 2.0)
     else:
@@ -227,10 +222,8 @@ def cost_rate_terms(
     transport F*N/td, penalty Cp*failures/td, reorder K*N/(Q*td). Their
     sum equals long_run_average_cost(..., a_mode="approx") up to roundoff.
     """
-    _check_n_required(n_required)
-    td = _finite_dispatch_time(stats, td_mode)
+    n, td = _n_and_td(stats, n_required, td_mode)
     q = policy.quantity
-    n = float(n_required)
     return {
         "holding_quantity": costs.holding_rate * q / 2.0,
         **_q_free_rate_terms(stats, costs, n, td),
@@ -251,10 +244,8 @@ def cost_derivatives(
     second derivative is positive for every Q > 0, so the rate is strictly
     convex and the interior stationary point is the unique minimum.
     """
-    _check_n_required(n_required)
-    td = _finite_dispatch_time(stats, td_mode)
+    n, td = _n_and_td(stats, n_required, td_mode)
     q = policy.quantity
-    n = float(n_required)
     first = costs.holding_rate / 2.0 - _divide(
         costs.reorder_cost * n, q * q * td, "quantity^2 * dispatch time"
     )
@@ -274,11 +265,10 @@ def optimal_quantity(
     rate has no interior minimum (it becomes monotone in Q). Raises
     NumericsError when Q* overflows to infinity or I*td underflows to zero.
     """
-    _check_n_required(n_required)
+    n, td = _n_and_td(stats, n_required, td_mode)
     check_optimizable(costs, "optimal_quantity")
-    td = _finite_dispatch_time(stats, td_mode)
     q_star = math.sqrt(_divide(
-        2.0 * costs.reorder_cost * n_required, costs.holding_rate * td,
+        2.0 * costs.reorder_cost * n, costs.holding_rate * td,
         "holding_rate * dispatch time",
     ))
     return _finite(q_star, "optimal quantity")
@@ -294,10 +284,8 @@ def optimal_cost(
 
     Raises NumericsError when the rate overflows to infinity.
     """
-    _check_n_required(n_required)
+    n, td = _n_and_td(stats, n_required, td_mode)
     check_optimizable(costs, "optimal_cost")
-    td = _finite_dispatch_time(stats, td_mode)
-    n = float(n_required)
     rate = math.sqrt(2.0 * costs.holding_rate * costs.reorder_cost * n / td)
     # A left-to-right loop, not sum(): from Python 3.12 sum() compensates
     # float roundoff, which would move the last printed digits.

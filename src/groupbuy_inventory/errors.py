@@ -2,8 +2,8 @@
 
 Every error raised by this package derives from GroupBuyError, so callers
 can catch one base class; the leaf classes also subclass the closest
-builtin (ValueError or ArithmeticError). check_choice holds the one check
-that a mode argument is one of its allowed values.
+builtin (ValueError or ArithmeticError). check_choice and check_int hold
+the one check of a mode argument and of an integer argument.
 """
 
 
@@ -40,3 +40,11 @@ def check_choice(name: str, value: str, choices: tuple[str, ...]) -> None:
     """Raise ParameterError unless value is one of choices."""
     if value not in choices:
         raise ParameterError(f"{name} must be one of {choices}, got {value!r}")
+
+
+def check_int(name: str, value: int, low: int | None = None) -> None:
+    """Raise ParameterError unless value is an int, not a bool, and not below low."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParameterError(f"{name} must be an integer")
+    if low is not None and value < low:
+        raise ParameterError(f"{name} must be >= {low}, got {value}")

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterator, Literal
 
 from .costmodel import CostParams, Policy, dispatches_per_cycle
-from .errors import ConfigError, NumericsError, ParameterError, check_choice
+from .errors import ConfigError, NumericsError, ParameterError, check_choice, check_int
 from .stochastics import AuctionParams, _nondegenerate_success_probability
 
 if TYPE_CHECKING:
@@ -86,12 +86,8 @@ class SimulationConfig:
     duration_sampler: DurationSampler = "interarrival_sum"
 
     def __post_init__(self) -> None:
-        if isinstance(self.num_cycles, bool) or not isinstance(self.num_cycles, int):
-            raise ParameterError("num_cycles must be an integer")
-        if self.num_cycles < 1:
-            raise ParameterError(f"num_cycles must be >= 1, got {self.num_cycles}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ParameterError("seed must be an integer")
+        check_int("num_cycles", self.num_cycles, 1)
+        check_int("seed", self.seed)
         if not 0 <= self.seed < _MAX_SEED:
             raise ParameterError(f"seed must satisfy 0 <= seed < 2**64, got {self.seed}")
         check_choice("shortfall_rule", self.shortfall_rule, SHORTFALL_RULES)
@@ -141,8 +137,7 @@ def rng_stream(seed: int, index: int) -> np.random.Generator:
     Uses numpy.random.SeedSequence(seed, spawn_key=(index,)), so streams
     for different indices never overlap and the derivation is stable.
     """
-    if index < 0:
-        raise ParameterError(f"stream index must be >= 0, got {index}")
+    check_int("stream index", index, 0)
     import numpy as np
 
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
@@ -220,7 +215,7 @@ def simulate(
     stock after any dispatch and replenishment triggered by that window.
     """
     if auction.unbounded:
-        raise ConfigError("simulation requires a finite max_time")
+        raise ConfigError("max_time: must be finite for simulation")
     if config.shortfall_rule == "carry_shortfall" and policy.quantity < auction.n_required:
         raise ConfigError(
             "carry_shortfall requires quantity >= n_required so the restart level stays positive"
@@ -259,7 +254,10 @@ def simulate(
     # Per-batch arrays, joined at the end.
     cycle_costs: list[np.ndarray] = []
     cycle_lengths: list[np.ndarray] = []
-    intervals: list[np.ndarray] = []
+    # Sums of the dispatch gaps less the first gap (which spares the variance
+    # from cancellation) and of their squares: memory does not grow with them.
+    gap_shift = None
+    gap_sum = gap_square_sum = 0.0
     # Per-dispatch cost terms of the cycle still open after the last batch:
     # a cycle is summed over all its terms at once, so the sum does not
     # depend on where batches split it.
@@ -319,7 +317,12 @@ def simulate(
                 cycle_start = cycle_ends[-1]
             else:
                 open_terms.append(terms)
-            intervals.append(gaps)
+            if gaps.size:
+                gap_shift = float(gaps[0]) if gap_shift is None else gap_shift
+                shifted = gaps - gap_shift
+                # Sequential sums, as the clock's: equal for every batch size.
+                gap_sum = float(np.cumsum(np.append(gap_sum, shifted))[-1])
+                gap_square_sum = float(np.cumsum(np.append(gap_square_sum, shifted**2))[-1])
             if log is not None:
                 level_after = level_before(dispatches + np.cumsum(success))
                 # The bytes json.dumps(record, separators=(",", ":")) gives:
@@ -357,7 +360,9 @@ def simulate(
     p_se = math.sqrt(p_hat * (1.0 - p_hat) / auctions) if auctions > 1 else 0.0
     # Estimates that overflow are checked below, not warned about per array.
     with np.errstate(over="ignore", invalid="ignore"):
-        mean_interval, interval_se = _mean_se(np.concatenate(intervals))
+        gap_mean = gap_sum / dispatches
+        gap_var = (gap_square_sum - gap_mean * gap_sum) / max(dispatches - 1, 1)
+        mean_interval, interval_se = gap_shift + gap_mean, math.sqrt(max(gap_var, 0.0) / dispatches)
         mean_length, length_se = _mean_se(lengths_arr)
         mean_cost, cost_se = _mean_se(costs_arr)
         long_run_se = _ratio_se(costs_arr, lengths_arr, long_run)
@@ -400,10 +405,7 @@ def replicate(
     Replication r always uses stream index r, so any prefix of the list is
     the same regardless of how many replications were requested.
     """
-    if isinstance(num_replications, bool) or not isinstance(num_replications, int):
-        raise ParameterError("num_replications must be an integer")
-    if num_replications < 1:
-        raise ParameterError(f"num_replications must be >= 1, got {num_replications}")
+    check_int("num_replications", num_replications, 1)
     return [
         simulate(auction, costs, policy, config, stream=index)
         for index in range(num_replications)

@@ -29,7 +29,8 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import DegenerateAuctionError, DomainError, NumericsError, ParameterError, check_choice
+from .errors import DegenerateAuctionError, DomainError, NumericsError, ParameterError
+from .errors import check_choice, check_int
 
 TdMode = Literal["paper", "consistent"]
 
@@ -60,10 +61,7 @@ class AuctionParams:
     arrival_rate: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.n_required, bool) or not isinstance(self.n_required, int):
-            raise ParameterError("n_required must be an integer")
-        if self.n_required < 1:
-            raise ParameterError(f"n_required must be >= 1, got {self.n_required}")
+        check_int("n_required", self.n_required, 1)
         if math.isnan(self.max_time) or self.max_time <= 0.0:
             raise ParameterError(f"max_time must be > 0 (math.inf allowed), got {self.max_time}")
         if not math.isfinite(self.arrival_rate) or self.arrival_rate <= 0.0:

@@ -27,7 +27,7 @@ from .costmodel import (
     optimal_cost,
     optimal_quantity,
 )
-from .errors import GroupBuyError, ParameterError, check_choice
+from .errors import GroupBuyError, ParameterError, check_choice, check_int
 from .simulator import SimulationConfig, simulate
 from .stochastics import TD_MODES, AuctionParams, TdMode, auction_statistics, select_dispatch_time
 
@@ -56,9 +56,9 @@ class SweepSpec:
     costs: cost coefficients shared by every cell.
     td_mode: dispatch-time mode used for the optimization in every cell.
     simulation: when given, each successful cell also runs one simulation
-        at the real-valued optimal quantity. Cells with a tiny success
-        probability simulate slowly; leave this off for wide exploratory
-        grids.
+        at the real-valued optimal quantity. A cell whose simulation would
+        draw more bidding windows than the simulator's budget (a tiny
+        success probability or a large quantity) becomes an error cell.
     """
 
     n_values: Sequence[int]
@@ -136,11 +136,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     a deterministic function of the axis sets. Always returns one row per
     cell; failed cells carry an error marker instead of numbers.
     """
-    n_axis: list[int] = []
-    for value in sorted(set(spec.n_values)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ParameterError(f"n_values entries must be integers, got {value!r}")
-        n_axis.append(value)
+    n_axis = sorted(set(spec.n_values))
+    for value in n_axis:
+        check_int("n_values entry", value)
     t_axis = [float(v) for v in sorted(set(spec.t_values))]
     rate_axis = [float(v) for v in sorted(set(spec.lambda_values))]
     return [

@@ -354,6 +354,27 @@ class TestParamValidation:
     def test_cost_params_allow_zero(self):
         CostParams(0.0, 0.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("n_required,message", [
+        (0, "n_required must be >= 1, got 0"),
+        (True, "n_required must be an integer"),
+        (100.0, "n_required must be an integer"),
+    ])
+    def test_every_cost_function_checks_n_required(
+        self, base_stats, base_costs, n_required, message
+    ):
+        policy = Policy(434.0)
+        calls = [
+            lambda: dispatches_per_cycle(434.0, n_required),
+            lambda: cycle_cost_breakdown(base_stats, base_costs, policy, n_required),
+            lambda: cost_rate_terms(base_stats, base_costs, policy, n_required),
+            lambda: cost_derivatives(base_stats, base_costs, policy, n_required),
+            lambda: optimal_quantity(base_stats, base_costs, n_required),
+            lambda: optimal_cost(base_stats, base_costs, n_required),
+        ]
+        for call in calls:
+            with pytest.raises(ParameterError, match=f"^{message}$"):
+                call()
+
     def test_policy_rejects_non_positive(self):
         for quantity in (0.0, -5.0, math.nan, math.inf):
             with pytest.raises(ParameterError):

@@ -136,6 +136,15 @@ class TestDeterminism:
         with pytest.raises(ParameterError):
             rng_stream(5, -1)
 
+    @pytest.mark.parametrize("index", [True, 1.5])
+    def test_rng_stream_rejects_a_non_integer_index(self, index):
+        with pytest.raises(ParameterError, match="^stream index must be an integer$"):
+            rng_stream(0, index)
+
+    def test_simulate_rejects_a_non_integer_stream(self, base_auction, base_costs, base_policy):
+        with pytest.raises(ParameterError, match="^stream index must be an integer$"):
+            simulate(base_auction, base_costs, base_policy, _config(num_cycles=1), stream=1.5)
+
 
 class TestReplicate:
     def test_stream_zero_matches_simulate(self, base_auction, base_costs, base_policy):
@@ -219,6 +228,22 @@ class TestDrawBatches:
             tracemalloc.stop()
         assert result.counts.cycles == 1
         assert peak < bound
+
+    def test_dispatch_gap_statistics_do_not_grow_with_the_run(self, base_costs):
+        # p_success is 1, so 2,000 cycles of Q / n = 1,000 are 2e6 dispatches:
+        # one float per dispatch gap alone would be 15 MiB.
+        auction = AuctionParams(n_required=1, max_time=1000.0, arrival_rate=1.0)
+        config = _config(num_cycles=2000, duration_sampler="erlang")
+        # The first run loads numpy's generator machinery; trace the second.
+        simulate(auction, base_costs, Policy(1000.0), config)
+        tracemalloc.start()
+        try:
+            result = simulate(auction, base_costs, Policy(1000.0), config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.counts.dispatches == 2_000_000
+        assert peak < 8 * 2**20
 
 
 BASE = AuctionParams(n_required=100, max_time=7.0, arrival_rate=14.0)
@@ -458,6 +483,11 @@ class TestValidation:
     def test_infinite_window_rejected(self, base_costs, base_policy):
         auction = AuctionParams(n_required=100, max_time=math.inf, arrival_rate=14.0)
         with pytest.raises(ConfigError):
+            simulate(auction, base_costs, base_policy, _config())
+
+    def test_infinite_window_message_names_the_key(self, base_costs, base_policy):
+        auction = AuctionParams(n_required=100, max_time=math.inf, arrival_rate=14.0)
+        with pytest.raises(ConfigError, match="^max_time: must be finite for simulation$"):
             simulate(auction, base_costs, base_policy, _config())
 
     def test_overflowing_clock_raises_before_logging_it(self, monkeypatch, base_costs):

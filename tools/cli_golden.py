@@ -98,6 +98,12 @@ COMMANDS = [
     # Simulations over the window budget: exit 3 before drawing anything.
     ["simulate", "--quantity", "1e15", "--cycles", "1"],
     ["validate", "--n-required", "150", "--max-time", "6"],
+    # Unbounded windows: simulate and validate each reject them, exit 2.
+    ["simulate", "--quantity", "434", "--max-time", "inf"],
+    ["validate", "--max-time", "inf"],
+    # 2e5 dispatches: pins the dispatch-interval estimate and its se.
+    ["simulate", "--n-required", "1", "--max-time", "1000", "--arrival-rate", "1",
+     "--quantity", "1000", "--cycles", "200", "--duration-sampler", "erlang"],
 ]
 
 
