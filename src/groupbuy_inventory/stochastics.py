@@ -4,10 +4,12 @@ An auction succeeds when ``n_required`` bidders arrive within a window of
 length ``max_time``. Bidders arrive as a Poisson process, so the arrival
 instant of the final required bidder is Erlang distributed and every
 quantity of interest reduces to evaluations of the regularized lower
-incomplete gamma function. That kernel is implemented here directly: a
-power series for small arguments, a continued fraction elsewhere, both
-scaled through a log-space prefactor so that shape and argument values up
-to about 1e6 stay inside double range.
+incomplete gamma function. That kernel is implemented here directly, in
+three branches: Temme's uniform asymptotic expansion in the bulk of the
+distribution (shape s >= 20 and argument within 0.4 s of s), a power
+series below it and a continued fraction above it, the last two scaled
+through a log-space prefactor. Every branch does a bounded amount of work
+at every shape, and no finite shape or argument overflows.
 
 Two notions of "expected time until a dispatch" coexist and both are kept:
 
@@ -97,10 +99,185 @@ class AuctionStatistics:
     dispatch_time_consistent: float
 
 
-def _max_iterations(s: float) -> int:
-    # The series needs O(x - s) terms near the series/fraction crossover and
-    # O(sqrt(s)) slack for very large shapes; this cap covers s up to ~1e6.
-    return 2000 + int(20.0 * math.sqrt(s))
+# Outside the uniform expansion's region, and where the prefactor does not
+# underflow, the series and the continued fraction converge geometrically
+# at every s. Measured worst cases: 71 series iterations (x = 0.6 s) and 21
+# fraction iterations for s >= _TEMME_MIN_SHAPE; 50 series iterations below
+# it, and about 110 fraction iterations for s < 1 near x = s + 1.
+_MAX_ITERATIONS = 300
+
+# Temme's uniform expansion: constants generated by tools/temme_coefficients.py
+# (run it with --check after editing this block).
+_TEMME_MIN_SHAPE = 20.0
+_TEMME_WIDTH = 0.4
+# Taylor coefficients of C_k(eta) about eta = 0, row k = C_k, lowest degree first.
+_TEMME_COEFFICIENTS = (
+    (
+        -0.3333333333333333, 0.08333333333333333, -0.014814814814814815,
+        0.0011574074074074073, 0.0003527336860670194, -0.0001787551440329218,
+        3.919263178522438e-05, -2.185448510679992e-06, -1.85406221071516e-06,
+        8.296711340953087e-07, -1.7665952736826078e-07, 6.707853543401498e-09,
+        1.0261809784240309e-08, -4.382036018453353e-09, 9.14769958223679e-10,
+        -2.5514193994946248e-11, -5.830772132550426e-11, 2.4361948020667415e-11,
+        -5.0276692801141755e-12,
+    ),
+    (
+        -0.001851851851851852, -0.003472222222222222, 0.0026455026455026454,
+        -0.0009902263374485596, 0.00020576131687242798, -4.018775720164609e-07,
+        -1.8098550334489977e-05, 7.64916091608111e-06, -1.6120900894563446e-06,
+        4.647127802807434e-09, 1.378633446915721e-07, -5.752545603517705e-08,
+        1.1951628599778148e-08, -1.7543241719747647e-11, -1.0091543710600413e-09,
+        4.162792991842583e-10, -8.56390702649298e-11,
+    ),
+    (
+        0.004133597883597883, -0.0026813271604938273, 0.0007716049382716049,
+        2.0093878600823047e-06, -0.0001073665322636516, 5.2923448829120125e-05,
+        -1.2760635188618728e-05, 3.423578734096138e-08, 1.3721957309062934e-06,
+        -6.298992138380055e-07, 1.4280614206064242e-07, -2.0477098421990866e-10,
+        -1.409252991086752e-08, 6.228974084922022e-09, -1.3670488396617114e-09,
+    ),
+    (
+        0.0006494341563786008, 0.00022947209362139917, -0.0004691894943952557,
+        0.00026772063206283885, -7.561801671883977e-05, -2.396505113867297e-07,
+        1.1082654115347302e-05, -5.6749528269915965e-06, 1.4230900732435883e-06,
+        -2.7861080291528143e-11, -1.6958404091930278e-07, 8.099464905388083e-08,
+        -1.9111168485973655e-08, 2.3928620439808118e-12, 2.0620131815488797e-09,
+    ),
+    (
+        -0.0008618882909167117, 0.0007840392217200666, -0.0002990724803031902,
+        -1.4638452578843418e-06, 6.641498215465122e-05, -3.968365047179435e-05,
+        1.1375726970678419e-05, 2.507497226237533e-10, -1.6954149536558305e-06,
+        8.907507532205309e-07, -2.292934834000805e-07, 2.956794137544049e-11,
+        2.8865829742708783e-08, -1.4189739437803219e-08,
+    ),
+    (
+        -0.00033679855336635813, -6.972813758365857e-05, 0.0002772753244959392,
+        -0.00019932570516188847, 6.797780477937208e-05, 1.419062920643967e-07,
+        -1.3594048189768693e-05, 8.018470256334202e-06, -2.291481176508095e-06,
+        -3.252473551298454e-10, 3.4652846491085265e-07, -1.8447187191171344e-07,
+    ),
+    (
+        0.0005313079364639922, -0.0005921664373536939, 0.0002708782096718045,
+        7.902353232660328e-07, -8.153969367561969e-05, 5.61168275310625e-05,
+        -1.8329116582843375e-05, -3.0796134506033047e-09, 3.465155368803609e-06,
+        -2.0291327396058603e-06, 5.788792863149004e-07,
+    ),
+    (
+        0.00034436760689237765, 5.171790908260592e-05, -0.00033493161081142234,
+        0.0002812695154763237, -0.00010976582244684731, -1.2741009095484485e-07,
+        2.7744451511563645e-05, -1.8263488805711332e-05, 5.7876949497350525e-06,
+    ),
+    (
+        -0.0006526239185953094, 0.0008394987206720873, -0.000438297098541721,
+        -6.969091458420552e-07, 0.00016644846642067547, -0.00012783517679769218,
+        4.629953263691304e-05,
+    ),
+    (
+        -0.0005967612901927463, -7.204895416020011e-05, 0.0006782308837667328,
+        -0.0006401475260262758, 0.00027750107634328704,
+    ),
+    (
+        0.0013324454494800656, -0.0019144384985654776, 0.0011089369134596636,
+    ),
+)
+# Terms of each C_k used for shapes in [10^d, 10^(d+1)), d = 1, 2, ... (the
+# last band also covers every larger shape), then for |eta| < 2^-(j+1),
+# j = 0, 1, ... (the last class also covers every smaller |eta|).
+_TEMME_TERMS = (
+    (
+        (19, 17, 15, 15, 14, 12, 11, 9, 7, 5, 3),
+        (14, 13, 11, 11, 10, 9, 7, 7, 6, 4, 3),
+        (11, 11, 10, 9, 7, 7, 6, 5, 3, 3, 2),
+        (10, 9, 7, 7, 6, 5, 5, 4, 3, 3, 2),
+        (8, 8, 7, 5, 6, 5, 3, 4, 3, 2, 2),
+        (7, 7, 6, 5, 5, 4, 3, 3, 2, 1, 1),
+    ),
+    (
+        (18, 16, 14, 12, 10, 7, 3),
+        (14, 13, 11, 9, 7, 5, 3),
+        (11, 9, 9, 7, 6, 4, 2),
+        (10, 8, 7, 5, 5, 3, 2),
+        (8, 7, 6, 5, 3, 3, 2),
+        (7, 5, 5, 4, 3, 2, 2),
+    ),
+    (
+        (18, 15, 11, 8, 3),
+        (14, 12, 9, 5, 3),
+        (11, 9, 7, 5, 2),
+        (10, 8, 6, 4, 2),
+        (8, 7, 5, 3, 2),
+        (7, 5, 4, 3, 2),
+    ),
+    (
+        (17, 13, 7, 4),
+        (14, 11, 7, 3),
+        (11, 8, 6, 2),
+        (9, 7, 5, 2),
+        (8, 5, 3, 1),
+        (7, 5, 3, 1),
+    ),
+    (
+        (11, 8, 3),
+        (11, 8, 3),
+        (11, 8, 3),
+        (9, 5, 3),
+        (8, 5, 3),
+        (7, 5, 3),
+    ),
+    (
+        (8, 5, 2),
+        (8, 5, 2),
+        (8, 5, 2),
+        (8, 5, 2),
+        (8, 5, 2),
+        (7, 4, 2),
+    ),
+    (
+        (7, 4),
+    ),
+    (
+        (6, 3),
+    ),
+    (
+        (5, 2),
+    ),
+    (
+        (4, 2),
+    ),
+    (
+        (4, 1),
+    ),
+    (
+        (4, 1),
+    ),
+    (
+        (3, 1),
+    ),
+    (
+        (3,),
+    ),
+    (
+        (3,),
+    ),
+    (
+        (3,),
+    ),
+)
+# end of generated block
+
+# _TEMME_TERMS with the rows each entry uses, C_(K-1) first, each highest
+# degree first, ready for Horner's rule.
+_TEMME_ROWS = tuple(
+    tuple(
+        tuple(
+            row[terms - 1::-1]
+            for row, terms in reversed(tuple(zip(_TEMME_COEFFICIENTS, counts)))
+        )
+        for counts in classes
+    )
+    for classes in _TEMME_TERMS
+)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _log_prefactor(s: float, x: float) -> float:
@@ -122,7 +299,7 @@ def _lower_series(s: float, x: float) -> float:
     terms = [term]
     total = term
     denom = s
-    for _ in range(_max_iterations(s)):
+    for _ in range(_MAX_ITERATIONS):
         denom += 1.0
         term *= x / denom
         terms.append(term)
@@ -141,7 +318,7 @@ def _upper_continued_fraction(s: float, x: float) -> float:
     c = 1.0 / _FPMIN
     d = 1.0 / b
     h = d
-    for i in range(1, _max_iterations(s) + 1):
+    for i in range(1, _MAX_ITERATIONS + 1):
         an = -i * (i - s)
         b += 2.0
         d = an * d + b
@@ -160,15 +337,61 @@ def _upper_continued_fraction(s: float, x: float) -> float:
     return h
 
 
+def _mu_minus_log1p(mu: float) -> float:
+    # mu - log1p(mu) = eta^2 / 2. Near mu = 0 the difference cancels; there,
+    # with u = mu / (2 + mu), log1p(mu) = 2 atanh(u) and mu - 2u = mu u, so
+    # it is u (mu - 2 u^2 (1/3 + u^2/5 + ...)), the subtraction losing at most
+    # a fraction |mu| / 6 of mu.
+    if abs(mu) > 0.1:
+        return mu - math.log1p(mu)
+    u = mu / (2.0 + mu)
+    u2 = u * u
+    odd = 1 / 3 + u2 * (1 / 5 + u2 * (1 / 7 + u2 * (1 / 9 + u2 * (1 / 11 + u2 / 13))))
+    return u * (mu - 2.0 * u2 * odd)
+
+
+def _uniform_expansion(s: float, x: float) -> float:
+    # Temme: Q(s, x) = erfc(eta sqrt(s/2)) / 2 + R and P(s, x) =
+    # erfc(-eta sqrt(s/2)) / 2 - R, R = e^(-s eta^2/2) / sqrt(2 pi s) *
+    # sum_k C_k(eta) s^-k, each tail computed directly (never 1 - tail
+    # below the mode).
+    mu = (x - s) / s
+    half_eta2 = _mu_minus_log1p(mu)
+    if s * half_eta2 > -_LOG_UNDERFLOW:
+        return 0.0 if mu < 0.0 else 1.0
+    eta = math.copysign(math.sqrt(2.0 * half_eta2), mu)
+    classes = _TEMME_ROWS[min(int(math.log10(s)), len(_TEMME_ROWS)) - 1]
+    # |eta| < 2^exponent; eta = 0 takes the last class, the smallest |eta|.
+    exponent = math.frexp(eta)[1] if eta else -len(classes)
+    inv_s = 1.0 / s
+    total = 0.0
+    for row in classes[min(-exponent - 1, len(classes) - 1)]:
+        c_k = 0.0
+        for coefficient in row:
+            c_k = c_k * eta + coefficient
+        total = total * inv_s + c_k
+    root_s = math.sqrt(s)
+    remainder = math.exp(-s * half_eta2) * total / (_SQRT_2PI * root_s)
+    z = eta * root_s * math.sqrt(0.5)
+    if mu < 0.0:
+        return 0.5 * math.erfc(-z) - remainder
+    return 1.0 - (0.5 * math.erfc(z) + remainder)
+
+
 def regularized_lower_gamma(s: float, x: float) -> float:
     """Regularized lower incomplete gamma function P(s, x).
 
     P(s, x) = (1 / Gamma(s)) * integral_0^x u^(s-1) e^(-u) du, which for
     integer s equals the probability that a Poisson(x) count reaches s.
-    Uses the power series for x < s + 1 and the complement of a continued
-    fraction otherwise. Against 30-digit references the absolute error was
-    at most 1.4e-15 for s <= 1e3, x <= 1e4, 4e-15 for s < 1e5 within
-    8 sqrt(s) of the mode and 6.4e-15 toward s = x = 1e6; no overflow.
+    For s >= 20 and |x - s| <= 0.4 s uses Temme's uniform asymptotic
+    expansion, O(1) in s; elsewhere the power series for x < s + 1 and the
+    complement of a continued fraction otherwise, which converge there in
+    a bounded number of terms. Against high-precision references the
+    absolute error was at most 1.4e-16 for 20 <= s <= 1e3 and 2.3e-15 for
+    s < 20 on 3,000 random points with x within a factor 10 of s and
+    x <= 1e4; within 8 sqrt(s) of the mode, 4.1e-15 for s < 20, 1.9e-16
+    for s in [20, 100) and 1.1e-16 in each decade from 1e2 to 1e16. No
+    finite input overflows.
     """
     if math.isnan(s) or not 0.0 < s or math.isinf(s):
         raise DomainError(f"shape s must be finite and > 0, got {s!r}")
@@ -178,11 +401,13 @@ def regularized_lower_gamma(s: float, x: float) -> float:
         return 0.0
     if math.isinf(x):
         return 1.0
+    if s >= _TEMME_MIN_SHAPE and abs(x - s) <= _TEMME_WIDTH * s:
+        return _uniform_expansion(s, x)
     lower = x < s + 1.0
-    tail = _lower_series(s, x) if lower else _upper_continued_fraction(s, x)
     log_pref = _log_prefactor(s, x)
     if log_pref < _LOG_UNDERFLOW:
         return 0.0 if lower else 1.0
+    tail = _lower_series(s, x) if lower else _upper_continued_fraction(s, x)
     prefactor = math.exp(log_pref)
     if lower:
         return min(1.0, tail * prefactor)

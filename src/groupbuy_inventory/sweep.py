@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -56,9 +57,10 @@ class SweepSpec:
     costs: cost coefficients shared by every cell.
     td_mode: dispatch-time mode used for the optimization in every cell.
     simulation: when given, each successful cell also runs one simulation
-        at the real-valued optimal quantity. A cell whose simulation would
-        draw more bidding windows than the simulator's budget (a tiny
-        success probability or a large quantity) becomes an error cell.
+        at the real-valued optimal quantity. A cell whose simulation fails
+        (an unbounded window, or more bidding windows than the simulator's
+        budget) keeps its closed-form numbers and gets an error naming the
+        simulation.
     """
 
     n_values: Sequence[int]
@@ -80,9 +82,10 @@ class SweepRow:
     """One evaluated grid cell.
 
     The fields before error are the report columns, in CSV_COLUMNS order.
-    The numeric fields are None either because the cell failed (error
-    holds the reason) or, for the sim_* fields, because the sweep ran
-    without simulation. delta is sim_cost - optimal_cost.
+    The numeric fields are None because the cell's closed forms failed
+    (error holds the reason) or, for the sim_* fields only, because the
+    sweep ran without simulation or the cell's simulation failed (error
+    then starts with "simulation: "). delta is sim_cost - optimal_cost.
     """
 
     n: int
@@ -106,27 +109,31 @@ def _evaluate_cell(n: int, t: float, rate: float, spec: SweepSpec) -> SweepRow:
         q_star = optimal_quantity(stats, spec.costs, n, spec.td_mode)
         q_int = best_integer_quantity(stats, spec.costs, n, spec.td_mode)
         cost_star = optimal_cost(stats, spec.costs, n, spec.td_mode)
-        sim_cost = sim_halfwidth = delta = None
-        if spec.simulation is not None:
-            result = simulate(params, spec.costs, Policy(q_star), spec.simulation)
-            sim_cost = result.long_run_cost
-            sim_halfwidth = result.long_run_cost_halfwidth
-            delta = sim_cost - cost_star
-        return SweepRow(
-            n=n,
-            t=t,
-            arrival_rate=rate,
-            p_success=stats.p_success,
-            dispatch_time=select_dispatch_time(stats, spec.td_mode),
-            q_star_real=q_star,
-            q_star_integer=q_int,
-            optimal_cost=cost_star,
-            sim_cost=sim_cost,
-            sim_halfwidth=sim_halfwidth,
-            delta=delta,
-        )
     except GroupBuyError as exc:
         return SweepRow(n=n, t=t, arrival_rate=rate, error=f"{type(exc).__name__}: {exc}")
+    row = SweepRow(
+        n=n,
+        t=t,
+        arrival_rate=rate,
+        p_success=stats.p_success,
+        dispatch_time=select_dispatch_time(stats, spec.td_mode),
+        q_star_real=q_star,
+        q_star_integer=q_int,
+        optimal_cost=cost_star,
+    )
+    if spec.simulation is None:
+        return row
+    # A failed simulation keeps the cell's closed-form numbers.
+    try:
+        result = simulate(params, spec.costs, Policy(q_star), spec.simulation)
+    except GroupBuyError as exc:
+        return dataclasses.replace(row, error=f"simulation: {type(exc).__name__}: {exc}")
+    return dataclasses.replace(
+        row,
+        sim_cost=result.long_run_cost,
+        sim_halfwidth=result.long_run_cost_halfwidth,
+        delta=result.long_run_cost - cost_star,
+    )
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -168,16 +175,22 @@ def _emit_csv(rows: Sequence[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_number(cell: float) -> float | str:
+    # RFC 8259 has no infinity; an unbounded window is the string "inf",
+    # which float() parses back like the CSV cell.
+    return "inf" if math.isinf(cell) else float(_format_number(cell))
+
+
 def _emit_json(rows: Sequence[SweepRow]) -> str:
     # Floats carry the same 6-significant-digit values the CSV prints.
     payload = [
         {
-            name: float(_format_number(cell)) if isinstance(cell, float) else cell
+            name: _json_number(cell) if isinstance(cell, float) else cell
             for name, cell in zip(CSV_COLUMNS, _row_cells(row))
         }
         for row in rows
     ]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _grid_table(
@@ -195,7 +208,7 @@ def _grid_table(
             row = by_cell.get((n, t))
             if row is None:
                 cells.append("")
-            elif row.error is not None:
+            elif getattr(row, field) is None:
                 cells.append("ERR")
             else:
                 cells.append(_format_number(getattr(row, field)))
@@ -251,9 +264,11 @@ def emit_report(rows: Sequence[SweepRow], format: str = "csv") -> str:
     """Render sweep rows as one of "csv", "json" or "markdown".
 
     CSV: fixed 11-column header, one line per row, empty cells for missing
-    values. JSON: an array of objects with exactly the CSV column names.
-    Markdown: per-arrival-rate grid tables with "ERR" in failed cells plus
-    an error list. Output is byte-deterministic for equal rows.
+    values. JSON (RFC 8259): an array of objects with exactly the CSV
+    column names; missing values are null and an unbounded window is the
+    string "inf". Markdown: per-arrival-rate grid tables with "ERR" in
+    failed cells plus an error list. Output is byte-deterministic for equal
+    rows.
     """
     if len(rows) == 0:
         raise ParameterError("rows must be non-empty")

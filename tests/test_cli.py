@@ -651,7 +651,7 @@ class TestClosedFormProperty:
     @given(
         command=st.sampled_from(["optimize", "sweep"]),
         keys=st.fixed_dictionaries({
-            "n_required": st.integers(min_value=1, max_value=10**6),
+            "n_required": st.integers(min_value=1, max_value=2**63 - 1),
             **{key: LOG_UNIFORM for key in BASE_KEYS if key != "n_required"},
         }),
     )
@@ -669,6 +669,12 @@ class TestClosedFormProperty:
             **BASE_KEYS, "reorder_cost": 1e300, "arrival_rate": 1e10, "holding_rate": 1e-5,
             "max_time": 5e-9,
         },
+    )
+    # n_required above 2**53 with rate * T = n_required: s + 1 == s in double
+    # precision, where the continued fraction once started from b = 0.
+    @example(
+        command="optimize",
+        keys={**BASE_KEYS, "n_required": 10**16, "max_time": 714285714285714.2},
     )
     def test_exits_0_to_4_and_prints_only_finite_numbers(self, command, keys):
         out, err = io.StringIO(), io.StringIO()

@@ -1,4 +1,8 @@
 import math
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -59,6 +63,58 @@ def mpmath_truncated_mean(params):
         return float(n / rate * lower(n + 1) + window * (1 - lower(n)))
 
 
+def quadrature_reference(s, x):
+    """P(s, x) from 50-digit Gauss-Legendre quadrature of the gamma density.
+
+    Integrates over the smaller tail, one step of min(sqrt(s), x / |s - x|)
+    at a time, until a step adds under 1e-50 of the total. It shares no
+    formula with the kernel, and its cost does not grow with s, where
+    mpmath's gammainc sums O(sqrt(s)) terms (minutes at s = 1e15).
+    """
+    with mpmath.workdps(50):
+        shape, edge_x = mpmath.mpf(s), mpmath.mpf(x)
+        log_at_x = (shape - 1) * mpmath.log(edge_x) - edge_x - mpmath.loggamma(shape)
+
+        def density(u):
+            return mpmath.exp((shape - 1) * mpmath.log1p(u / edge_x) - u + log_at_x)
+
+        step = (-1 if x < s else 1) * min(math.sqrt(s), x / max(abs(s - x), 1.0))
+        tail, edge = mpmath.mpf(0), mpmath.mpf(0)
+        while True:
+            next_edge = max(edge + step, -edge_x)
+            piece = abs(mpmath.quad(density, [edge, next_edge], method="gauss-legendre"))
+            tail += piece
+            edge = next_edge
+            if edge == -edge_x or piece < tail * mpmath.mpf(10) ** -50:
+                break
+        return float(tail if x < s else 1 - tail)
+
+
+def kernel_lines(s, x):
+    """Source lines executed in the stochastics module by one kernel call.
+
+    Every loop iteration of every branch executes at least one line, so
+    this counts the call's work without timing it.
+    """
+    count = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return count_lines
+
+    def enter(frame, event, arg):
+        return count_lines if frame.f_code.co_filename == stochastics.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        regularized_lower_gamma(s, x)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
 def window_for_probability(n, p):
     """rate * T at which the success probability P(n, rate * T) equals p."""
     lo, hi = 0.0, n + 40.0 * math.sqrt(n) + 40.0
@@ -92,6 +148,76 @@ class TestKernel:
                     # mpmath's lower-gamma series stalls above the mode.
                     expected = float(1 - mpmath.gammainc(s, x, mpmath.inf, regularized=True))
             assert regularized_lower_gamma(s, x) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("s", [1e9, 1e12, 1e15])
+    def test_huge_shape_accuracy_near_the_mode(self, s):
+        # Within 8 sqrt(s) of the mode the uniform expansion was at most
+        # 1.1e-16 off the quadrature reference at these shapes.
+        for k in (-8.0, -3.0, 0.0, 3.0, 8.0):
+            x = s + k * math.sqrt(s)
+            assert abs(regularized_lower_gamma(s, x) - quadrature_reference(s, x)) <= 1e-15
+
+    def test_mode_beyond_two_to_the_53(self):
+        # s + 1 == s here; the continued fraction used to start from b = 0.
+        for s in (2.0**53, 1e16, 2.0**63, 1e300):
+            assert regularized_lower_gamma(s, s) == pytest.approx(0.5, abs=1e-8)
+
+    def test_far_tails_at_huge_shape(self):
+        # Above 2**53, b += 2 no longer moves the continued fraction's b; at
+        # the first point it met its convergence test only after 2,330
+        # iterations, by rounding. The prefactor underflows at these points,
+        # so the kernel now returns before either loop.
+        for s, x in ((113439313950016.56, 6.6191605808781336e16), (1e18, 1e21)):
+            assert regularized_lower_gamma(s, x) == 1.0
+            assert regularized_lower_gamma(s, s / 600.0) == 0.0
+
+    @pytest.mark.parametrize("s", [20.0, 1e3, 1e6])
+    def test_continuous_across_the_expansion_region_edges(self, s):
+        # Both edges of |x - s| <= width * s, one float apart: the expansion
+        # on one side, the series or the continued fraction on the other.
+        width = stochastics._TEMME_WIDTH
+        for edge in (s - width * s, s + width * s):
+            inside = math.nextafter(edge, s)
+            outside = math.nextafter(edge, -s if edge < s else 3.0 * s)
+            assert abs(inside - s) <= width * s < abs(outside - s)
+            step = abs(regularized_lower_gamma(s, inside) - regularized_lower_gamma(s, outside))
+            assert step <= 1e-15
+
+    def test_work_per_call_is_bounded_in_the_shape(self):
+        # Lines executed per call, from s = 10 to 1e15, at the mode, at
+        # 3 sqrt(s) from it, on both sides of both region edges and far out
+        # on both sides; at most 425 here. Before the uniform expansion a
+        # call at the mode ran O(sqrt(s)) series iterations: 1,631 lines at
+        # s = 1e3 and 4,889 at s = 1e4.
+        width = stochastics._TEMME_WIDTH
+        counts = {}
+        for exponent in range(1, 16):
+            s = 10.0**exponent
+            points = [s, s - 3.0 * math.sqrt(s), s + 3.0 * math.sqrt(s)]
+            for edge in (s - width * s, s + width * s):
+                away = -s if edge < s else 3.0 * s
+                points += [math.nextafter(edge, s), math.nextafter(edge, away)]
+            points += [1e-3 * s, 0.1 * s, 10.0 * s, 1e3 * s]
+            counts[s] = max(kernel_lines(s, x) for x in points)
+        assert max(counts.values()) <= 600, counts
+
+    def test_memory_per_call_is_bounded_at_large_shape(self):
+        # P(1e12, 1e12) once kept its 1e6 series terms in a list: 274 MB.
+        for x in (1e12, 0.5e12, 2e12):
+            tracemalloc.start()
+            try:
+                regularized_lower_gamma(1e12, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 64 * 1024
+
+    def test_coefficient_table_matches_its_generator(self):
+        script = Path(__file__).resolve().parent.parent / "tools" / "temme_coefficients.py"
+        done = subprocess.run(
+            [sys.executable, str(script), "--check"], capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
 
     def test_shape_one_is_exponential_cdf(self):
         for x in (1e-9, 0.1, 0.5, 1.0, 3.0, 10.0, 50.0):

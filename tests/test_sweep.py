@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -102,6 +103,25 @@ class TestRunSweep:
         # few percent of each other at this scale.
         assert abs(row.delta) / row.optimal_cost < 0.1
 
+    def test_failed_simulation_keeps_closed_form_numbers(self, base_costs):
+        spec = SweepSpec(
+            n_values=(100,),
+            t_values=(7.0, math.inf),
+            lambda_values=(14.0,),
+            costs=base_costs,
+            simulation=SimulationConfig(num_cycles=200, seed=5),
+        )
+        simulated, unbounded = run_sweep(spec)
+        assert simulated.error is None and simulated.sim_cost is not None
+        assert unbounded.p_success == 1.0
+        assert unbounded.dispatch_time == 100 / 14.0
+        assert unbounded.q_star_integer == 648
+        assert unbounded.sim_cost is None and unbounded.sim_halfwidth is None
+        assert unbounded.delta is None
+        assert unbounded.error.startswith("simulation: ")
+        text = emit_report([unbounded], "csv")
+        assert text.splitlines()[1] == "100,inf,14,1,7.14286,648.074,648,75.5615,,,"
+
     def test_determinism(self, reference_spec):
         assert run_sweep(reference_spec) == run_sweep(reference_spec)
 
@@ -145,6 +165,23 @@ class TestEmitReport:
                     assert obj[name] is None
                 else:
                     assert float(cell) == float(obj[name])
+
+    def test_json_is_rfc_8259_with_unbounded_window_as_inf(self, base_costs):
+        spec = SweepSpec(
+            n_values=(100,), t_values=(7.0, math.inf), lambda_values=(14.0,), costs=base_costs
+        )
+        rows = run_sweep(spec)
+        text = emit_report(rows, "json")
+
+        def reject(constant):
+            raise AssertionError(f"non-RFC 8259 constant {constant}")
+
+        objects = json.loads(text, parse_constant=reject)
+        assert [obj["t"] for obj in objects] == [7.0, "inf"]
+        csv_lines = emit_report(rows, "csv").splitlines()[1:]
+        for line, obj in zip(csv_lines, objects):
+            for name, cell in zip(CSV_COLUMNS, line.split(",")):
+                assert obj[name] is None if cell == "" else float(cell) == float(obj[name])
 
     def test_error_cells_render_empty_in_csv(self, base_costs):
         spec = SweepSpec(

@@ -101,6 +101,14 @@ COMMANDS = [
     # Unbounded windows: simulate and validate each reject them, exit 2.
     ["simulate", "--quantity", "434", "--max-time", "inf"],
     ["validate", "--max-time", "inf"],
+    # An unbounded window: the simulation fails (exit 4) but the cell keeps its
+    # closed-form numbers; the JSON report spells the window "inf".
+    ["sweep", "--n-values", "100", "--t-values", "inf", "--lambda-values", "14",
+     "--include-simulation", "true", "--format", "csv"],
+    ["sweep", "--n-values", "100", "--t-values", "inf", "--lambda-values", "14",
+     "--include-simulation", "true", "--format", "json"],
+    # n_required above 2**53 with rate * T = n_required: the kernel's mode.
+    ["optimize", "--n-required", "10000000000000000", "--max-time", "714285714285714.2"],
     # 2e5 dispatches: pins the dispatch-interval estimate and its se.
     ["simulate", "--n-required", "1", "--max-time", "1000", "--arrival-rate", "1",
      "--quantity", "1000", "--cycles", "200", "--duration-sampler", "erlang"],
