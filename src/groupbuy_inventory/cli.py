@@ -150,7 +150,7 @@ class RunConfig:
     td_mode: str = _key(_one_of(TD_MODES), "paper")
     a_mode: str = _key(_one_of(A_MODES), "approx")
     shortfall_rule: str = _key(_one_of(SHORTFALL_RULES), "reset_to_q")
-    duration_sampler: str = _key(_one_of(DURATION_SAMPLERS), "interarrival_sum")
+    duration_sampler: str = _key(_one_of(DURATION_SAMPLERS), SimulationConfig.duration_sampler)
     format: str = _key(_one_of(REPORT_FORMATS), "markdown")
     n_values: tuple[int, ...] | None = _key(_POSITIVE_INTS)
     t_values: tuple[float, ...] | None = _key(_WINDOWS)
@@ -416,7 +416,7 @@ def cmd_simulate(cfg: RunConfig) -> tuple[str, int]:
 
 
 def cmd_sweep(cfg: RunConfig) -> tuple[str, int]:
-    """Grid evaluation; exit 4 when any cell failed."""
+    """Grid evaluation; one stderr line per failed cell, and exit 4 if any."""
     _require_optimizable(cfg.costs)
     _require(cfg, "n_values", "t_values", "lambda_values")
     spec = SweepSpec(
@@ -429,8 +429,12 @@ def cmd_sweep(cfg: RunConfig) -> tuple[str, int]:
     )
     rows = run_sweep(spec)
     text = emit_report(rows, cfg.format)
-    code = 4 if any(row.error is not None for row in rows) else 0
-    return text, code
+    failed = [row for row in rows if row.error is not None]
+    # Only the markdown report names a failed cell's reason; stderr always does.
+    for row in failed:
+        cell = f"n={row.n} t={row.t:g} lambda={row.arrival_rate:g}"
+        print(f"sweep: {cell}: {row.error}", file=sys.stderr)
+    return text, 4 if failed else 0
 
 
 # Frozen reference values for the validation suite: the base scenario (the

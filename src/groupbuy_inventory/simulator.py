@@ -10,20 +10,25 @@ returns to the policy quantity. The long-run cost rate is estimated as
 total cycle cost over total cycle time (the regenerative ratio
 estimator), with a delta-method confidence interval for that ratio.
 
-The accounting runs per batch of drawn windows, in numpy array
-operations: the level only changes at dispatches, so a cycle's cost is
-a sum over its dispatches of holding (level times the time since the
-previous dispatch), the penalties of the failed windows before the
-dispatch and the dispatch charge.
+The accounting runs per batch of draws, in numpy array operations: the
+level only changes at dispatches, so a cycle's cost is a sum over its
+dispatches of holding (level times the time since the previous
+dispatch), the penalties of the failed windows before the dispatch and
+the dispatch charge. The per-window samplers draw every window's
+duration; the "dispatch" sampler draws each dispatch's failed windows
+and closing window directly, so its work grows with dispatches, not
+with windows.
 
 Determinism contract: results are a pure function of (auction, costs,
 policy, config, stream). Random numbers come from
-numpy.random.default_rng(SeedSequence(seed, spawn_key=(stream,))). Window
-durations are drawn in batches, but the sequence of durations does not
-depend on the batch size, because numpy fills exponential and gamma draws
-sequentially; so repeated runs consume identical draw sequences. Each
-cycle's cost is summed over all its terms at once, wherever batches
-split it, so results do not depend on the batch size either.
+numpy.random.default_rng(SeedSequence(seed, spawn_key=(stream,))), and
+the dispatch sampler draws each quantity from its own child of that
+generator. Draws are made in batches, but the sequence of draws does not
+depend on the batch size, because numpy fills uniform, exponential, gamma
+and beta draws sequentially; so repeated runs consume identical draw
+sequences. Each cycle's cost is summed over all its terms at once,
+wherever batches split it, so results do not depend on the batch size
+either. Writing an event log does not change the results.
 """
 
 from __future__ import annotations
@@ -44,20 +49,31 @@ if TYPE_CHECKING:
     import numpy as np
 
 ShortfallRule = Literal["reset_to_q", "carry_shortfall"]
-DurationSampler = Literal["interarrival_sum", "erlang"]
+DurationSampler = Literal["interarrival_sum", "erlang", "dispatch"]
 
 SHORTFALL_RULES: tuple[str, ...] = ("reset_to_q", "carry_shortfall")
-DURATION_SAMPLERS: tuple[str, ...] = ("interarrival_sum", "erlang")
+DURATION_SAMPLERS: tuple[str, ...] = ("interarrival_sum", "erlang", "dispatch")
 
 _MAX_SEED = 2**64
-# Windows per duration draw, and exponentials per interarrival_sum draw (a
-# longer window is drawn in slices): a batch costs little memory and little
-# unused work when a run is short.
+# Windows per duration draw, dispatches per dispatch draw, windows per
+# event-log write, and exponentials per interarrival_sum draw (a longer
+# window is drawn in slices): a batch costs little memory and little unused
+# work when a run is short.
 _DRAW_BATCH = 1 << 12
 _CHUNK_BUDGET = 1 << 21
-# Most bidding windows one simulate call may draw: minutes, not years, at
-# the measured 0.5 us (erlang) to 1.6 us (interarrival_sum) per window.
-_MAX_WINDOWS = 10**9
+# Most units of work one simulate call may do: bidding windows, exponentials
+# under interarrival_sum, or dispatches on the dispatch sampler's table
+# route. Minutes, not years, at the measured 0.5 us (erlang) to 1.6 us
+# (interarrival_sum) per window.
+_MAX_DRAWS = 10**9
+# The dispatch sampler draws the closing window by rejection from this
+# success probability up, and by its inverse-CDF table below it. Rejection
+# costs about 45/p ns per dispatch and the table 130 to 210 ns (measured at
+# n_required = 10 to 1e4), so they cross near p = 0.3.
+_TABLE_MAX_P = 0.25
+# Longest table, 10 * sqrt(n_required) + 100 entries: n_required up to
+# about 6.9e8. Beyond it the rejection route serves every p.
+_MAX_TABLE = 1 << 18
 # Two-sided 95% normal quantile.
 _Z_95 = 1.959963984540054
 
@@ -74,16 +90,27 @@ class SimulationConfig:
         replenishment); "carry_shortfall" subtracts the oversold units
         from the next cycle's starting stock and requires
         quantity >= n_required so the restart level stays positive.
-    duration_sampler: "interarrival_sum" draws n_required exponential
-        gaps per window and sums them; "erlang" draws the window length
-        in one gamma variate. Statistically identical, different draw
-        streams.
+    duration_sampler: "dispatch" (the default) draws per dispatch: the
+        failed windows before it, F = Geometric(p) - 1, and its closing
+        window S given S < T. Below a success probability of 0.25, S comes
+        from an inverse-CDF table of the arrivals N(T) given N(T) >=
+        n_required and a beta variate; from 0.25 up (or when n_required
+        exceeds about 6.9e8), from gamma variates below T. Its work grows
+        with dispatches, not windows. "erlang" draws every window's length
+        in one gamma variate; "interarrival_sum" draws n_required
+        exponential gaps per window and sums them. All three are
+        statistically identical, with different draw streams; the
+        per-window two are kept as the reference for the dispatch one.
+        The work budget counts dispatches on the table route, bidding
+        windows under "erlang" and on the rejection route (one gamma draw
+        per window) and whenever an event log is written, and n_required
+        exponentials per window under "interarrival_sum".
     """
 
     num_cycles: int
     seed: int = 0
     shortfall_rule: ShortfallRule = "reset_to_q"
-    duration_sampler: DurationSampler = "interarrival_sum"
+    duration_sampler: DurationSampler = "dispatch"
 
     def __post_init__(self) -> None:
         check_int("num_cycles", self.num_cycles, 1)
@@ -163,6 +190,108 @@ def _draw_durations(
             yield rng.gamma(shape=shape, scale=scale, size=_DRAW_BATCH)
 
 
+def _excess_table(auction: AuctionParams, p: float) -> np.ndarray | None:
+    """Cumulative weights of N(T) - n_required given N(T) >= n_required.
+
+    N(T) is the Poisson(rate * T) count of arrivals in a window. None
+    selects the dispatch sampler's rejection route: from p = _TABLE_MAX_P
+    up, or when the table would exceed _MAX_TABLE entries.
+    """
+    n = auction.n_required
+    length = 10 * math.isqrt(n) + 100
+    if p >= _TABLE_MAX_P or length > _MAX_TABLE:
+        return None
+    import numpy as np
+
+    # log P(N = n + k) - log P(N = n) sums log(rate * T / (n + j)) over
+    # j = 1..k. Below _TABLE_MAX_P, rate * T < n + 1, so the weights fall
+    # from 1, and the last is under e^-56 (scanned for n_required = 1 to
+    # 1e8): far below the 2**-53 resolution of the uniform that inverts them.
+    steps = np.log(auction.arrival_rate * auction.max_time / np.arange(n + 1.0, n + length))
+    return np.cumsum(np.exp(np.concatenate(([0.0], np.cumsum(steps)))))
+
+
+def _draw_dispatches(
+    rng: np.random.Generator, auction: AuctionParams, p: float, table: np.ndarray | None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every dispatch's failed windows F and closing window S, in batches.
+
+    Yields arrays of _DRAW_BATCH dispatches. F = Geometric(p) - 1 is the
+    float floor(log U / log1p(-p)), so that no p overflows an integer
+    (Devroye, Non-Uniform Random Variate Generation, 1986, X.2). S given
+    S < T is T * Beta(n, m - n + 1), with m = N(T) given N(T) >= n drawn
+    from the table, since given N(T) = m the arrival times are uniform
+    order statistics (Ross, Stochastic Processes, 2.3); without a table it
+    is the gamma draws below T, in draw order. F, the table's uniforms and
+    the beta or gamma variates each have their own child stream, and
+    accepted gamma draws carry over to the next batch, so the sequences do
+    not depend on the batch size.
+    """
+    import numpy as np
+
+    failure_rng, closing_rng, beta_rng = rng.spawn(3)
+    n, max_time = auction.n_required, auction.max_time
+    log_miss = math.log1p(-p) if p < 1.0 else -math.inf
+    below_max = np.nextafter(max_time, 0.0)
+    accepted = np.empty(0)
+    while True:
+        size = _DRAW_BATCH
+        # log1p(-U) is log(1 - U), finite for U in [0, 1).
+        failures = np.floor(np.log1p(-failure_rng.random(size)) / log_miss)
+        if table is not None:
+            excess = np.searchsorted(table, closing_rng.random(size) * table[-1], side="right")
+            # T * Beta rounds to T itself now and then at a large n_required.
+            closes = np.minimum(max_time * beta_rng.beta(n, excess + 1.0), below_max)
+        else:
+            while accepted.size < size:
+                draws = closing_rng.gamma(float(n), 1.0 / auction.arrival_rate, size)
+                accepted = np.concatenate((accepted, draws[draws < max_time]))
+            closes, accepted = accepted[:size], accepted[size:]
+        yield failures, closes
+
+
+def _integer_sum(values: np.ndarray) -> int:
+    """The exact sum of non-negative integer-valued floats."""
+    total = float(values.sum())
+    # Below 2**53 every partial sum is an integer that a float holds exactly.
+    return int(total) if total < 2**53 else sum(map(int, values.tolist()))
+
+
+def _write_windows(
+    log: IO[str],
+    first: int,
+    starts: np.ndarray,
+    durations: np.ndarray,
+    success: np.ndarray,
+    level_after: np.ndarray,
+    max_time: float,
+) -> None:
+    """Write one JSON line per window, numbering the auctions from first + 1.
+
+    A failed window's duration is max_time. Its text and each distinct
+    level_after's are formatted once per call. The bytes are those of
+    json.dumps(record, separators=(",", ":")): both print finite numbers by
+    their shortest repr.
+    """
+    import numpy as np
+
+    values, which = np.unique(level_after, return_inverse=True)
+    after = [f'"level_after":{value}}}\n' for value in values.tolist()]
+    failure = f'"duration":{max_time},"outcome":"failure",'
+    log.write("".join(
+        f'{{"auction":{index},"start":{start},"duration":{d},"outcome":"success",{after[i]}'
+        if ok
+        else f'{{"auction":{index},"start":{start},{failure}{after[i]}'
+        for index, start, d, ok, i in zip(
+            range(first + 1, first + success.size + 1),
+            starts.tolist(),
+            durations.tolist(),
+            success.tolist(),
+            which.tolist(),
+        )
+    ))
+
+
 def _fsum(values: "np.ndarray") -> float:
     try:
         return math.fsum(values.tolist())
@@ -182,12 +311,11 @@ def _ratio_se(costs_arr: "np.ndarray", lengths_arr: "np.ndarray", ratio: float) 
     n = costs_arr.size
     if n < 2:
         return 0.0
-    mean_len = float(lengths_arr.mean())
-    var_cost = float(costs_arr.var(ddof=1))
-    var_len = float(lengths_arr.var(ddof=1))
-    cov = float(((costs_arr - costs_arr.mean()) * (lengths_arr - mean_len)).sum() / (n - 1))
-    var_ratio = (var_cost - 2.0 * ratio * cov + ratio * ratio * var_len) / (n * mean_len * mean_len)
-    return math.sqrt(max(var_ratio, 0.0))
+    # Var(cost - ratio * length), from the residuals themselves: the
+    # expanded var - 2 * ratio * cov + ratio**2 * var cancels to 0.0 when
+    # the cost is nearly linear in the length, as at a tiny p_success.
+    residuals = costs_arr - ratio * lengths_arr
+    return math.sqrt(float(residuals.var(ddof=1)) / n) / float(lengths_arr.mean())
 
 
 def simulate(
@@ -206,13 +334,19 @@ def simulate(
     of at least n_required. Raises DegenerateAuctionError before drawing
     anything when the success probability underflows, as such a run would
     never end; NumericsError, also before drawing anything, when the
-    estimated window count num_cycles * ceil(Q / n_required) / p_success
-    exceeds _MAX_WINDOWS; and NumericsError when the clock overflows double
-    precision; the clock is checked before a batch is logged, so the log
-    never holds a non-finite time. When event_log is given (path or open
-    text file), one JSON line is written per bidding window with keys
-    auction, start, duration, outcome and level_after; level_after is the
-    stock after any dispatch and replenishment triggered by that window.
+    estimated work exceeds _MAX_DRAWS units. With D = num_cycles *
+    ceil(Q / n_required) dispatches, the estimate is D on the dispatch
+    sampler's table route, D / p_success bidding windows under "erlang",
+    on the rejection route and for any logged run, and D * n_required /
+    p_success exponentials under "interarrival_sum". It also raises
+    NumericsError when the clock overflows double precision; the clock is
+    checked before a batch is logged, so the log never holds a non-finite
+    time. When event_log is given (path or open text file), one JSON line
+    is written per bidding window with keys auction, start, duration,
+    outcome and level_after; level_after is the stock after any dispatch
+    and replenishment triggered by that window. The dispatch sampler
+    writes, per dispatch, F failure lines, the i-th starting i * max_time
+    after the previous dispatch, then the success line.
     """
     if auction.unbounded:
         raise ConfigError("max_time: must be finite for simulation")
@@ -223,12 +357,23 @@ def simulate(
     n_required = auction.n_required
     quantity = policy.quantity
     batches = dispatches_per_cycle(quantity, n_required, "exact")
-    windows = config.num_cycles * batches / _nondegenerate_success_probability(auction)
-    if windows > _MAX_WINDOWS:
+    p = _nondegenerate_success_probability(auction)
+    sampler = config.duration_sampler
+    per_window = sampler != "dispatch"
+    table = None if per_window else _excess_table(auction, p)
+    if sampler == "interarrival_sum":
+        work = config.num_cycles * batches * n_required / p
+        unit = "exponentials (cycles * ceil(quantity / n_required) * n_required / p_success)"
+    elif table is not None and event_log is None:
+        work = config.num_cycles * batches
+        unit = "dispatches (cycles * ceil(quantity / n_required))"
+    else:
+        work = config.num_cycles * batches / p
+        unit = "bidding windows (cycles * ceil(quantity / n_required) / p_success)"
+    if work > _MAX_DRAWS:
         raise NumericsError(
-            f"simulation would draw about {windows:.3g} bidding windows "
-            f"(cycles * ceil(quantity / n_required) / p_success), over the budget of "
-            f"{_MAX_WINDOWS:.0e}; use fewer cycles or a smaller quantity"
+            f"simulation would draw about {work:.3g} {unit}, over the budget of "
+            f"{_MAX_DRAWS:.0e}; use fewer cycles or a smaller quantity"
         )
     import numpy as np
 
@@ -277,30 +422,59 @@ def simulate(
             log = event_log
         else:
             log = stack.enter_context(open(event_log, "w", encoding="utf-8"))
-        durations = _draw_durations(rng, config.duration_sampler, n_required, auction.arrival_rate)
-        for duration in durations:
-            success = duration < max_time
-            # Window index of each dispatch, and dispatch index of each cycle end.
-            dispatched = np.flatnonzero(success)
-            level = level_before(dispatches + np.arange(dispatched.size))
+        if per_window:
+            draws = _draw_durations(rng, sampler, n_required, auction.arrival_rate)
+        else:
+            draws = _draw_dispatches(rng, auction, p, table)
+        for batch in draws:
+            if per_window:
+                duration = batch
+                success = duration < max_time
+                # Window index of each dispatch.
+                dispatched = np.flatnonzero(success)
+                count = dispatched.size
+            else:
+                failures, closes = batch
+                count = failures.size
+            level = level_before(dispatches + np.arange(count))
+            # Dispatch index of each cycle end.
             closing = np.flatnonzero(level <= n_required)
             if closing.size >= cycles_left:
                 # The run ends with the dispatch that closes the last cycle.
                 closing = closing[:cycles_left]
-                dispatched, level = dispatched[: closing[-1] + 1], level[: closing[-1] + 1]
-                duration, success = duration[: dispatched[-1] + 1], success[: dispatched[-1] + 1]
-            window = np.minimum(duration, max_time)
-            # A cumulative sum adds in sequence, exactly as `clock += window`.
-            starts = np.cumsum(np.concatenate(([clock], window)))
-            if not math.isfinite(starts[-1]):
-                overflowed_at = auctions + int(np.argmin(np.isfinite(starts)))
+                count = int(closing[-1]) + 1
+                level = level[:count]
+                if per_window:
+                    dispatched = dispatched[:count]
+                    end = dispatched[-1] + 1
+                    duration, success = duration[:end], success[:end]
+                else:
+                    failures, closes = failures[:count], closes[:count]
+            if per_window:
+                # A cumulative sum adds in sequence, exactly as `clock += window`.
+                marks = np.cumsum(np.concatenate(([clock], np.minimum(duration, max_time))))
+                times = marks[dispatched + 1]
+                failures_before = np.diff(dispatched, prepend=-1 - failures_pending) - 1
+                windows = duration.size
+            else:
+                # The clock after each dispatch's failed windows, then after its
+                # closing window, added in sequence.
+                steps = np.column_stack((failures * max_time, closes)).ravel()
+                marks = np.cumsum(np.concatenate(([clock], steps)))
+                times = marks[2::2]
+                failures_before = failures
+                windows = count + _integer_sum(failures)
+            if not math.isfinite(marks[-1]):
+                overflowed = int(np.argmin(np.isfinite(marks)))
+                if not per_window:
+                    # The windows up to that mark: F_0, 1, F_1, 1, ...
+                    counts = np.column_stack((failures, np.ones(count))).ravel()
+                    overflowed = int(np.cumsum(counts)[overflowed - 1])
                 raise NumericsError(
-                    f"simulation clock overflowed at auction {overflowed_at}: "
+                    f"simulation clock overflowed at auction {auctions + overflowed}: "
                     f"{auction} has a time scale beyond double precision"
                 )
-            times = starts[dispatched + 1]
             gaps = np.diff(times, prepend=last_dispatch)
-            failures_before = np.diff(dispatched, prepend=-1 - failures_pending) - 1
             terms = (
                 costs.holding_rate * level * gaps
                 + costs.failure_penalty * failures_before
@@ -323,30 +497,38 @@ def simulate(
                 # Sequential sums, as the clock's: equal for every batch size.
                 gap_sum = float(np.cumsum(np.append(gap_sum, shifted))[-1])
                 gap_square_sum = float(np.cumsum(np.append(gap_square_sum, shifted**2))[-1])
-            if log is not None:
+            if log is not None and per_window:
                 level_after = level_before(dispatches + np.cumsum(success))
-                # The bytes json.dumps(record, separators=(",", ":")) gives:
-                # both print finite numbers by their shortest repr.
-                log.write("".join(
-                    f'{{"auction":{index},"start":{start},"duration":'
-                    f'{d if ok else max_time},"outcome":"{"success" if ok else "failure"}",'
-                    f'"level_after":{after}}}\n'
-                    for index, start, d, ok, after in zip(
-                        range(auctions + 1, auctions + window.size + 1),
-                        starts[:-1].tolist(),
-                        duration.tolist(),
-                        success.tolist(),
-                        level_after.tolist(),
+                _write_windows(log, auctions, marks[:-1], duration, success, level_after, max_time)
+            elif log is not None:
+                # Rebuild the windows in chunks: window w of the batch belongs
+                # to the first dispatch whose closing window is at or after it.
+                failed = failures.astype(np.int64)
+                closes_at = np.cumsum(failed + 1) - 1
+                opens_at = closes_at - failed
+                after = level_before(dispatches + 1 + np.arange(count))
+                for chunk in range(0, windows, _DRAW_BATCH):
+                    window = np.arange(chunk, min(chunk + _DRAW_BATCH, windows))
+                    owner = np.searchsorted(closes_at, window)
+                    ok = window == closes_at[owner]
+                    _write_windows(
+                        log,
+                        auctions + chunk,
+                        marks[2 * owner] + (window - opens_at[owner]) * max_time,
+                        closes[owner],
+                        ok,
+                        np.where(ok, after[owner], level[owner]),
+                        max_time,
                     )
-                ))
-            auctions += window.size
-            dispatches += dispatched.size
-            if dispatched.size:
-                failures_pending = window.size - 1 - dispatched[-1]
+            auctions += windows
+            dispatches += count
+            if count:
                 last_dispatch = times[-1]
-            else:
-                failures_pending += window.size
-            clock = starts[-1]
+            if per_window and count:
+                failures_pending = windows - 1 - dispatched[-1]
+            elif per_window:
+                failures_pending += windows
+            clock = marks[-1]
             cycles_left -= closing.size
             if not cycles_left:
                 break

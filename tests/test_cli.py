@@ -15,6 +15,7 @@ from groupbuy_inventory import (
     SimulationConfig,
     auction_statistics,
     long_run_average_cost,
+    regularized_lower_gamma,
     simulate,
 )
 from groupbuy_inventory import cli
@@ -264,8 +265,15 @@ class TestSweep:
             "--format", "csv",
         ])
         assert code == 4
-        out = capsys.readouterr().out
-        assert len(out.splitlines()) == 9  # header + 8 rows, failures included
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 9  # header + 8 rows, failures included
+        # One stderr line names each failed cell and its reason.
+        reason = "DegenerateAuctionError: success probability underflowed (0.0) for AuctionParams"
+        assert captured.err.splitlines() == [
+            f"sweep: n=500 t={t} lambda={rate}: {reason}(n_required=500, max_time={t:.1f}, "
+            f"arrival_rate={rate:.1f}); design is degenerate"
+            for t, rate in ((0.5, 0.5), (0.5, 14), (7, 0.5))
+        ]
 
     def test_overflowing_cell_is_error_cell(self, config_file, capsys):
         code = main([
@@ -340,8 +348,11 @@ class TestValidate:
         assert "[PASS] closed-form vs direct cost at Q*: all 9 cells within 1e-09\n" in out
 
     def test_single_cycle_run_fails_the_cost_rate_check(self, config_file, capsys):
-        # One cycle gives the cost-rate estimator no standard error.
-        assert main(["validate", config_file, "--cycles", "1", "--seed", "3"]) == 1
+        # One cycle gives the cost-rate estimator no standard error. (Seed 3's
+        # dispatch stream has no failed window in its five dispatches, which
+        # fails the other two z checks too.)
+        assert main(["validate", config_file, "--cycles", "1", "--seed", "3",
+                     "--duration-sampler", "interarrival_sum"]) == 1
         out = capsys.readouterr().out
         assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == [
             "[FAIL] simulated cost rate vs consistent/exact analytic: z=n/a (|z| <= 4)"
@@ -582,8 +593,9 @@ class TestSubprocessEntry:
         [
             # About 1e13 dispatches in one cycle.
             ["simulate", "--quantity", "1e15", "--cycles", "1"],
-            # The best integer Q = 9 at p = 5.7e-11: about 3.5e14 windows.
-            ["validate", "--n-required", "150", "--max-time", "6"],
+            # The best integer Q = 9 at p = 5.7e-11: about 3.5e14 windows, each
+            # drawn under erlang (the default sampler draws 2e4 dispatches).
+            ["validate", "--n-required", "150", "--max-time", "6", "--duration-sampler", "erlang"],
         ],
         ids=["simulate", "validate"],
     )
@@ -597,6 +609,32 @@ class TestSubprocessEntry:
         assert result.stdout == ""
         assert "Traceback" not in result.stderr
         assert "bidding windows" in result.stderr
+
+    # n_required = 1e10 at p = 1: one window of 1e10 arrivals.
+    FOUND = ["simulate", "--n-required", "10000000000", "--max-time", "785714285.7142857",
+             "--quantity", "10000000000", "--cycles", "1"]
+
+    @pytest.mark.parametrize(
+        "argv,code,stderr",
+        [
+            # interarrival_sum would draw 1e10 exponentials: refused at once.
+            (FOUND + ["--duration-sampler", "interarrival_sum"], 3,
+             "numeric domain error: simulation would draw about 1e+10 exponentials "
+             "(cycles * ceil(quantity / n_required) * n_required / p_success), over the "
+             "budget of 1e+09; use fewer cycles or a smaller quantity\n"),
+            (FOUND, 0, ""),
+            # p = 5.7e-11: 2e4 dispatches under the default sampler, not 3.5e14 windows.
+            (["validate", "--n-required", "150", "--max-time", "6"], 0, ""),
+        ],
+        ids=["interarrival-sum-over-budget", "dispatch", "validate-low-p"],
+    )
+    def test_budget_counts_the_sampler_draws(self, config_file, argv, code, stderr):
+        command, *flags = argv
+        result = subprocess.run(
+            [sys.executable, "-m", "groupbuy_inventory.cli", command, config_file, *flags],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (result.returncode, result.stderr) == (code, stderr)
 
     @pytest.mark.parametrize(
         "flags,message",
@@ -684,3 +722,36 @@ class TestClosedFormProperty:
         if code == 0:
             text = out.getvalue().replace("eoq limit (window -> inf)", "")
             assert not re.search(r"\b(inf|infinity|nan)\b", text, re.IGNORECASE), text
+
+
+def window_for(n_required, p, arrival_rate=14.0):
+    """The window at which the success probability P(n_required, rate * T) is p."""
+    lo, hi = 0.0, n_required + 40.0 * n_required**0.5 + 40.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if regularized_lower_gamma(float(n_required), mid) < p else (lo, mid)
+    return hi / arrival_rate
+
+
+class TestSimulationProperty:
+    @settings(max_examples=6, deadline=None)
+    @given(
+        n_required=st.integers(min_value=1, max_value=10**6),
+        p=st.floats(min_value=-12.0, max_value=0.0).map(lambda exponent: 10.0**exponent),
+        quantity=st.floats(min_value=0.0, max_value=3.0).map(lambda exponent: 10.0**exponent),
+        cycles=st.integers(min_value=1, max_value=500),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    def test_simulate_and_validate_end_in_time(self, n_required, p, quantity, cycles, seed):
+        # A run that hangs fails by the timeout; any answer is an exit code 0-4.
+        keys = {**BASE_KEYS, "n_required": n_required, "max_time": repr(window_for(n_required, p))}
+        for command in ("simulate", "validate"):
+            argv = closed_form_argv(command, keys) + [
+                "--quantity", repr(quantity), "--cycles", str(cycles), "--seed", str(seed),
+            ]
+            result = subprocess.run(
+                [sys.executable, "-m", "groupbuy_inventory.cli", *argv],
+                capture_output=True, text=True, timeout=60,
+            )
+            assert 0 <= result.returncode <= 4, result.stderr
+            assert "Traceback" not in result.stderr, result.stderr

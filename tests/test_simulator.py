@@ -3,12 +3,14 @@ import io
 import itertools
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from groupbuy_inventory import (
     AuctionParams,
@@ -19,6 +21,7 @@ from groupbuy_inventory import (
     Policy,
     SimulationConfig,
     auction_statistics,
+    best_integer_quantity,
     long_run_average_cost,
     replicate,
     rng_stream,
@@ -202,7 +205,7 @@ class TestResultContracts:
 
 
 class TestDrawBatches:
-    @pytest.mark.parametrize("sampler", ["interarrival_sum", "erlang"])
+    @pytest.mark.parametrize("sampler", ["interarrival_sum", "erlang", "dispatch"])
     def test_result_does_not_depend_on_batch_size(
         self, monkeypatch, base_auction, base_costs, base_policy, sampler
     ):
@@ -315,6 +318,162 @@ class TestReferenceEquivalence:
         assert log.writes <= math.ceil(result.counts.auctions / simulator._DRAW_BATCH) + 1
 
 
+class TestDispatchSampler:
+    # The two routes to the closing window: the table below p = 0.25,
+    # rejection from there up.
+    ROUTES = {
+        "table-p1e-4": AuctionParams(120, 6.0, 14.0),
+        "table-p0.05": AuctionParams(100, 6.0, 14.0),
+        "rejection-p0.43": BASE,
+        "rejection-p1": AuctionParams(80, 8.0, 14.0),
+    }
+
+    @staticmethod
+    def draws(auction, p, batches):
+        table = simulator._excess_table(auction, auction_statistics(auction).p_success)
+        batches = itertools.islice(
+            simulator._draw_dispatches(rng_stream(11, 0), auction, p, table), batches
+        )
+        failures, closes = zip(*batches)
+        return table, np.concatenate(failures), np.concatenate(closes)
+
+    @pytest.mark.parametrize("design", list(ROUTES))
+    def test_closing_window_is_a_gamma_below_max_time(self, design):
+        auction = self.ROUTES[design]
+        table, _, closes = self.draws(auction, auction_statistics(auction).p_success, 5)
+        assert (table is None) == design.startswith("rejection")
+        assert closes.max() < auction.max_time
+        gamma = stats.gamma(auction.n_required, scale=1.0 / auction.arrival_rate)
+        below_max_time = gamma.cdf(auction.max_time)
+        assert stats.kstest(closes, lambda s: gamma.cdf(s) / below_max_time).pvalue > 1e-3
+
+    @pytest.mark.parametrize(
+        "auction",
+        [ROUTES["table-p1e-4"], ROUTES["table-p0.05"], AuctionParams(1, 0.01, 1.0),
+         AuctionParams(10**6, 0.99 * 10**6, 1.0)],
+        ids=["n120-p1e-4", "n100-p0.05", "n1-p0.01", "n1e6-p1e-23"],
+    )
+    def test_table_is_the_poisson_cdf_above_n_required(self, auction):
+        n, mean = auction.n_required, auction.arrival_rate * auction.max_time
+        table = simulator._excess_table(auction, auction_statistics(auction).p_success)
+        m = np.arange(n, n + table.size)
+        # P(N <= m | N >= n), from tail probabilities, which do not cancel.
+        tail = stats.poisson.sf(n - 1, mean)
+        expected = (tail - stats.poisson.sf(m, mean)) / tail
+        assert np.allclose(table / table[-1], expected, rtol=1e-9, atol=1e-15)
+
+    @pytest.mark.parametrize("p", [1e-12, 1e-4, 0.3, 0.9])
+    def test_failures_have_the_geometric_mean(self, p):
+        _, failures, _ = self.draws(BASE, p, 20)
+        assert np.array_equal(failures, np.floor(failures)) and failures.min() >= 0.0
+        # F = Geometric(p) - 1 has mean (1 - p) / p and variance (1 - p) / p**2.
+        se = math.sqrt((1.0 - p) / failures.size) / p
+        assert abs(failures.mean() - (1.0 - p) / p) <= 4.0 * se
+
+    def test_certain_success_has_no_failures(self):
+        _, failures, _ = self.draws(BASE, 1.0, 2)
+        assert not failures.any()
+
+    @pytest.mark.parametrize(
+        "n_required,max_time", list(itertools.product((80, 100, 120), (6.0, 7.0, 8.0)))
+    )
+    def test_reference_grid_agrees_with_consistent_exact_analytics(
+        self, base_costs, n_required, max_time
+    ):
+        # validate's cells at its quantity, the best integer in the paper mode.
+        auction = AuctionParams(n_required, max_time, 14.0)
+        closed = auction_statistics(auction)
+        policy = Policy(float(best_integer_quantity(closed, base_costs, n_required, "paper")))
+        result = simulate(auction, base_costs, policy, _config(num_cycles=20000))
+        cost = long_run_average_cost(closed, base_costs, policy, n_required, "consistent", "exact")
+        z = {
+            "cost": (result.long_run_cost - cost) / result.long_run_cost_se,
+            "p": (result.p_hat - closed.p_success) / result.p_hat_se,
+            "interval": (result.mean_dispatch_interval - closed.dispatch_time_consistent)
+            / result.mean_dispatch_interval_se,
+        }
+        assert all(abs(value) <= 4.0 for value in z.values()), z
+
+    def test_low_p_design_runs_in_under_a_second(self):
+        # (150, 6): p = 5.7e-11, so 2e4 dispatches stand for 3.5e14 windows.
+        script = (
+            "import time\n"
+            "import numpy\n"
+            "import groupbuy_inventory as gb\n"
+            "auction = gb.AuctionParams(n_required=150, max_time=6.0, arrival_rate=14.0)\n"
+            "costs = gb.CostParams(40.0, 4.0, 0.02, 10.0, 300.0)\n"
+            "start = time.perf_counter()\n"
+            "result = gb.simulate(auction, costs, gb.Policy(9.0), gb.SimulationConfig(20000))\n"
+            "print(time.perf_counter() - start, result.counts.cycles)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        )
+        seconds, cycles = result.stdout.split()
+        assert float(seconds) < 1.0 and cycles == "20000"
+
+    @pytest.mark.parametrize(
+        "design,quantity,cycles", [("table-p1e-4", 9.0, 5), ("rejection-p0.43", Q_STAR, 100)]
+    )
+    def test_result_and_log_do_not_depend_on_batch_size(
+        self, monkeypatch, base_costs, design, quantity, cycles
+    ):
+        def run():
+            log = io.StringIO()
+            config = _config(num_cycles=cycles)
+            auction = self.ROUTES[design]
+            result = simulate(auction, base_costs, Policy(quantity), config, event_log=log)
+            return result, log.getvalue()
+
+        default = run()
+        monkeypatch.setattr(simulator, "_DRAW_BATCH", 7)
+        assert run() == default
+
+    def test_log_rebuilds_each_dispatchs_windows(self, base_costs):
+        log = io.StringIO()
+        config = _config(num_cycles=300)
+        result = simulate(BASE, base_costs, Policy(Q_STAR), config, event_log=log)
+        assert simulate(BASE, base_costs, Policy(Q_STAR), config) == result
+        records = [json.loads(line) for line in log.getvalue().splitlines()]
+        assert [r["auction"] for r in records] == list(range(1, result.counts.auctions + 1))
+        # Per dispatch: F failure lines that keep the level, the i-th starting
+        # i * max_time after the previous dispatch, then the success line.
+        level, last_dispatch, failed = Q_STAR, 0.0, 0
+        for record in records:
+            assert record["start"] == last_dispatch + failed * BASE.max_time
+            if record["outcome"] == "failure":
+                assert (record["duration"], record["level_after"]) == (BASE.max_time, level)
+                failed += 1
+            else:
+                assert record["duration"] < BASE.max_time
+                level, failed = record["level_after"], 0
+                last_dispatch = record["start"] + record["duration"]
+        assert failed == 0
+        assert sum(r["outcome"] == "success" for r in records) == result.counts.dispatches
+
+    @pytest.mark.parametrize(
+        "sampler,logged,estimate",
+        [
+            ("dispatch", False, "10 dispatches (cycles * ceil(quantity / n_required))"),
+            ("dispatch", True, "7.83e+04 bidding windows"),
+            ("erlang", False, "7.83e+04 bidding windows"),
+            ("interarrival_sum", False, "9.4e+06 exponentials"),
+        ],
+    )
+    def test_work_budget_counts_each_samplers_draws(
+        self, monkeypatch, base_costs, sampler, logged, estimate
+    ):
+        # (120, 6) at Q = 9: 10 cycles are 10 dispatches at p = 1.28e-4.
+        monkeypatch.setattr(simulator, "_MAX_DRAWS", 9)
+        log = io.StringIO() if logged else None
+        message = f"^simulation would draw about {re.escape(estimate)}"
+        with pytest.raises(NumericsError, match=message):
+            simulate(
+                self.ROUTES["table-p1e-4"], base_costs, Policy(9.0),
+                _config(num_cycles=10, duration_sampler=sampler), event_log=log,
+            )
+
+
 class TestAgreementWithAnalytics:
     def test_success_rate(self, base_auction, base_costs, base_policy):
         result = simulate(base_auction, base_costs, base_policy, _config(num_cycles=20000))
@@ -408,9 +567,8 @@ class TestShortfallRules:
 
     def test_event_log_bytes_are_pinned(self, base_auction, base_costs):
         buffer = io.StringIO()
-        simulate(
-            base_auction, base_costs, Policy(150.0), _config(num_cycles=3, seed=1), event_log=buffer
-        )
+        config = _config(num_cycles=3, seed=1, duration_sampler="interarrival_sum")
+        simulate(base_auction, base_costs, Policy(150.0), config, event_log=buffer)
         assert buffer.getvalue().splitlines(keepends=True)[:4] == [
             '{"auction":1,"start":0.0,"duration":7.0,"outcome":"failure","level_after":150.0}\n',
             '{"auction":2,"start":7.0,"duration":6.914693396026527,"outcome":"success",'
@@ -538,7 +696,7 @@ class TestValidation:
         self, monkeypatch, base_auction, base_costs, budget, refused
     ):
         # 10 cycles of ceil(434 / 100) = 5 dispatches at p = 0.4333: 115.4 windows.
-        monkeypatch.setattr(simulator, "_MAX_WINDOWS", budget)
+        monkeypatch.setattr(simulator, "_MAX_DRAWS", budget)
         config = _config(num_cycles=10)
         if refused:
             with pytest.raises(NumericsError, match="about 115 bidding windows"):

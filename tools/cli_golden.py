@@ -8,8 +8,9 @@ per tree as ``python -m groupbuy_inventory.cli`` on the base scenario
 (n_required=100, max_time=7, arrival_rate=14, costs 40/4/0.02/10/300);
 stdout, stderr and the exit code are compared byte for byte. The
 commands cover reports (sweeps in all three formats), ``--help``,
-rejected configs (exit 2), overflowing or underflowing results and
-simulations over the work budget (exit 3). A command that runs longer
+rejected configs (exit 2), overflowing or underflowing results,
+simulations over the work budget (exit 3) and failed sweep cells, whose
+reasons go to stderr (exit 4). A command that runs longer
 than TIMEOUT_S seconds on either tree is stopped and counts as a
 difference.
 The script prints one line per command, the differing stdout and stderr
@@ -112,6 +113,15 @@ COMMANDS = [
     # 2e5 dispatches: pins the dispatch-interval estimate and its se.
     ["simulate", "--n-required", "1", "--max-time", "1000", "--arrival-rate", "1",
      "--quantity", "1000", "--cycles", "200", "--duration-sampler", "erlang"],
+    # One window of 1e10 arrivals: interarrival_sum would draw 1e10 exponentials
+    # and exits 3 at once; the default sampler draws one dispatch.
+    ["simulate", "--n-required", "10000000000", "--max-time", "785714285.7142857",
+     "--quantity", "10000000000", "--cycles", "1", "--duration-sampler", "interarrival_sum"],
+    ["simulate", "--n-required", "10000000000", "--max-time", "785714285.7142857",
+     "--quantity", "10000000000", "--cycles", "1"],
+    # Failed cells without simulation: one stderr line names each reason.
+    ["sweep", "--n-values", "20,500", "--t-values", "3,4", "--lambda-values", "10",
+     "--format", "csv"],
 ]
 
 
