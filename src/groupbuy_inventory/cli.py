@@ -23,6 +23,7 @@ from .costmodel import (
     A_MODES,
     CostParams,
     Policy,
+    _optimum,
     best_integer_quantity,
     check_optimizable,
     cost_rate_terms,
@@ -284,9 +285,7 @@ def cmd_optimize(cfg: RunConfig) -> tuple[str, int]:
     _require_optimizable(costs)
     stats = auction_statistics(auction)
     n = auction.n_required
-    q_star = optimal_quantity(stats, costs, n, cfg.td_mode)
-    q_int = best_integer_quantity(stats, costs, n, cfg.td_mode)
-    cost_star = optimal_cost(stats, costs, n, cfg.td_mode)
+    _, q_star, q_int, cost_star = _optimum(stats, costs, n, cfg.td_mode)
     cost_int = long_run_average_cost(stats, costs, Policy(float(q_int)), n, cfg.td_mode, "approx")
     policy = Policy(q_star)
     terms = cost_rate_terms(stats, costs, policy, n, cfg.td_mode)

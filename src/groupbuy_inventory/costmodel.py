@@ -23,7 +23,7 @@ cost and the failure penalty: those terms do not depend on Q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Literal
 
 from .errors import NumericsError, ParameterError, check_choice, check_int
@@ -139,6 +139,29 @@ def dispatches_per_cycle(quantity: float, n_required: int, mode: AMode = "approx
     return quantity / n_required
 
 
+def _cycle_costs(
+    stats: AuctionStatistics, costs: CostParams,
+    q: float, n: float, td: float, batches: float, a_mode: AMode,
+) -> tuple[float, ...]:
+    # The CostBreakdown fields, in field order, from checked (Q, N, td, A).
+    if a_mode == "exact":
+        holding = costs.holding_rate * td * batches * (q - (batches - 1.0) * n / 2.0)
+    else:
+        holding = costs.holding_rate * batches * td * (q + n) / 2.0
+    dispatching = costs.dispatch_cost * batches
+    transport = costs.unit_transport_cost * batches * n
+    penalty = costs.failure_penalty * batches * stats.expected_failures
+    cycle_length = batches * td
+    cycle_total = holding + dispatching + transport + penalty + costs.reorder_cost
+    values = (holding, dispatching, transport, penalty, costs.reorder_cost, cycle_length,
+              cycle_total, _divide(cycle_total, cycle_length, "cycle length"))
+    if not all(map(math.isfinite, values)):
+        for field, value in zip(fields(CostBreakdown), values):
+            if not math.isfinite(value):
+                raise NumericsError(f"expected {field.name} is not finite: {value!r}")
+    return values
+
+
 def cycle_cost_breakdown(
     stats: AuctionStatistics,
     costs: CostParams,
@@ -158,31 +181,7 @@ def cycle_cost_breakdown(
     """
     n, td = _n_and_td(stats, n_required, td_mode)
     batches = dispatches_per_cycle(policy.quantity, n_required, a_mode)
-    q = policy.quantity
-    if a_mode == "exact":
-        holding = costs.holding_rate * td * batches * (q - (batches - 1.0) * n / 2.0)
-    else:
-        holding = costs.holding_rate * batches * td * (q + n) / 2.0
-    dispatching = costs.dispatch_cost * batches
-    transport = costs.unit_transport_cost * batches * n
-    penalty = costs.failure_penalty * batches * stats.expected_failures
-    reorder = costs.reorder_cost
-    cycle_length = batches * td
-    cycle_total = holding + dispatching + transport + penalty + reorder
-    breakdown = CostBreakdown(
-        holding=holding,
-        dispatching=dispatching,
-        transport=transport,
-        penalty=penalty,
-        reorder=reorder,
-        cycle_length=cycle_length,
-        cycle_total=cycle_total,
-        long_run_average=_divide(cycle_total, cycle_length, "cycle length"),
-    )
-    for name, value in vars(breakdown).items():
-        if not math.isfinite(value):
-            raise NumericsError(f"expected {name} is not finite: {value!r}")
-    return breakdown
+    return CostBreakdown(*_cycle_costs(stats, costs, policy.quantity, n, td, batches, a_mode))
 
 
 def long_run_average_cost(
@@ -194,7 +193,9 @@ def long_run_average_cost(
     a_mode: AMode = "approx",
 ) -> float:
     """Long-run average cost rate of a policy (cycle total over cycle length)."""
-    return cycle_cost_breakdown(stats, costs, policy, n_required, td_mode, a_mode).long_run_average
+    n, td = _n_and_td(stats, n_required, td_mode)
+    batches = dispatches_per_cycle(policy.quantity, n_required, a_mode)
+    return _cycle_costs(stats, costs, policy.quantity, n, td, batches, a_mode)[-1]
 
 
 def _q_free_rate_terms(
@@ -253,6 +254,19 @@ def cost_derivatives(
     return first, second
 
 
+def _square_root_optimum(
+    stats: AuctionStatistics, costs: CostParams, n_required: int, td_mode: TdMode
+) -> tuple[float, float, float]:
+    # (N, td, Q*) with optimal_quantity's checks and errors.
+    n, td = _n_and_td(stats, n_required, td_mode)
+    check_optimizable(costs, "optimal_quantity")
+    q_star = math.sqrt(_divide(
+        2.0 * costs.reorder_cost * n, costs.holding_rate * td,
+        "holding_rate * dispatch time",
+    ))
+    return n, td, _finite(q_star, "optimal quantity")
+
+
 def optimal_quantity(
     stats: AuctionStatistics,
     costs: CostParams,
@@ -265,13 +279,16 @@ def optimal_quantity(
     rate has no interior minimum (it becomes monotone in Q). Raises
     NumericsError when Q* overflows to infinity or I*td underflows to zero.
     """
-    n, td = _n_and_td(stats, n_required, td_mode)
-    check_optimizable(costs, "optimal_quantity")
-    q_star = math.sqrt(_divide(
-        2.0 * costs.reorder_cost * n, costs.holding_rate * td,
-        "holding_rate * dispatch time",
-    ))
-    return _finite(q_star, "optimal quantity")
+    return _square_root_optimum(stats, costs, n_required, td_mode)[2]
+
+
+def _optimal_cost(stats: AuctionStatistics, costs: CostParams, n: float, td: float) -> float:
+    rate = math.sqrt(2.0 * costs.holding_rate * costs.reorder_cost * n / td)
+    # A left-to-right loop, not sum(): from Python 3.12 sum() compensates
+    # float roundoff, which would move the last printed digits.
+    for term in _q_free_rate_terms(stats, costs, n, td).values():
+        rate += term
+    return _finite(rate, "optimal cost rate")
 
 
 def optimal_cost(
@@ -286,12 +303,19 @@ def optimal_cost(
     """
     n, td = _n_and_td(stats, n_required, td_mode)
     check_optimizable(costs, "optimal_cost")
-    rate = math.sqrt(2.0 * costs.holding_rate * costs.reorder_cost * n / td)
-    # A left-to-right loop, not sum(): from Python 3.12 sum() compensates
-    # float roundoff, which would move the last printed digits.
-    for term in _q_free_rate_terms(stats, costs, n, td).values():
-        rate += term
-    return _finite(rate, "optimal cost rate")
+    return _optimal_cost(stats, costs, n, td)
+
+
+def _best_integer(
+    stats: AuctionStatistics, costs: CostParams, n: float, td: float, q_star: float
+) -> int:
+    lo = math.floor(q_star)
+    hi = max(1, math.ceil(q_star))
+    if lo < 1 or lo == hi:
+        return hi
+    cost_lo = _cycle_costs(stats, costs, float(lo), n, td, lo / n, "approx")[-1]
+    cost_hi = _cycle_costs(stats, costs, float(hi), n, td, hi / n, "approx")[-1]
+    return hi if cost_hi <= cost_lo else lo
 
 
 def best_integer_quantity(
@@ -307,16 +331,17 @@ def best_integer_quantity(
     and a floor below 1 falls back to the ceiling. Raises NumericsError
     when Q* or a compared cost rate is not finite.
     """
-    q_star = optimal_quantity(stats, costs, n_required, td_mode)
-    lo = math.floor(q_star)
-    hi = math.ceil(q_star)
-    if hi < 1:
-        hi = 1
-    if lo < 1 or lo == hi:
-        return int(hi)
-    cost_lo = long_run_average_cost(stats, costs, Policy(float(lo)), n_required, td_mode, "approx")
-    cost_hi = long_run_average_cost(stats, costs, Policy(float(hi)), n_required, td_mode, "approx")
-    return int(hi) if cost_hi <= cost_lo else int(lo)
+    return _best_integer(stats, costs, *_square_root_optimum(stats, costs, n_required, td_mode))
+
+
+def _optimum(
+    stats: AuctionStatistics, costs: CostParams, n_required: int, td_mode: TdMode
+) -> tuple[float, float, int, float]:
+    # (td, Q*, integer Q, C(Q*)) with one check of the inputs: the values and first
+    # error of optimal_quantity, best_integer_quantity and optimal_cost in turn.
+    n, td, q_star = _square_root_optimum(stats, costs, n_required, td_mode)
+    q_int = _best_integer(stats, costs, n, td, q_star)
+    return td, q_star, q_int, _optimal_cost(stats, costs, n, td)
 
 
 def eoq_limit(costs: CostParams, arrival_rate: float) -> float:

@@ -21,16 +21,18 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .costmodel import (
+# The three public optimum names go unused here; perfbench's trace replay patches them.
+from .costmodel import (  # noqa: F401
     CostParams,
     Policy,
+    _optimum,
     best_integer_quantity,
     optimal_cost,
     optimal_quantity,
 )
 from .errors import GroupBuyError, ParameterError, check_choice, check_int
 from .simulator import SimulationConfig, simulate
-from .stochastics import TD_MODES, AuctionParams, TdMode, auction_statistics, select_dispatch_time
+from .stochastics import TD_MODES, AuctionParams, TdMode, auction_statistics
 
 CSV_COLUMNS: tuple[str, ...] = (
     "n",
@@ -106,9 +108,7 @@ def _evaluate_cell(n: int, t: float, rate: float, spec: SweepSpec) -> SweepRow:
     try:
         params = AuctionParams(n_required=n, max_time=t, arrival_rate=rate)
         stats = auction_statistics(params)
-        q_star = optimal_quantity(stats, spec.costs, n, spec.td_mode)
-        q_int = best_integer_quantity(stats, spec.costs, n, spec.td_mode)
-        cost_star = optimal_cost(stats, spec.costs, n, spec.td_mode)
+        td, q_star, q_int, cost_star = _optimum(stats, spec.costs, n, spec.td_mode)
     except GroupBuyError as exc:
         return SweepRow(n=n, t=t, arrival_rate=rate, error=f"{type(exc).__name__}: {exc}")
     row = SweepRow(
@@ -116,7 +116,7 @@ def _evaluate_cell(n: int, t: float, rate: float, spec: SweepSpec) -> SweepRow:
         t=t,
         arrival_rate=rate,
         p_success=stats.p_success,
-        dispatch_time=select_dispatch_time(stats, spec.td_mode),
+        dispatch_time=td,
         q_star_real=q_star,
         q_star_integer=q_int,
         optimal_cost=cost_star,
@@ -181,16 +181,21 @@ def _json_number(cell: float) -> float | str:
     return "inf" if math.isinf(cell) else float(_format_number(cell))
 
 
+# json.dumps(payload, indent=2, allow_nan=False)'s bytes without its pure-Python
+# encoder (CPython 3.11 uses it for any indent): separators stand in for indent.
+_encode_object = json.JSONEncoder(allow_nan=False, separators=(",\n    ", ": ")).encode
+
+
 def _emit_json(rows: Sequence[SweepRow]) -> str:
     # Floats carry the same 6-significant-digit values the CSV prints.
-    payload = [
-        {
+    objects = (
+        _encode_object({
             name: _json_number(cell) if isinstance(cell, float) else cell
             for name, cell in zip(CSV_COLUMNS, _row_cells(row))
-        }
+        })[1:-1]
         for row in rows
-    ]
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    )
+    return "[\n  {\n    " + "\n  },\n  {\n    ".join(objects) + "\n  }\n]\n"
 
 
 def _grid_table(

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from groupbuy_inventory import (
     optimal_cost,
     optimal_quantity,
 )
+from groupbuy_inventory import costmodel
 from reference_values import (
     BASE_COST_STAR,
     BASE_Q_INTEGER,
@@ -283,6 +286,74 @@ class TestNumericGuards:
             cycle_cost_breakdown(base_stats, costs, Policy(1e152), 100, "paper", a_mode)
 
 
+class TestSharedCycleCosts:
+    """long_run_average_cost and cycle_cost_breakdown share one statement of the cycle costs."""
+
+    @staticmethod
+    def _designs(count: int):
+        rng = random.Random(20261018)
+
+        def log_uniform(lo: float, hi: float) -> float:
+            return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+        def coefficient() -> float:
+            return 0.0 if rng.random() < 0.1 else log_uniform(1e-300, 1e300)
+
+        yield _synthetic_stats(15.9), CostParams(40.0, 1e300, 0.02, 10.0, 300.0), 1e152, 100
+        for _ in range(count - 1):
+            if rng.random() < 0.5:
+                # Designs near the base scenario: finite rates, both A branches.
+                stats = AuctionStatistics(
+                    0.5, 1.0, 1.0, log_uniform(1e-3, 10.0),
+                    log_uniform(1.0, 100.0), log_uniform(1.0, 100.0),
+                )
+                costs = CostParams(*(log_uniform(1e-3, 1e3) for _ in range(5)))
+                yield stats, costs, log_uniform(1.0, 1e4), rng.randint(1, 3000)
+            else:
+                # Anywhere in double range: overflowing, underflowing and zero terms.
+                stats = AuctionStatistics(
+                    0.5, 1.0, 1.0, coefficient(),
+                    log_uniform(1e-300, 1e300), log_uniform(1e-300, 1e300),
+                )
+                costs = CostParams(*(coefficient() for _ in range(5)))
+                yield stats, costs, log_uniform(1e-300, 1e300), rng.randint(1, 10**6)
+
+    def test_rate_is_the_breakdown_ratio_bit_for_bit(self):
+        outcomes = {"equal": 0, "raised": 0}
+        for stats, costs, quantity, n_required in self._designs(10_000):
+            policy = Policy(quantity)
+            for td_mode in ("paper", "consistent"):
+                for a_mode in ("approx", "exact"):
+                    args = (stats, costs, policy, n_required, td_mode, a_mode)
+                    try:
+                        expected = cycle_cost_breakdown(*args).long_run_average
+                    except NumericsError as exc:
+                        with pytest.raises(NumericsError) as raised:
+                            long_run_average_cost(*args)
+                        assert str(raised.value) == str(exc)
+                        outcomes["raised"] += 1
+                        continue
+                    assert long_run_average_cost(*args).hex() == expected.hex()
+                    outcomes["equal"] += 1
+        assert min(outcomes.values()) >= 5_000, outcomes
+
+    def test_rate_checks_the_dispatch_mode(self, base_stats, base_costs):
+        for operation in (cycle_cost_breakdown, long_run_average_cost):
+            with pytest.raises(ParameterError, match="^a_mode must be one of"):
+                operation(base_stats, base_costs, Policy(434.0), 100, "paper", "weird")
+
+    def test_rate_builds_no_breakdown(self, base_stats, base_costs):
+        with mock.patch.object(
+            costmodel, "CostBreakdown", wraps=costmodel.CostBreakdown
+        ) as breakdown:
+            for a_mode in ("approx", "exact"):
+                long_run_average_cost(base_stats, base_costs, Policy(434.0), 100, "paper", a_mode)
+            best_integer_quantity(base_stats, base_costs, 100, "paper")
+            assert breakdown.call_count == 0
+            cycle_cost_breakdown(base_stats, base_costs, Policy(434.0), 100)
+            assert breakdown.call_count == 1
+
+
 class TestSelfConsistency:
     def test_closed_form_matches_direct_rate_at_optimum(self, base_costs):
         for (n, t) in GRID_P:
@@ -366,9 +437,11 @@ class TestParamValidation:
         calls = [
             lambda: dispatches_per_cycle(434.0, n_required),
             lambda: cycle_cost_breakdown(base_stats, base_costs, policy, n_required),
+            lambda: long_run_average_cost(base_stats, base_costs, policy, n_required),
             lambda: cost_rate_terms(base_stats, base_costs, policy, n_required),
             lambda: cost_derivatives(base_stats, base_costs, policy, n_required),
             lambda: optimal_quantity(base_stats, base_costs, n_required),
+            lambda: best_integer_quantity(base_stats, base_costs, n_required),
             lambda: optimal_cost(base_stats, base_costs, n_required),
         ]
         for call in calls:

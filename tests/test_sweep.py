@@ -1,13 +1,19 @@
+import dataclasses
 import json
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from groupbuy_inventory import (
     CSV_COLUMNS,
     ParameterError,
     SimulationConfig,
+    SweepRow,
     SweepSpec,
+    costmodel,
     emit_report,
     run_sweep,
 )
@@ -125,6 +131,20 @@ class TestRunSweep:
     def test_determinism(self, reference_spec):
         assert run_sweep(reference_spec) == run_sweep(reference_spec)
 
+    def test_one_cost_model_pass_per_cell(self, base_costs):
+        # Q*, the integer optimum and C(Q*) share one checked (N, td); the
+        # floor/ceil comparison builds no CostBreakdown.
+        spec = SweepSpec(n_values=(100,), t_values=(7.0,), lambda_values=(14.0,), costs=base_costs)
+        with mock.patch.object(
+            costmodel, "_n_and_td", wraps=costmodel._n_and_td
+        ) as preamble, mock.patch.object(
+            costmodel, "CostBreakdown", wraps=costmodel.CostBreakdown
+        ) as breakdown:
+            (row,) = run_sweep(spec)
+        assert row.error is None and row.q_star_integer == 434
+        assert preamble.call_count == 1
+        assert breakdown.call_count == 0
+
     def test_spec_validation(self, base_costs):
         with pytest.raises(ParameterError):
             SweepSpec(n_values=(), t_values=(7.0,), lambda_values=(14.0,), costs=base_costs)
@@ -231,3 +251,52 @@ class TestEmitReport:
             emit_report([], "csv")
         with pytest.raises(ParameterError):
             emit_report(reference_rows, "yaml")
+
+
+def _json_by_the_encoder(rows) -> str:
+    # The report as json.dumps renders it: the 6-significant-digit floats the
+    # CSV prints, an unbounded window as "inf", missing values as null.
+    def value(cell):
+        if not isinstance(cell, float):
+            return cell
+        return "inf" if math.isinf(cell) else float(f"{cell:.6g}")
+
+    columns = [field.name for field in dataclasses.fields(SweepRow)][:-1]
+    payload = [
+        {name: value(getattr(row, column)) for name, column in zip(CSV_COLUMNS, columns)}
+        for row in rows
+    ]
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+_INTS = st.integers(min_value=-(2**63), max_value=2**63)
+_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e300, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_WINDOWS = st.one_of(_FLOATS, st.sampled_from([math.inf, -math.inf]))
+_SIM_CELLS = st.one_of(st.none(), _FLOATS, st.just(math.nan))
+_GOOD_ROWS = st.builds(
+    SweepRow, n=_INTS, t=_WINDOWS, arrival_rate=_FLOATS, p_success=_FLOATS,
+    dispatch_time=_FLOATS, q_star_real=_FLOATS, q_star_integer=_INTS, optimal_cost=_FLOATS,
+    sim_cost=_SIM_CELLS, sim_halfwidth=_SIM_CELLS, delta=_SIM_CELLS,
+    error=st.none() | st.just("simulation: NumericsError: x"),
+)
+_ERROR_ROWS = st.builds(
+    SweepRow, n=_INTS, t=_WINDOWS, arrival_rate=_FLOATS, error=st.text(max_size=20),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(_GOOD_ROWS | _ERROR_ROWS, min_size=1, max_size=4))
+@example(rows=[SweepRow(n=2**63, t=math.inf, arrival_rate=-0.0, q_star_integer=-(2**63))])
+@example(rows=[SweepRow(n=1, t=5e-324, arrival_rate=1e300, sim_cost=math.nan)])
+def test_json_report_is_the_encoders_bytes(rows):
+    try:
+        expected = _json_by_the_encoder(rows)
+    except ValueError:
+        # NaN has no JSON spelling.
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            emit_report(rows, "json")
+        return
+    assert emit_report(rows, "json") == expected

@@ -41,6 +41,7 @@ reorder_cost = 300
 TIMEOUT_S = 30
 VALIDATE = ["validate", "--cycles", "2000", "--seed", "7"]
 SIMULATE = ["simulate", "--quantity", "434", "--cycles", "2000", "--seed", "7", "--replications", "2"]
+REFERENCE_GRID = ["sweep", "--n-values", "80,100,120", "--t-values", "6,7,8", "--lambda-values", "14"]
 COMMANDS = [
     VALIDATE,
     VALIDATE + ["--quantity", "434"],
@@ -122,6 +123,12 @@ COMMANDS = [
     # Failed cells without simulation: one stderr line names each reason.
     ["sweep", "--n-values", "20,500", "--t-values", "3,4", "--lambda-values", "10",
      "--format", "csv"],
+    ["sweep", "--n-values", "20,500", "--t-values", "3,4", "--lambda-values", "10",
+     "--format", "json"],
+    # Closed-form sweeps shaped like the benchmark's: the reference grid.
+    REFERENCE_GRID + ["--format", "json"],
+    REFERENCE_GRID + ["--format", "markdown"],
+    REFERENCE_GRID + ["--td-mode", "consistent", "--format", "json"],
 ]
 
 
