@@ -30,7 +30,6 @@ from .costmodel import (
     cycle_cost_breakdown,
     eoq_limit,
     long_run_average_cost,
-    optimal_cost,
     optimal_quantity,
 )
 from .errors import ConfigError, DomainError, NumericsError, ParameterError
@@ -494,14 +493,13 @@ def cmd_validate(cfg: RunConfig) -> tuple[str, int]:
     ref_stats = auction_statistics(_REFERENCE_AUCTION)
     ref_n = _REFERENCE_AUCTION.n_required
     ref_p, _, ref_q_int, _ = _REFERENCE_GRID[ref_n, _REFERENCE_AUCTION.max_time]
+    _, base_q_star, base_q_int, _ = _optimum(ref_stats, _REFERENCE_COSTS, ref_n, "paper")
     for label, computed, expected, tol in (
         ("success probability", ref_stats.p_success, ref_p, 5e-5),
         ("truncated mean duration", ref_stats.e_min_duration, 6.7829, 1e-3),
         ("dispatch time", ref_stats.dispatch_time_paper, 15.9376, 1e-3),
-        ("optimal quantity", optimal_quantity(ref_stats, _REFERENCE_COSTS, ref_n, "paper"),
-         433.8597, 1e-3),
-        ("integer quantity", best_integer_quantity(ref_stats, _REFERENCE_COSTS, ref_n, "paper"),
-         ref_q_int, 0),
+        ("optimal quantity", base_q_star, 433.8597, 1e-3),
+        ("integer quantity", base_q_int, ref_q_int, 0),
     ):
         check(
             abs(computed - expected) <= tol,
@@ -528,11 +526,9 @@ def cmd_validate(cfg: RunConfig) -> tuple[str, int]:
         td_rel = abs(cell_stats.dispatch_time_paper - td_ref) / td_ref
         worst_td = max(worst_td, td_rel)
         td_ok = td_ok and td_rel <= (0.05 if cell == _SENSITIVE_CELL else 0.01)
-        q_int = best_integer_quantity(cell_stats, _REFERENCE_COSTS, n_cell, "paper")
+        _, q_star, q_int, closed = _optimum(cell_stats, _REFERENCE_COSTS, n_cell, "paper")
         if abs(q_int - q_ref) > (1 if cell == _SENSITIVE_CELL else 0):
             mismatches.append(f"n={n_cell} t={t_cell:g}: {q_int} vs {q_ref}")
-        closed = optimal_cost(cell_stats, _REFERENCE_COSTS, n_cell, "paper")
-        q_star = optimal_quantity(cell_stats, _REFERENCE_COSTS, n_cell, "paper")
         worst_consistency = max(worst_consistency, abs(closed - cost_at(q_star)) / closed)
         best_cost = cost_at(q_int)
         scan_ok = scan_ok and not any(

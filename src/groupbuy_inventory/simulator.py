@@ -41,7 +41,7 @@ from typing import IO, TYPE_CHECKING, Iterator, Literal
 
 from .costmodel import CostParams, Policy, dispatches_per_cycle
 from .errors import ConfigError, NumericsError, ParameterError, check_choice, check_int
-from .stochastics import AuctionParams, _nondegenerate_success_probability
+from .stochastics import AuctionParams, _nondegenerate_success_pair
 
 if TYPE_CHECKING:
     # numpy is imported only where a simulation runs, so the closed-form
@@ -357,7 +357,7 @@ def simulate(
     n_required = auction.n_required
     quantity = policy.quantity
     batches = dispatches_per_cycle(quantity, n_required, "exact")
-    p = _nondegenerate_success_probability(auction)
+    p = _nondegenerate_success_pair(auction)[0]
     sampler = config.duration_sampler
     per_window = sampler != "dispatch"
     table = None if per_window else _excess_table(auction, p)

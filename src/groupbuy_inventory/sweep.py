@@ -15,7 +15,6 @@ CSV report parsed back agrees with the JSON report exactly.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -175,58 +174,50 @@ def _emit_csv(rows: Sequence[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_number(cell: float) -> float | str:
-    # RFC 8259 has no infinity; an unbounded window is the string "inf",
-    # which float() parses back like the CSV cell.
-    return "inf" if math.isinf(cell) else float(_format_number(cell))
+def _json_value(cell: float | int | None) -> str:
+    # The text json.dumps(..., allow_nan=False) gives the value, for floats
+    # the 6-significant-digit value the CSV prints. RFC 8259 has no
+    # infinity; an unbounded window is the string "inf", which float()
+    # parses back like the CSV cell.
+    if isinstance(cell, float):
+        if math.isfinite(cell):
+            return repr(float(_format_number(cell)))
+        if math.isnan(cell):
+            raise ValueError(f"Out of range float values are not JSON compliant: {cell!r}")
+        return '"inf"'
+    return "null" if cell is None else str(cell)
 
 
-# json.dumps(payload, indent=2, allow_nan=False)'s bytes without its pure-Python
-# encoder (CPython 3.11 uses it for any indent): separators stand in for indent.
-_encode_object = json.JSONEncoder(allow_nan=False, separators=(",\n    ", ": ")).encode
+# One report object in json.dumps(payload, indent=2)'s layout, a {} per column.
+_JSON_OBJECT = "  {{\n" + ",\n".join(f'    "{name}": {{}}' for name in CSV_COLUMNS) + "\n  }}"
 
 
 def _emit_json(rows: Sequence[SweepRow]) -> str:
-    # Floats carry the same 6-significant-digit values the CSV prints.
-    objects = (
-        _encode_object({
-            name: _json_number(cell) if isinstance(cell, float) else cell
-            for name, cell in zip(CSV_COLUMNS, _row_cells(row))
-        })[1:-1]
-        for row in rows
-    )
-    return "[\n  {\n    " + "\n  },\n  {\n    ".join(objects) + "\n  }\n]\n"
+    objects = (_JSON_OBJECT.format(*map(_json_value, _row_cells(row))) for row in rows)
+    return "[\n" + ",\n".join(objects) + "\n]\n"
 
 
-def _grid_table(
-    group: Sequence[SweepRow],
-    n_axis: Sequence[int],
-    t_axis: Sequence[float],
-    field: str,
-) -> list[str]:
-    by_cell = {(row.n, row.t): row for row in group}
-    lines = ["| n \\ t | " + " | ".join(_format_number(t) for t in t_axis) + " |"]
-    lines.append("| --- |" + " --- |" * len(t_axis))
-    for n in n_axis:
-        cells = []
-        for t in t_axis:
-            row = by_cell.get((n, t))
-            if row is None:
-                cells.append("")
-            elif getattr(row, field) is None:
-                cells.append("ERR")
-            else:
-                cells.append(_format_number(getattr(row, field)))
-        lines.append(f"| {n} | " + " | ".join(cells) + " |")
-    return lines
+def _grid_cell(row: SweepRow | None, field: str) -> str:
+    if row is None:
+        return ""
+    value = getattr(row, field)
+    return "ERR" if value is None else _format_number(value)
 
 
 def _emit_markdown(rows: Sequence[SweepRow]) -> str:
     lines = ["# Replenishment policy sweep", ""]
     for rate in sorted({row.arrival_rate for row in rows}):
         group = [row for row in rows if row.arrival_rate == rate]
-        n_axis = sorted({row.n for row in group})
         t_axis = sorted({row.t for row in group})
+        by_cell = {(row.n, row.t): row for row in group}
+        # Each table row's cells, None where the grid has no row.
+        grid = [
+            (n, [by_cell.get((n, t)) for t in t_axis]) for n in sorted({row.n for row in group})
+        ]
+        header = (
+            "| n \\ t | " + " | ".join(_format_number(t) for t in t_axis) + " |",
+            "| --- |" + " --- |" * len(t_axis),
+        )
         lines.append(f"## arrival_rate = {_format_number(rate)}")
         lines.append("")
         for title, field in (
@@ -237,7 +228,10 @@ def _emit_markdown(rows: Sequence[SweepRow]) -> str:
         ):
             lines.append(f"### {title}")
             lines.append("")
-            lines.extend(_grid_table(group, n_axis, t_axis, field))
+            lines.extend(header)
+            for n, cells in grid:
+                values = " | ".join(_grid_cell(row, field) for row in cells)
+                lines.append(f"| {n} | {values} |")
             lines.append("")
         sim_rows = [row for row in group if row.sim_cost is not None]
         if sim_rows:

@@ -372,16 +372,16 @@ class TestValidate:
 
     def test_work_counts(self, config_file, capsys, monkeypatch):
         calls = Counter()
-        for name in ("best_integer_quantity", "optimal_cost"):
+        for name in ("_optimum", "best_integer_quantity", "optimal_quantity"):
             def counting(*args, _name=name, _original=getattr(cli, name), **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(cli, name, counting)
         assert main(["validate", config_file, "--cycles", "2000", "--seed", "7"]) == 0
-        # One integer optimum for the base scenario, one per grid cell and one
-        # for the simulated policy; one optimal cost per grid cell.
-        assert calls == {"best_integer_quantity": 11, "optimal_cost": 9}
+        # One cost-model pass for the base scenario and one per grid cell; one
+        # integer optimum for the simulated policy and one Q* for the long window.
+        assert calls == {"_optimum": 10, "best_integer_quantity": 1, "optimal_quantity": 1}
 
 
 class TestConfigParsing:
@@ -682,6 +682,23 @@ class TestSubprocessEntry:
             [sys.executable, "-c", script + check, config_file], capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
+
+    def test_json_report_does_not_import_json(self, config_file):
+        script = (
+            "import runpy, sys\n"
+            "sys.argv = ['groupbuy-inventory', 'sweep', sys.argv[1], '--n-values', '100',\n"
+            "            '--t-values', '7', '--lambda-values', '14', '--format', 'json']\n"
+            "try:\n"
+            "    runpy.run_module('groupbuy_inventory.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "assert 'json' not in sys.modules, 'json was imported'"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, config_file], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert '"q_star_integer": 434' in result.stdout
 
 
 class TestClosedFormProperty:

@@ -284,6 +284,52 @@ class TestSuccessProbability:
         assert all(a > b for a, b in zip(by_n, by_n[1:]))
 
 
+class TestSuccessPair:
+    """p and P(n + 1, rate*T) from one kernel call and the Poisson term."""
+
+    @pytest.mark.parametrize("n", [2**53, 2**53 + 2, 10**16])
+    def test_one_float_for_n_and_n_plus_one(self, n):
+        # n + 1.0 rounds to n or n + 2 here; one call at float(n) serves both.
+        params = AuctionParams(n_required=n, max_time=float(n), arrival_rate=1.0)
+        expected = regularized_lower_gamma(float(n), float(n))
+        assert success_probability(params) == expected
+        stats = auction_statistics(params)
+        assert stats.p_success == expected
+        assert stats.e_min_duration == n * expected + float(n) * (1.0 - expected)
+
+    @pytest.mark.parametrize("n", [10, 100, 1000, 10**4, 10**6, 10**9, 10**12, 10**15])
+    def test_matches_quadrature_near_the_mode(self, n):
+        for k in (-3.0, 0.0, 3.0):
+            params = AuctionParams(n_required=n, max_time=n + k * math.sqrt(n), arrival_rate=1.0)
+            x = params.max_time
+            p_ref = quadrature_reference(float(n), x)
+            p_next_ref = quadrature_reference(n + 1.0, x)
+            stats = auction_statistics(params)
+            # The kernel's own bounds near the mode: 4.1e-15 below s = 20.
+            assert abs(stats.p_success - p_ref) <= (5e-15 if n < 20 else 1e-15)
+            e_min_ref = n * p_next_ref + x * (1.0 - p_ref)
+            assert stats.e_min_duration == pytest.approx(e_min_ref, rel=1e-11)
+
+    def test_kernel_value_from_n_plus_one_on(self):
+        for n in (1, 10, 100, 10**4):
+            for x in (n + 1.0, 1.5 * n + 1.0, 10.0 * n):
+                params = AuctionParams(n_required=n, max_time=x, arrival_rate=1.0)
+                assert success_probability(params) == regularized_lower_gamma(float(n), x)
+
+    def test_window_at_zero_and_infinity_takes_the_kernel_values(self):
+        # rate * T underflows to 0.0 or overflows to inf: no log of either.
+        for n in (1, 30, 10**6):
+            empty = AuctionParams(n_required=n, max_time=1e-200, arrival_rate=1e-200)
+            assert success_probability(empty) == regularized_lower_gamma(float(n), 0.0) == 0.0
+            with pytest.raises(DegenerateAuctionError):
+                auction_statistics(empty)
+            full = AuctionParams(n_required=n, max_time=1e200, arrival_rate=1e200)
+            assert success_probability(full) == regularized_lower_gamma(float(n), math.inf) == 1.0
+            stats = auction_statistics(full)
+            assert stats.p_success == 1.0
+            assert stats.e_min_duration == stats.e_cond_duration == n / 1e200
+
+
 class TestErlangPdf:
     def test_at_zero(self):
         single = AuctionParams(n_required=1, max_time=5.0, arrival_rate=3.0)
@@ -467,14 +513,17 @@ class TestWorkCounts:
         monkeypatch.setattr(stochastics, name, counting)
         return calls
 
-    @pytest.mark.parametrize("n", [10, 10_000])
-    def test_auction_statistics_makes_two_kernel_calls(self, monkeypatch, n):
+    @pytest.mark.parametrize("n", [10, 10_000, 2**53])
+    def test_auction_statistics_makes_one_kernel_call(self, monkeypatch, n):
         calls = self._count_calls(monkeypatch, "regularized_lower_gamma")
-        auction_statistics(AuctionParams(n_required=n, max_time=n / 14.0, arrival_rate=14.0))
-        assert len(calls) == 2
+        # Below and above rate * T = n + 1, where the Poisson term is added or taken.
+        for window in (n / 14.0, 1.5 * n / 14.0):
+            calls.clear()
+            auction_statistics(AuctionParams(n_required=n, max_time=window, arrival_rate=14.0))
+            assert len(calls) == 1
 
     def test_auction_statistics_computes_p_once(self, monkeypatch, base_auction):
-        calls = self._count_calls(monkeypatch, "success_probability")
+        calls = self._count_calls(monkeypatch, "_success_pair")
         auction_statistics(base_auction)
         assert len(calls) == 1
 

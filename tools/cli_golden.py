@@ -111,6 +111,11 @@ COMMANDS = [
      "--include-simulation", "true", "--format", "json"],
     # n_required above 2**53 with rate * T = n_required: the kernel's mode.
     ["optimize", "--n-required", "10000000000000000", "--max-time", "714285714285714.2"],
+    # 2**53 and 2**53 + 2 at rate * T = n_required: n + 1.0 rounds to n, then to n + 2.
+    ["optimize", "--n-required", "9007199254740992", "--max-time", "9007199254740992",
+     "--arrival-rate", "1"],
+    ["optimize", "--n-required", "9007199254740994", "--max-time", "9007199254740994",
+     "--arrival-rate", "1"],
     # 2e5 dispatches: pins the dispatch-interval estimate and its se.
     ["simulate", "--n-required", "1", "--max-time", "1000", "--arrival-rate", "1",
      "--quantity", "1000", "--cycles", "200", "--duration-sampler", "erlang"],
