@@ -3,107 +3,97 @@
 The package splits into closed-form statistics of the auction mechanism
 (stochastics), the renewal cost model and its optimal order quantity
 (costmodel), a discrete-event Monte Carlo cross-check (simulator),
-parameter sweeps with deterministic reports (sweep) and a command-line
-front end (cli).
+parameter sweeps with deterministic reports (sweep), the settings they
+share (settings) and a command-line front end (cli).
+
+Importing the package loads none of them: each public name below, and
+each submodule, is imported on first access (PEP 562) and then kept as a
+plain module global, so a program loads only the modules it uses.
 """
 
-from .costmodel import (
-    A_MODES,
-    AMode,
-    CostBreakdown,
-    CostParams,
-    Policy,
-    best_integer_quantity,
-    cost_derivatives,
-    cost_rate_terms,
-    cycle_cost_breakdown,
-    dispatches_per_cycle,
-    eoq_limit,
-    long_run_average_cost,
-    optimal_cost,
-    optimal_quantity,
-)
-from .errors import (
-    ConfigError,
-    DegenerateAuctionError,
-    DomainError,
-    GroupBuyError,
-    NumericsError,
-    ParameterError,
-)
-from .simulator import (
-    DURATION_SAMPLERS,
-    SHORTFALL_RULES,
-    DurationSampler,
-    ShortfallRule,
-    SimulationConfig,
-    SimulationCounts,
-    SimulationResult,
-    replicate,
-    rng_stream,
-    simulate,
-)
-from .stochastics import (
-    MIN_SUCCESS_PROBABILITY,
-    TD_MODES,
-    AuctionParams,
-    AuctionStatistics,
-    TdMode,
-    auction_statistics,
-    erlang_pdf,
-    regularized_lower_gamma,
-    success_probability,
-    success_probability_poisson_tail,
-)
-from .sweep import CSV_COLUMNS, REPORT_FORMATS, SweepRow, SweepSpec, emit_report, run_sweep
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "A_MODES",
-    "AMode",
-    "AuctionParams",
-    "AuctionStatistics",
-    "CSV_COLUMNS",
-    "ConfigError",
-    "CostBreakdown",
-    "CostParams",
-    "DURATION_SAMPLERS",
-    "DegenerateAuctionError",
-    "DomainError",
-    "DurationSampler",
-    "GroupBuyError",
-    "MIN_SUCCESS_PROBABILITY",
-    "NumericsError",
-    "ParameterError",
-    "Policy",
-    "REPORT_FORMATS",
-    "SHORTFALL_RULES",
-    "ShortfallRule",
-    "SimulationConfig",
-    "SimulationCounts",
-    "SimulationResult",
-    "SweepRow",
-    "SweepSpec",
-    "TD_MODES",
-    "TdMode",
-    "auction_statistics",
-    "best_integer_quantity",
-    "cost_derivatives",
-    "cost_rate_terms",
-    "cycle_cost_breakdown",
-    "dispatches_per_cycle",
-    "emit_report",
-    "eoq_limit",
-    "erlang_pdf",
-    "long_run_average_cost",
-    "optimal_cost",
-    "optimal_quantity",
-    "regularized_lower_gamma",
-    "replicate",
-    "rng_stream",
-    "run_sweep",
-    "simulate",
-    "success_probability",
-    "success_probability_poisson_tail",
-]
+# Every public name and the submodule that defines it.
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "A_MODES",
+            "AMode",
+            "CostBreakdown",
+            "CostParams",
+            "Policy",
+            "best_integer_quantity",
+            "cost_derivatives",
+            "cost_rate_terms",
+            "cycle_cost_breakdown",
+            "dispatches_per_cycle",
+            "eoq_limit",
+            "long_run_average_cost",
+            "optimal_cost",
+            "optimal_quantity",
+        ),
+        "costmodel",
+    ),
+    **dict.fromkeys(
+        (
+            "ConfigError",
+            "DegenerateAuctionError",
+            "DomainError",
+            "GroupBuyError",
+            "NumericsError",
+            "ParameterError",
+        ),
+        "errors",
+    ),
+    **dict.fromkeys(
+        (
+            "DURATION_SAMPLERS",
+            "REPORT_FORMATS",
+            "SHORTFALL_RULES",
+            "DurationSampler",
+            "ShortfallRule",
+            "SimulationConfig",
+        ),
+        "settings",
+    ),
+    **dict.fromkeys(
+        ("SimulationCounts", "SimulationResult", "replicate", "rng_stream", "simulate"),
+        "simulator",
+    ),
+    **dict.fromkeys(
+        (
+            "MIN_SUCCESS_PROBABILITY",
+            "TD_MODES",
+            "AuctionParams",
+            "AuctionStatistics",
+            "TdMode",
+            "auction_statistics",
+            "erlang_pdf",
+            "regularized_lower_gamma",
+            "success_probability",
+            "success_probability_poisson_tail",
+        ),
+        "stochastics",
+    ),
+    **dict.fromkeys(("CSV_COLUMNS", "SweepRow", "SweepSpec", "emit_report", "run_sweep"), "sweep"),
+}
+_SUBMODULES = frozenset(_EXPORTS.values()) | {"cli"}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        # Importing a submodule binds it as an attribute of the package.
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

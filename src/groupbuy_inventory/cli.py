@@ -18,6 +18,7 @@ import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .costmodel import (
     A_MODES,
@@ -33,14 +34,7 @@ from .costmodel import (
     optimal_quantity,
 )
 from .errors import ConfigError, DomainError, NumericsError, ParameterError
-from .simulator import (
-    DURATION_SAMPLERS,
-    SHORTFALL_RULES,
-    SimulationConfig,
-    SimulationResult,
-    replicate,
-    simulate,
-)
+from .settings import DURATION_SAMPLERS, REPORT_FORMATS, SHORTFALL_RULES, SimulationConfig
 from .stochastics import (
     AuctionParams,
     AuctionStatistics,
@@ -48,7 +42,11 @@ from .stochastics import (
     auction_statistics,
     select_dispatch_time,
 )
-from .sweep import REPORT_FORMATS, SweepSpec, emit_report, run_sweep
+
+# The commands that simulate or sweep import the simulator or the sweep
+# themselves, so each command loads only the modules it runs.
+if TYPE_CHECKING:
+    from .simulator import SimulationResult
 
 # The cost keys every command requires, and the CostParams field each fills.
 _COST_FIELDS = {
@@ -369,6 +367,8 @@ def _analytic_comparison(
 
 def cmd_simulate(cfg: RunConfig) -> tuple[str, int]:
     """Monte Carlo run plus side-by-side analytic comparison."""
+    from .simulator import replicate
+
     auction = _auction_from(cfg)
     costs = cfg.costs
     _require(cfg, "quantity")
@@ -415,6 +415,8 @@ def cmd_simulate(cfg: RunConfig) -> tuple[str, int]:
 
 def cmd_sweep(cfg: RunConfig) -> tuple[str, int]:
     """Grid evaluation; one stderr line per failed cell, and exit 4 if any."""
+    from .sweep import SweepSpec, emit_report, run_sweep
+
     _require_optimizable(cfg.costs)
     _require(cfg, "n_values", "t_values", "lambda_values")
     spec = SweepSpec(
@@ -476,6 +478,8 @@ def cmd_validate(cfg: RunConfig) -> tuple[str, int]:
     reset_to_q shortfall rule (the analytic model describes that rule),
     at the configured quantity or, when absent, the best integer optimum.
     """
+    from .simulator import simulate
+
     auction = _auction_from(cfg)
     costs = cfg.costs
     _require_optimizable(costs)
@@ -649,7 +653,13 @@ class _StoreOnce(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str) -> argparse.ArgumentParser:
+    """The CLI's parser, with every command and the config-key flags of one.
+
+    Only the subparser named ``command`` gets the config file and flags:
+    the others need only exist, for the command list in ``--help`` and the
+    "invalid choice" error.
+    """
     parser = _Parser(
         prog="groupbuy-inventory",
         description="Replenishment analytics for inventory feeding group-buying auctions.",
@@ -663,6 +673,8 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, help_text in descriptions.items():
         sub = subparsers.add_parser(name, help=help_text)
+        if name != command:
+            continue
         sub.add_argument("config", nargs="?", default=None,
                          help="path to a flat key = value config file")
         for key in _PARSERS:
@@ -678,7 +690,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = build_parser(argv[0] if argv else "").parse_args(argv)
         overrides = {
             key: value
             for key, value in vars(args).items()

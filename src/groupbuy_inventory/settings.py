@@ -1,0 +1,65 @@
+"""Settings that every command builds or parses: the simulation config and
+the names of the samplers, shortfall rules and report formats.
+
+Kept apart from the simulator and the sweep, so that a command which only
+parses these settings (optimize, a sweep without simulation) loads neither.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Literal
+
+from .errors import ParameterError, check_choice, check_int
+
+ShortfallRule = Literal["reset_to_q", "carry_shortfall"]
+DurationSampler = Literal["interarrival_sum", "erlang", "dispatch"]
+
+SHORTFALL_RULES: tuple[str, ...] = ("reset_to_q", "carry_shortfall")
+DURATION_SAMPLERS: tuple[str, ...] = ("interarrival_sum", "erlang", "dispatch")
+REPORT_FORMATS: tuple[str, ...] = ("csv", "json", "markdown")
+
+_MAX_SEED = 2**64
+
+
+@dataclass(frozen=True)
+class SimulationConfig:
+    """Run-length, seeding and behavioural switches for one simulation.
+
+    num_cycles: replenishment cycles to complete (the run length).
+    seed: root seed; each replication stream is derived from it.
+    shortfall_rule: what happens when the final dispatch of a cycle
+        oversells the remaining stock. "reset_to_q" restarts the next
+        cycle at the full policy quantity (backorders absorbed by the
+        replenishment); "carry_shortfall" subtracts the oversold units
+        from the next cycle's starting stock and requires
+        quantity >= n_required so the restart level stays positive.
+    duration_sampler: "dispatch" (the default) draws per dispatch: the
+        failed windows before it, F = Geometric(p) - 1, and its closing
+        window S given S < T. Below a success probability of 0.25, S comes
+        from an inverse-CDF table of the arrivals N(T) given N(T) >=
+        n_required and a beta variate; from 0.25 up (or when n_required
+        exceeds about 6.9e8), from gamma variates below T. Its work grows
+        with dispatches, not windows. "erlang" draws every window's length
+        in one gamma variate; "interarrival_sum" draws n_required
+        exponential gaps per window and sums them. All three are
+        statistically identical, with different draw streams; the
+        per-window two are kept as the reference for the dispatch one.
+        The work budget counts dispatches on the table route, bidding
+        windows under "erlang" and on the rejection route (one gamma draw
+        per window) and whenever an event log is written, and n_required
+        exponentials per window under "interarrival_sum".
+    """
+
+    num_cycles: int
+    seed: int = 0
+    shortfall_rule: ShortfallRule = "reset_to_q"
+    duration_sampler: DurationSampler = "dispatch"
+
+    def __post_init__(self) -> None:
+        check_int("num_cycles", self.num_cycles, 1)
+        check_int("seed", self.seed)
+        if not 0 <= self.seed < _MAX_SEED:
+            raise ParameterError(f"seed must satisfy 0 <= seed < 2**64, got {self.seed}")
+        check_choice("shortfall_rule", self.shortfall_rule, SHORTFALL_RULES)
+        check_choice("duration_sampler", self.duration_sampler, DURATION_SAMPLERS)

@@ -37,10 +37,19 @@ import contextlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterator, Literal
+from typing import IO, TYPE_CHECKING, Iterator
 
 from .costmodel import CostParams, Policy, dispatches_per_cycle
-from .errors import ConfigError, NumericsError, ParameterError, check_choice, check_int
+from .errors import ConfigError, NumericsError, check_int
+# The simulation settings live in settings; they stay importable from here.
+from .settings import (  # noqa: F401
+    _MAX_SEED,
+    DURATION_SAMPLERS,
+    SHORTFALL_RULES,
+    DurationSampler,
+    ShortfallRule,
+    SimulationConfig,
+)
 from .stochastics import AuctionParams, _nondegenerate_success_pair
 
 if TYPE_CHECKING:
@@ -48,13 +57,6 @@ if TYPE_CHECKING:
     # paths (optimize, sweeps without simulation) never load it.
     import numpy as np
 
-ShortfallRule = Literal["reset_to_q", "carry_shortfall"]
-DurationSampler = Literal["interarrival_sum", "erlang", "dispatch"]
-
-SHORTFALL_RULES: tuple[str, ...] = ("reset_to_q", "carry_shortfall")
-DURATION_SAMPLERS: tuple[str, ...] = ("interarrival_sum", "erlang", "dispatch")
-
-_MAX_SEED = 2**64
 # Windows per duration draw, dispatches per dispatch draw, windows per
 # event-log write, and exponentials per interarrival_sum draw (a longer
 # window is drawn in slices): a batch costs little memory and little unused
@@ -76,49 +78,6 @@ _TABLE_MAX_P = 0.25
 _MAX_TABLE = 1 << 18
 # Two-sided 95% normal quantile.
 _Z_95 = 1.959963984540054
-
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    """Run-length, seeding and behavioural switches for one simulation.
-
-    num_cycles: replenishment cycles to complete (the run length).
-    seed: root seed; each replication stream is derived from it.
-    shortfall_rule: what happens when the final dispatch of a cycle
-        oversells the remaining stock. "reset_to_q" restarts the next
-        cycle at the full policy quantity (backorders absorbed by the
-        replenishment); "carry_shortfall" subtracts the oversold units
-        from the next cycle's starting stock and requires
-        quantity >= n_required so the restart level stays positive.
-    duration_sampler: "dispatch" (the default) draws per dispatch: the
-        failed windows before it, F = Geometric(p) - 1, and its closing
-        window S given S < T. Below a success probability of 0.25, S comes
-        from an inverse-CDF table of the arrivals N(T) given N(T) >=
-        n_required and a beta variate; from 0.25 up (or when n_required
-        exceeds about 6.9e8), from gamma variates below T. Its work grows
-        with dispatches, not windows. "erlang" draws every window's length
-        in one gamma variate; "interarrival_sum" draws n_required
-        exponential gaps per window and sums them. All three are
-        statistically identical, with different draw streams; the
-        per-window two are kept as the reference for the dispatch one.
-        The work budget counts dispatches on the table route, bidding
-        windows under "erlang" and on the rejection route (one gamma draw
-        per window) and whenever an event log is written, and n_required
-        exponentials per window under "interarrival_sum".
-    """
-
-    num_cycles: int
-    seed: int = 0
-    shortfall_rule: ShortfallRule = "reset_to_q"
-    duration_sampler: DurationSampler = "dispatch"
-
-    def __post_init__(self) -> None:
-        check_int("num_cycles", self.num_cycles, 1)
-        check_int("seed", self.seed)
-        if not 0 <= self.seed < _MAX_SEED:
-            raise ParameterError(f"seed must satisfy 0 <= seed < 2**64, got {self.seed}")
-        check_choice("shortfall_rule", self.shortfall_rule, SHORTFALL_RULES)
-        check_choice("duration_sampler", self.duration_sampler, DURATION_SAMPLERS)
 
 
 @dataclass(frozen=True)
@@ -318,6 +277,37 @@ def _ratio_se(costs_arr: "np.ndarray", lengths_arr: "np.ndarray", ratio: float) 
     return math.sqrt(float(residuals.var(ddof=1)) / n) / float(lengths_arr.mean())
 
 
+def _plan(
+    auction: AuctionParams, policy: Policy, config: SimulationConfig, logged: bool
+) -> tuple[float, float, np.ndarray | None, float, str]:
+    """Check that one stream can run, and estimate its work.
+
+    Returns the success probability, the dispatches per cycle, the dispatch
+    sampler's table (None for the other samplers and the rejection route),
+    and the work estimate with its unit, as simulate documents them.
+    """
+    if auction.unbounded:
+        raise ConfigError("max_time: must be finite for simulation")
+    if config.shortfall_rule == "carry_shortfall" and policy.quantity < auction.n_required:
+        raise ConfigError(
+            "carry_shortfall requires quantity >= n_required so the restart level stays positive"
+        )
+    batches = dispatches_per_cycle(policy.quantity, auction.n_required, "exact")
+    p = _nondegenerate_success_pair(auction)[0]
+    sampler = config.duration_sampler
+    table = _excess_table(auction, p) if sampler == "dispatch" else None
+    if sampler == "interarrival_sum":
+        work = config.num_cycles * batches * auction.n_required / p
+        unit = "exponentials (cycles * ceil(quantity / n_required) * n_required / p_success)"
+    elif table is not None and not logged:
+        work = config.num_cycles * batches
+        unit = "dispatches (cycles * ceil(quantity / n_required))"
+    else:
+        work = config.num_cycles * batches / p
+        unit = "bidding windows (cycles * ceil(quantity / n_required) / p_success)"
+    return p, batches, table, work, unit
+
+
 def simulate(
     auction: AuctionParams,
     costs: CostParams,
@@ -348,33 +338,16 @@ def simulate(
     writes, per dispatch, F failure lines, the i-th starting i * max_time
     after the previous dispatch, then the success line.
     """
-    if auction.unbounded:
-        raise ConfigError("max_time: must be finite for simulation")
-    if config.shortfall_rule == "carry_shortfall" and policy.quantity < auction.n_required:
-        raise ConfigError(
-            "carry_shortfall requires quantity >= n_required so the restart level stays positive"
-        )
-    n_required = auction.n_required
-    quantity = policy.quantity
-    batches = dispatches_per_cycle(quantity, n_required, "exact")
-    p = _nondegenerate_success_pair(auction)[0]
-    sampler = config.duration_sampler
-    per_window = sampler != "dispatch"
-    table = None if per_window else _excess_table(auction, p)
-    if sampler == "interarrival_sum":
-        work = config.num_cycles * batches * n_required / p
-        unit = "exponentials (cycles * ceil(quantity / n_required) * n_required / p_success)"
-    elif table is not None and event_log is None:
-        work = config.num_cycles * batches
-        unit = "dispatches (cycles * ceil(quantity / n_required))"
-    else:
-        work = config.num_cycles * batches / p
-        unit = "bidding windows (cycles * ceil(quantity / n_required) / p_success)"
+    p, batches, table, work, unit = _plan(auction, policy, config, event_log is not None)
     if work > _MAX_DRAWS:
         raise NumericsError(
             f"simulation would draw about {work:.3g} {unit}, over the budget of "
             f"{_MAX_DRAWS:.0e}; use fewer cycles or a smaller quantity"
         )
+    n_required = auction.n_required
+    quantity = policy.quantity
+    sampler = config.duration_sampler
+    per_window = sampler != "dispatch"
     import numpy as np
 
     rng = rng_stream(config.seed, stream)
@@ -585,9 +558,20 @@ def replicate(
     """Run independent replications on streams 0 .. num_replications - 1.
 
     Replication r always uses stream index r, so any prefix of the list is
-    the same regardless of how many replications were requested.
+    the same regardless of how many replications were requested. The work
+    budget covers all streams: NumericsError is raised before any stream
+    draws when num_replications times simulate's per-stream estimate
+    exceeds _MAX_DRAWS units.
     """
     check_int("num_replications", num_replications, 1)
+    if num_replications > 1:
+        work, unit = _plan(auction, policy, config, False)[3:]
+        if num_replications * work > _MAX_DRAWS:
+            raise NumericsError(
+                f"{num_replications} replications of about {work:.3g} {unit} each, "
+                f"{num_replications * work:.3g} in all, are over the budget of {_MAX_DRAWS:.0e}; "
+                "use fewer replications, fewer cycles or a smaller quantity"
+            )
     return [
         simulate(auction, costs, policy, config, stream=index)
         for index in range(num_replications)

@@ -30,7 +30,7 @@ from .costmodel import (  # noqa: F401
     optimal_quantity,
 )
 from .errors import GroupBuyError, ParameterError, check_choice, check_int
-from .simulator import SimulationConfig, simulate
+from .settings import REPORT_FORMATS, SimulationConfig
 from .stochastics import TD_MODES, AuctionParams, TdMode, auction_statistics
 
 CSV_COLUMNS: tuple[str, ...] = (
@@ -122,6 +122,8 @@ def _evaluate_cell(n: int, t: float, rate: float, spec: SweepSpec) -> SweepRow:
     )
     if spec.simulation is None:
         return row
+    from .simulator import simulate
+
     # A failed simulation keeps the cell's closed-form numbers.
     try:
         result = simulate(params, spec.costs, Policy(q_star), spec.simulation)
@@ -255,8 +257,7 @@ def _emit_markdown(rows: Sequence[SweepRow]) -> str:
     return "\n".join(lines).rstrip("\n") + "\n"
 
 
-_EMITTERS = {"csv": _emit_csv, "json": _emit_json, "markdown": _emit_markdown}
-REPORT_FORMATS: tuple[str, ...] = tuple(_EMITTERS)
+_EMITTERS = dict(zip(REPORT_FORMATS, (_emit_csv, _emit_json, _emit_markdown), strict=True))
 
 
 def emit_report(rows: Sequence[SweepRow], format: str = "csv") -> str:

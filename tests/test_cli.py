@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -52,6 +53,25 @@ def closed_form_argv(command, keys):
             key = SWEEP_AXES.get(key, key)
         argv += [f"--{key.replace('_', '-')}", str(value)]
     return argv
+
+
+# The package's submodules, by file name.
+SUBMODULES = sorted(
+    path.stem for path in Path(cli.__file__).parent.glob("*.py") if path.stem != "__init__"
+)
+
+
+def cli_script(command, *flags):
+    """What `python -m groupbuy_inventory.cli COMMAND CONFIG FLAGS` runs, CONFIG
+    being the script's first argument; the command must exit 0."""
+    return (
+        "import runpy, sys\n"
+        f"sys.argv = ['groupbuy-inventory', {command!r}, sys.argv[1], *{list(flags)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('groupbuy_inventory.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code"
+    )
 
 
 @pytest.fixture
@@ -596,8 +616,10 @@ class TestSubprocessEntry:
             # The best integer Q = 9 at p = 5.7e-11: about 3.5e14 windows, each
             # drawn under erlang (the default sampler draws 2e4 dispatches).
             ["validate", "--n-required", "150", "--max-time", "6", "--duration-sampler", "erlang"],
+            # About 2.3e5 windows per stream, 2.3e12 over all the streams.
+            ["simulate", "--quantity", "434", "--replications", "10000000", "--cycles", "20000"],
         ],
-        ids=["simulate", "validate"],
+        ids=["simulate", "validate", "replications"],
     )
     def test_work_over_budget_is_numeric_error(self, config_file, argv):
         command, *flags = argv
@@ -663,37 +685,35 @@ class TestSubprocessEntry:
         assert result.stderr == f"numeric domain error: {message}\n"
 
     @pytest.mark.parametrize(
-        "script",
+        "script,unloaded",
         [
-            "import groupbuy_inventory",
-            # What `python -m groupbuy_inventory.cli optimize <config>` runs.
-            "import runpy, sys\n"
-            "sys.argv = ['groupbuy-inventory', 'optimize', sys.argv[1]]\n"
-            "try:\n"
-            "    runpy.run_module('groupbuy_inventory.cli', run_name='__main__', alter_sys=True)\n"
-            "except SystemExit as exc:\n"
-            "    assert exc.code == 0, exc.code",
+            ("import groupbuy_inventory",
+             ["numpy", *(f"groupbuy_inventory.{m}" for m in SUBMODULES)]),
+            (cli_script("optimize"),
+             ["numpy", "groupbuy_inventory.simulator", "groupbuy_inventory.sweep"]),
+            (cli_script("sweep", "--n-values", "100", "--t-values", "7", "--lambda-values", "14"),
+             ["numpy", "groupbuy_inventory.simulator"]),
+            (cli_script("simulate", "--quantity", "434", "--cycles", "200"),
+             ["groupbuy_inventory.sweep"]),
+            (cli_script("validate", "--cycles", "200"), ["groupbuy_inventory.sweep"]),
         ],
-        ids=["import", "cli-optimize"],
+        ids=["import", "cli-optimize", "cli-sweep", "cli-simulate", "cli-validate"],
     )
-    def test_closed_form_paths_do_not_import_numpy(self, config_file, script):
-        check = "\nimport sys\nassert 'numpy' not in sys.modules, 'numpy was imported'"
+    def test_entry_points_load_only_what_they_run(self, config_file, script, unloaded):
+        check = (
+            f"\nimport sys\nloaded = sorted(set({unloaded!r}) & set(sys.modules))\n"
+            "assert not loaded, f'{loaded} loaded'"
+        )
         result = subprocess.run(
             [sys.executable, "-c", script + check, config_file], capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
 
     def test_json_report_does_not_import_json(self, config_file):
-        script = (
-            "import runpy, sys\n"
-            "sys.argv = ['groupbuy-inventory', 'sweep', sys.argv[1], '--n-values', '100',\n"
-            "            '--t-values', '7', '--lambda-values', '14', '--format', 'json']\n"
-            "try:\n"
-            "    runpy.run_module('groupbuy_inventory.cli', run_name='__main__', alter_sys=True)\n"
-            "except SystemExit as exc:\n"
-            "    assert exc.code == 0, exc.code\n"
-            "assert 'json' not in sys.modules, 'json was imported'"
-        )
+        script = cli_script(
+            "sweep", "--n-values", "100", "--t-values", "7", "--lambda-values", "14",
+            "--format", "json",
+        ) + "\nassert 'json' not in sys.modules, 'json was imported'"
         result = subprocess.run(
             [sys.executable, "-c", script, config_file], capture_output=True, text=True
         )

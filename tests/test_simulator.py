@@ -170,6 +170,35 @@ class TestReplicate:
         with pytest.raises(ParameterError):
             replicate(base_auction, base_costs, base_policy, _config(), 0)
 
+    @pytest.mark.parametrize(
+        "replications,message",
+        [
+            # 10 cycles of ceil(434 / 100) = 5 dispatches at p = 0.4333: 115.4
+            # windows per stream, 346 for three.
+            (3, r"^3 replications of about 115 bidding windows \(cycles \* ceil\(quantity / "
+                r"n_required\) / p_success\) each, 346 in all, are over the budget of 3e\+02; "
+                r"use fewer replications, fewer cycles or a smaller quantity$"),
+            # One stream keeps simulate's own message.
+            (1, r"^simulation would draw about 115 bidding windows"),
+        ],
+    )
+    def test_work_budget_counts_every_replication(
+        self, monkeypatch, base_auction, base_costs, replications, message
+    ):
+        def no_draws(*args):
+            raise AssertionError("a stream drew")
+
+        monkeypatch.setattr(simulator, "_MAX_DRAWS", 300 if replications > 1 else 100)
+        monkeypatch.setattr(simulator, "rng_stream", no_draws)
+        with pytest.raises(NumericsError, match=message):
+            replicate(base_auction, base_costs, Policy(434.0), _config(num_cycles=10), replications)
+
+    def test_replications_within_the_budget_run(self, monkeypatch, base_auction, base_costs):
+        # Two streams of 115.4 windows: 231 in all.
+        monkeypatch.setattr(simulator, "_MAX_DRAWS", 231)
+        results = replicate(base_auction, base_costs, Policy(434.0), _config(num_cycles=10), 2)
+        assert [r.counts.cycles for r in results] == [10, 10]
+
 
 class TestResultContracts:
     def test_count_identities(self, base_auction, base_costs, base_policy):

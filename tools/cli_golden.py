@@ -134,6 +134,12 @@ COMMANDS = [
     REFERENCE_GRID + ["--format", "json"],
     REFERENCE_GRID + ["--format", "markdown"],
     REFERENCE_GRID + ["--td-mode", "consistent", "--format", "json"],
+    # The budget counts every replication: about 2.3e12 windows in all, exit 3 at once.
+    ["simulate", "--quantity", "434", "--replications", "10000000", "--cycles", "20000"],
+    # Help and usage errors name every command, whichever command's flags are built.
+    ["--help"],
+    ["simulate", "--help"],
+    ["frobnicate"],
 ]
 
 
