@@ -68,6 +68,12 @@ _CHUNK_BUDGET = 1 << 21
 # route. Minutes, not years, at the measured 0.5 us (erlang) to 1.6 us
 # (interarrival_sum) per window.
 _MAX_DRAWS = 10**9
+# Units charged per replication stream for its fixed cost (its generator,
+# result and report line): about 1 ms and 2 kB per stream, measured at
+# 1e3 to 2e4 one-cycle streams, where a unit costs about 100 ns on the
+# default sampler. The budget then admits 1e5 streams: minutes and a few
+# hundred MB.
+_STREAM_UNITS = 10_000
 # The dispatch sampler draws the closing window by rejection from this
 # success probability up, and by its inverse-CDF table below it. Rejection
 # costs about 45/p ns per dispatch and the table 130 to 210 ns (measured at
@@ -560,16 +566,18 @@ def replicate(
     Replication r always uses stream index r, so any prefix of the list is
     the same regardless of how many replications were requested. The work
     budget covers all streams: NumericsError is raised before any stream
-    draws when num_replications times simulate's per-stream estimate
-    exceeds _MAX_DRAWS units.
+    draws when num_replications times simulate's per-stream estimate plus
+    _STREAM_UNITS exceeds _MAX_DRAWS units.
     """
     check_int("num_replications", num_replications, 1)
     if num_replications > 1:
         work, unit = _plan(auction, policy, config, False)[3:]
-        if num_replications * work > _MAX_DRAWS:
+        total = num_replications * (work + _STREAM_UNITS)
+        if total > _MAX_DRAWS:
             raise NumericsError(
-                f"{num_replications} replications of about {work:.3g} {unit} each, "
-                f"{num_replications * work:.3g} in all, are over the budget of {_MAX_DRAWS:.0e}; "
+                f"{num_replications} replications of about {work:.3g} {unit} each, plus "
+                f"{_STREAM_UNITS} per stream for its fixed cost, {total:.3g} in all, are over "
+                f"the budget of {_MAX_DRAWS:.0e}; "
                 "use fewer replications, fewer cycles or a smaller quantity"
             )
     return [

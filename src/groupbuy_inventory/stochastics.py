@@ -515,25 +515,15 @@ def auction_statistics(params: AuctionParams) -> AuctionStatistics:
     """
     if params.unbounded:
         limit = params.n_required / params.arrival_rate
-        return AuctionStatistics(
-            p_success=1.0,
-            e_min_duration=limit,
-            e_cond_duration=limit,
-            expected_failures=0.0,
-            dispatch_time_paper=limit,
-            dispatch_time_consistent=limit,
-        )
+        return AuctionStatistics(1.0, limit, limit, 0.0, limit, limit)
     p, p_next = _nondegenerate_success_pair(params)
     trunc = (params.n_required / params.arrival_rate) * p_next + params.max_time * (1.0 - p)
     cond = (params.n_required / params.arrival_rate) * p_next / p
     failures = (1.0 - p) / p
+    window_failures = failures * params.max_time
+    # Positional arguments in field order: a sweep builds one per cell.
     return AuctionStatistics(
-        p_success=p,
-        e_min_duration=trunc,
-        e_cond_duration=cond,
-        expected_failures=failures,
-        dispatch_time_paper=failures * params.max_time + trunc,
-        dispatch_time_consistent=cond + failures * params.max_time,
+        p, trunc, cond, failures, window_failures + trunc, cond + window_failures
     )
 
 

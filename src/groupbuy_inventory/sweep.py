@@ -29,9 +29,14 @@ from .costmodel import (  # noqa: F401
     optimal_cost,
     optimal_quantity,
 )
-from .errors import GroupBuyError, ParameterError, check_choice, check_int
+from .errors import GroupBuyError, NumericsError, ParameterError, check_choice, check_int
 from .settings import REPORT_FORMATS, SimulationConfig
 from .stochastics import TD_MODES, AuctionParams, TdMode, auction_statistics
+
+# Most cells one sweep may evaluate. A closed-form cell costs about 40 us,
+# and 1 kB at the peak of a JSON report: 250,047 cells took 10 s and
+# peaked at 259 MB through the CLI.
+_MAX_CELLS = 250_000
 
 CSV_COLUMNS: tuple[str, ...] = (
     "n",
@@ -104,22 +109,15 @@ class SweepRow:
 
 
 def _evaluate_cell(n: int, t: float, rate: float, spec: SweepSpec) -> SweepRow:
+    # Positional arguments in field order: keyword binding is a measurable
+    # share of a cell's time.
     try:
-        params = AuctionParams(n_required=n, max_time=t, arrival_rate=rate)
+        params = AuctionParams(n, t, rate)
         stats = auction_statistics(params)
         td, q_star, q_int, cost_star = _optimum(stats, spec.costs, n, spec.td_mode)
     except GroupBuyError as exc:
-        return SweepRow(n=n, t=t, arrival_rate=rate, error=f"{type(exc).__name__}: {exc}")
-    row = SweepRow(
-        n=n,
-        t=t,
-        arrival_rate=rate,
-        p_success=stats.p_success,
-        dispatch_time=td,
-        q_star_real=q_star,
-        q_star_integer=q_int,
-        optimal_cost=cost_star,
-    )
+        return SweepRow(n, t, rate, error=f"{type(exc).__name__}: {exc}")
+    row = SweepRow(n, t, rate, stats.p_success, td, q_star, q_int, cost_star)
     if spec.simulation is None:
         return row
     from .simulator import simulate
@@ -142,13 +140,21 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
     Axes are deduplicated and sorted ascending first, so the row order is
     a deterministic function of the axis sets. Always returns one row per
-    cell; failed cells carry an error marker instead of numbers.
+    cell; failed cells carry an error marker instead of numbers. Raises
+    NumericsError before the first cell when the grid holds more than
+    _MAX_CELLS cells.
     """
     n_axis = sorted(set(spec.n_values))
     for value in n_axis:
         check_int("n_values entry", value)
     t_axis = [float(v) for v in sorted(set(spec.t_values))]
     rate_axis = [float(v) for v in sorted(set(spec.lambda_values))]
+    cells = len(n_axis) * len(t_axis) * len(rate_axis)
+    if cells > _MAX_CELLS:
+        raise NumericsError(
+            f"sweep would evaluate {cells} cells, over the budget of {_MAX_CELLS}; "
+            "use fewer axis values"
+        )
     return [
         _evaluate_cell(n, t, rate, spec)
         for n in n_axis
@@ -172,18 +178,27 @@ _row_cells = operator.attrgetter(*(field.name for field in dataclasses.fields(Sw
 def _emit_csv(rows: Sequence[SweepRow]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        lines.append(",".join(_format_number(cell) for cell in _row_cells(row)))
+        lines.append(",".join(map(_format_number, _row_cells(row))))
     return "\n".join(lines) + "\n"
 
 
 def _json_value(cell: float | int | None) -> str:
     # The text json.dumps(..., allow_nan=False) gives the value, for floats
-    # the 6-significant-digit value the CSV prints. RFC 8259 has no
-    # infinity; an unbounded window is the string "inf", which float()
-    # parses back like the CSV cell.
+    # the 6-significant-digit value the CSV prints. That value's repr is the
+    # CSV text itself, with ".0" after positional text that has no point,
+    # except where repr writes positional digits for exponents 6 to 15, or
+    # fewer digits for a subnormal. RFC 8259 has no infinity; an unbounded
+    # window is the string "inf", which float() parses back like the CSV
+    # cell.
     if isinstance(cell, float):
         if math.isfinite(cell):
-            return repr(float(_format_number(cell)))
+            text = _format_number(cell)
+            if "e" not in text:
+                return text if "." in text else text + ".0"
+            exponent = int(text.partition("e")[2])
+            if 6 <= exponent <= 15 or exponent <= -308:
+                return repr(float(text))
+            return text
         if math.isnan(cell):
             raise ValueError(f"Out of range float values are not JSON compliant: {cell!r}")
         return '"inf"'
@@ -265,10 +280,10 @@ def emit_report(rows: Sequence[SweepRow], format: str = "csv") -> str:
 
     CSV: fixed 11-column header, one line per row, empty cells for missing
     values. JSON (RFC 8259): an array of objects with exactly the CSV
-    column names; missing values are null and an unbounded window is the
-    string "inf". Markdown: per-arrival-rate grid tables with "ERR" in
-    failed cells plus an error list. Output is byte-deterministic for equal
-    rows.
+    column names; each number is its CSV cell's text in JSON's spelling,
+    missing values are null and an unbounded window is the string "inf".
+    Markdown: per-arrival-rate grid tables with "ERR" in failed cells plus
+    an error list. Output is byte-deterministic for equal rows.
     """
     if len(rows) == 0:
         raise ParameterError("rows must be non-empty")

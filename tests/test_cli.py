@@ -618,8 +618,10 @@ class TestSubprocessEntry:
             ["validate", "--n-required", "150", "--max-time", "6", "--duration-sampler", "erlang"],
             # About 2.3e5 windows per stream, 2.3e12 over all the streams.
             ["simulate", "--quantity", "434", "--replications", "10000000", "--cycles", "20000"],
+            # 11.5 windows per stream, 1.15e8 in all, but 1e7 streams' fixed cost.
+            ["simulate", "--quantity", "434", "--replications", "10000000", "--cycles", "1"],
         ],
-        ids=["simulate", "validate", "replications"],
+        ids=["simulate", "validate", "replications", "replications-fixed-cost"],
     )
     def test_work_over_budget_is_numeric_error(self, config_file, argv):
         command, *flags = argv
@@ -631,6 +633,21 @@ class TestSubprocessEntry:
         assert result.stdout == ""
         assert "Traceback" not in result.stderr
         assert "bidding windows" in result.stderr
+
+    def test_sweep_over_the_cell_budget_is_numeric_error(self, config_file):
+        # 1e6 cells: about 40 s and 1 GB if they were evaluated.
+        axis = ",".join(str(value) for value in range(1, 101))
+        result = subprocess.run(
+            [sys.executable, "-m", "groupbuy_inventory.cli", "sweep", config_file,
+             "--n-values", axis, "--t-values", axis, "--lambda-values", axis],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr == (
+            "numeric domain error: sweep would evaluate 1000000 cells, over the budget of "
+            "250000; use fewer axis values\n"
+        )
 
     # n_required = 1e10 at p = 1: one window of 1e10 arrivals.
     FOUND = ["simulate", "--n-required", "10000000000", "--max-time", "785714285.7142857",

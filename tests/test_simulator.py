@@ -174,9 +174,10 @@ class TestReplicate:
         "replications,message",
         [
             # 10 cycles of ceil(434 / 100) = 5 dispatches at p = 0.4333: 115.4
-            # windows per stream, 346 for three.
+            # windows per stream, plus 10,000 for the stream itself; 30,346 for three.
             (3, r"^3 replications of about 115 bidding windows \(cycles \* ceil\(quantity / "
-                r"n_required\) / p_success\) each, 346 in all, are over the budget of 3e\+02; "
+                r"n_required\) / p_success\) each, plus 10000 per stream for its fixed cost, "
+                r"3\.03e\+04 in all, are over the budget of 3e\+04; "
                 r"use fewer replications, fewer cycles or a smaller quantity$"),
             # One stream keeps simulate's own message.
             (1, r"^simulation would draw about 115 bidding windows"),
@@ -188,14 +189,14 @@ class TestReplicate:
         def no_draws(*args):
             raise AssertionError("a stream drew")
 
-        monkeypatch.setattr(simulator, "_MAX_DRAWS", 300 if replications > 1 else 100)
+        monkeypatch.setattr(simulator, "_MAX_DRAWS", 30_300 if replications > 1 else 100)
         monkeypatch.setattr(simulator, "rng_stream", no_draws)
         with pytest.raises(NumericsError, match=message):
             replicate(base_auction, base_costs, Policy(434.0), _config(num_cycles=10), replications)
 
     def test_replications_within_the_budget_run(self, monkeypatch, base_auction, base_costs):
-        # Two streams of 115.4 windows: 231 in all.
-        monkeypatch.setattr(simulator, "_MAX_DRAWS", 231)
+        # Two streams of 115.4 windows and 10,000 fixed units: 20,231 in all.
+        monkeypatch.setattr(simulator, "_MAX_DRAWS", 20_231)
         results = replicate(base_auction, base_costs, Policy(434.0), _config(num_cycles=10), 2)
         assert [r.counts.cycles for r in results] == [10, 10]
 

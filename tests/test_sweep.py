@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from groupbuy_inventory import (
     CSV_COLUMNS,
+    NumericsError,
     ParameterError,
     SimulationConfig,
     SweepRow,
@@ -16,6 +17,7 @@ from groupbuy_inventory import (
     costmodel,
     emit_report,
     run_sweep,
+    sweep,
 )
 from reference_values import (
     GRID_COST_ORACLE,
@@ -144,6 +146,31 @@ class TestRunSweep:
         assert row.error is None and row.q_star_integer == 434
         assert preamble.call_count == 1
         assert breakdown.call_count == 0
+
+    def test_cells_over_the_budget_are_refused_before_the_first(self, monkeypatch, base_costs):
+        def no_cells(*args):
+            raise AssertionError("a cell was evaluated")
+
+        monkeypatch.setattr(sweep, "_evaluate_cell", no_cells)
+        axis = range(1, 1001)
+        spec = SweepSpec(n_values=axis, t_values=axis, lambda_values=axis, costs=base_costs)
+        with pytest.raises(
+            NumericsError,
+            match=r"^sweep would evaluate 1000000000 cells, over the budget of 250000; "
+            r"use fewer axis values$",
+        ):
+            run_sweep(spec)
+
+    def test_cell_budget_counts_distinct_cells(self, monkeypatch, base_costs):
+        monkeypatch.setattr(sweep, "_MAX_CELLS", 4)
+        spec = SweepSpec(
+            n_values=(100, 120, 100), t_values=(7.0, 6.0, 7), lambda_values=(14.0, 14),
+            costs=base_costs,
+        )
+        assert len(run_sweep(spec)) == 4
+        monkeypatch.setattr(sweep, "_MAX_CELLS", 3)
+        with pytest.raises(NumericsError, match="4 cells, over the budget of 3"):
+            run_sweep(spec)
 
     def test_spec_validation(self, base_costs):
         with pytest.raises(ParameterError):
@@ -291,6 +318,13 @@ _ERROR_ROWS = st.builds(
 @given(rows=st.lists(_GOOD_ROWS | _ERROR_ROWS, min_size=1, max_size=4))
 @example(rows=[SweepRow(n=2**63, t=math.inf, arrival_rate=-0.0, q_star_integer=-(2**63))])
 @example(rows=[SweepRow(n=1, t=5e-324, arrival_rate=1e300, sim_cost=math.nan)])
+# Each boundary of the spelling rule: positional text, exponents 6 to 15 and
+# from 16 on, -4 and -5, negative zero, and the subnormals at -308 and below.
+@example(rows=[SweepRow(n=1, t=99999.95, arrival_rate=999999.5, p_success=123456789.0,
+                        dispatch_time=1.5e15)])
+@example(rows=[SweepRow(n=1, t=9.999995e15, arrival_rate=1e16, p_success=0.0001)])
+@example(rows=[SweepRow(n=1, t=9.999995e-05, arrival_rate=-0.0, p_success=2.2250738585072014e-308,
+                        dispatch_time=4.9e-324)])
 def test_json_report_is_the_encoders_bytes(rows):
     try:
         expected = _json_by_the_encoder(rows)

@@ -9,7 +9,8 @@ per tree as ``python -m groupbuy_inventory.cli`` on the base scenario
 stdout, stderr and the exit code are compared byte for byte. The
 commands cover reports (sweeps in all three formats), ``--help``,
 rejected configs (exit 2), overflowing or underflowing results,
-simulations over the work budget (exit 3) and failed sweep cells, whose
+simulations over the work budget and sweeps over the cell budget (exit 3),
+and failed sweep cells, whose
 reasons go to stderr (exit 4). A command that runs longer
 than TIMEOUT_S seconds on either tree is stopped and counts as a
 difference.
@@ -42,6 +43,14 @@ TIMEOUT_S = 30
 VALIDATE = ["validate", "--cycles", "2000", "--seed", "7"]
 SIMULATE = ["simulate", "--quantity", "434", "--cycles", "2000", "--seed", "7", "--replications", "2"]
 REFERENCE_GRID = ["sweep", "--n-values", "80,100,120", "--t-values", "6,7,8", "--lambda-values", "14"]
+# 64 x 63 x 63 = 254,016 cells, just over the sweep's cell budget.
+OVER_CELL_BUDGET = [
+    "sweep",
+    "--n-values", ",".join(str(50 + i) for i in range(64)),
+    "--t-values", ",".join(str(round(5 + 0.05 * i, 2)) for i in range(63)),
+    "--lambda-values", ",".join(str(round(12 + 0.05 * i, 2)) for i in range(63)),
+    "--out", os.devnull,
+]
 COMMANDS = [
     VALIDATE,
     VALIDATE + ["--quantity", "434"],
@@ -140,6 +149,14 @@ COMMANDS = [
     ["--help"],
     ["simulate", "--help"],
     ["frobnicate"],
+    # JSON spells values with decimal exponents 6 to 15 positionally (the window
+    # 2.5e+06, the cost rates near 5e+14) and keeps 2.50489e+16 as it is.
+    ["sweep", "--n-values", "100", "--t-values", "7,2500000", "--lambda-values", "14",
+     "--reorder-cost", "1e30", "--format", "json"],
+    # Over the cell budget: exit 3 before the first cell.
+    OVER_CELL_BUDGET,
+    # 11.5 windows per stream, but each of the 1e7 streams has a fixed cost: exit 3 at once.
+    ["simulate", "--quantity", "434", "--cycles", "1", "--replications", "10000000"],
 ]
 
 
