@@ -42,9 +42,10 @@ class SimulationConfig:
         exceeds about 6.9e8), from gamma variates below T. Its work grows
         with dispatches, not windows. "erlang" draws every window's length
         in one gamma variate; "interarrival_sum" draws n_required
-        exponential gaps per window and sums them. All three are
-        statistically identical, with different draw streams; the
-        per-window two are kept as the reference for the dispatch one.
+        exponential gaps per window and sums them; their windows are
+        regrouped into each dispatch's F and S, so all three share one
+        accounting path and one clock rule. The per-window two are kept as
+        the reference for the dispatch one: the same system, other draws.
         The work budget counts dispatches on the table route, bidding
         windows under "erlang" and on the rejection route (one gamma draw
         per window) and whenever an event log is written, and n_required

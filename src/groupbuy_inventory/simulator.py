@@ -10,14 +10,16 @@ returns to the policy quantity. The long-run cost rate is estimated as
 total cycle cost over total cycle time (the regenerative ratio
 estimator), with a delta-method confidence interval for that ratio.
 
-The accounting runs per batch of draws, in numpy array operations: the
-level only changes at dispatches, so a cycle's cost is a sum over its
-dispatches of holding (level times the time since the previous
+The accounting runs per batch of dispatches, in numpy array operations:
+the level only changes at dispatches, so a cycle's cost is a sum over
+its dispatches of holding (level times the time since the previous
 dispatch), the penalties of the failed windows before the dispatch and
-the dispatch charge. The per-window samplers draw every window's
-duration; the "dispatch" sampler draws each dispatch's failed windows
-and closing window directly, so its work grows with dispatches, not
-with windows.
+the dispatch charge. Every sampler feeds it each dispatch's failed
+windows F and closing window S. The "dispatch" sampler draws them, so
+its work grows with dispatches; the per-window samplers draw every
+window and regroup each batch into (F, S). For all samplers the clock
+adds each F * max_time and then each S, and the event log is rebuilt
+from (F, S).
 
 Determinism contract: results are a pure function of (auction, costs,
 policy, config, stream). Random numbers come from
@@ -41,15 +43,7 @@ from typing import IO, TYPE_CHECKING, Iterator
 
 from .costmodel import CostParams, Policy, dispatches_per_cycle
 from .errors import ConfigError, NumericsError, check_int
-# The simulation settings live in settings; they stay importable from here.
-from .settings import (  # noqa: F401
-    _MAX_SEED,
-    DURATION_SAMPLERS,
-    SHORTFALL_RULES,
-    DurationSampler,
-    ShortfallRule,
-    SimulationConfig,
-)
+from .settings import DurationSampler, SimulationConfig
 from .stochastics import AuctionParams, _nondegenerate_success_pair
 
 if TYPE_CHECKING:
@@ -57,8 +51,8 @@ if TYPE_CHECKING:
     # paths (optimize, sweeps without simulation) never load it.
     import numpy as np
 
-# Windows per duration draw, dispatches per dispatch draw, windows per
-# event-log write, and exponentials per interarrival_sum draw (a longer
+# Windows per duration draw, dispatches per dispatch draw, half the windows
+# per event-log write, and exponentials per interarrival_sum draw (a longer
 # window is drawn in slices): a batch costs little memory and little unused
 # work when a run is short.
 _DRAW_BATCH = 1 << 12
@@ -155,6 +149,28 @@ def _draw_durations(
             yield rng.gamma(shape=shape, scale=scale, size=_DRAW_BATCH)
 
 
+def _regroup(
+    rng: np.random.Generator, sampler: DurationSampler, auction: AuctionParams
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every dispatch's failed windows F and closing window S, from _draw_durations.
+
+    Yields one batch per duration batch that holds a dispatch. The failed
+    windows after a batch's last dispatch carry over into the next F.
+    """
+    import numpy as np
+
+    carried = 0
+    for duration in _draw_durations(rng, sampler, auction.n_required, auction.arrival_rate):
+        dispatched = np.flatnonzero(duration < auction.max_time)
+        if dispatched.size:
+            # Float, as the dispatch sampler's F: int64 times an int max_time wraps.
+            failures = np.diff(dispatched, prepend=-1.0 - carried) - 1.0
+            carried = duration.size - 1 - int(dispatched[-1])
+            yield failures, duration[dispatched]
+        else:
+            carried += duration.size
+
+
 def _excess_table(auction: AuctionParams, p: float) -> np.ndarray | None:
     """Cumulative weights of N(T) - n_required given N(T) >= n_required.
 
@@ -225,36 +241,50 @@ def _integer_sum(values: np.ndarray) -> int:
 def _write_windows(
     log: IO[str],
     first: int,
-    starts: np.ndarray,
-    durations: np.ndarray,
-    success: np.ndarray,
-    level_after: np.ndarray,
+    marks: np.ndarray,
+    failures: np.ndarray,
+    closes: np.ndarray,
+    level: np.ndarray,
+    after: np.ndarray,
     max_time: float,
 ) -> None:
-    """Write one JSON line per window, numbering the auctions from first + 1.
+    """Write one JSON line per window of a batch, numbering auctions from first + 1.
 
-    A failed window's duration is max_time. Its text and each distinct
-    level_after's are formatted once per call. The bytes are those of
-    json.dumps(record, separators=(",", ":")): both print finite numbers by
-    their shortest repr.
+    The windows are rebuilt from the batch's F, S, clock marks and levels
+    before and after each dispatch, in chunks of up to two batches of
+    windows, as a regrouped batch also holds the failed windows carried
+    into it. The text of max_time and of each distinct level_after is
+    formatted once per chunk. The bytes are those of json.dumps(record,
+    separators=(",", ":")): both print finite numbers by their shortest repr.
     """
     import numpy as np
 
-    values, which = np.unique(level_after, return_inverse=True)
-    after = [f'"level_after":{value}}}\n' for value in values.tolist()]
+    closes_at = np.cumsum(failures.astype(np.int64) + 1) - 1
+    # Float, as F is: an offset times an int max_time must not wrap in int64.
+    opens_at = closes_at - failures
     failure = f'"duration":{max_time},"outcome":"failure",'
-    log.write("".join(
-        f'{{"auction":{index},"start":{start},"duration":{d},"outcome":"success",{after[i]}'
-        if ok
-        else f'{{"auction":{index},"start":{start},{failure}{after[i]}'
-        for index, start, d, ok, i in zip(
-            range(first + 1, first + success.size + 1),
-            starts.tolist(),
-            durations.tolist(),
-            success.tolist(),
-            which.tolist(),
-        )
-    ))
+    windows = int(closes_at[-1]) + 1
+    for chunk in range(0, windows, 2 * _DRAW_BATCH):
+        # Window w belongs to the first dispatch that closes at or after it.
+        window = np.arange(chunk, min(chunk + 2 * _DRAW_BATCH, windows))
+        owner = np.searchsorted(closes_at, window)
+        success = window == closes_at[owner]
+        starts = marks[2 * owner] + (window - opens_at[owner]) * max_time
+        level_after = np.where(success, after[owner], level[owner])
+        values, which = np.unique(level_after, return_inverse=True)
+        texts = [f'"level_after":{value}}}\n' for value in values.tolist()]
+        log.write("".join(
+            f'{{"auction":{index},"start":{start},"duration":{d},"outcome":"success",{texts[i]}'
+            if ok
+            else f'{{"auction":{index},"start":{start},{failure}{texts[i]}'
+            for index, start, d, ok, i in zip(
+                range(first + chunk + 1, first + chunk + window.size + 1),
+                starts.tolist(),
+                closes[owner].tolist(),
+                success.tolist(),
+                which.tolist(),
+            )
+        ))
 
 
 def _fsum(values: "np.ndarray") -> float:
@@ -337,12 +367,14 @@ def simulate(
     p_success exponentials under "interarrival_sum". It also raises
     NumericsError when the clock overflows double precision; the clock is
     checked before a batch is logged, so the log never holds a non-finite
-    time. When event_log is given (path or open text file), one JSON line
-    is written per bidding window with keys auction, start, duration,
-    outcome and level_after; level_after is the stock after any dispatch
-    and replenishment triggered by that window. The dispatch sampler
-    writes, per dispatch, F failure lines, the i-th starting i * max_time
-    after the previous dispatch, then the success line.
+    time. Every sampler's draws are accounted as each dispatch's failed
+    windows F and closing window S: dispatch k closes at (the previous
+    dispatch + F * max_time) + S. When event_log is given (path or open
+    text file), one JSON line is written per bidding window with keys
+    auction, start, duration, outcome and level_after; level_after is the
+    stock after any dispatch and replenishment triggered by that window.
+    Per dispatch the log holds F failure lines, the i-th starting
+    i * max_time after the previous dispatch, then the success line.
     """
     p, batches, table, work, unit = _plan(auction, policy, config, event_log is not None)
     if work > _MAX_DRAWS:
@@ -352,8 +384,6 @@ def simulate(
         )
     n_required = auction.n_required
     quantity = policy.quantity
-    sampler = config.duration_sampler
-    per_window = sampler != "dispatch"
     import numpy as np
 
     rng = rng_stream(config.seed, stream)
@@ -386,12 +416,9 @@ def simulate(
     # a cycle is summed over all its terms at once, so the sum does not
     # depend on where batches split it.
     open_terms: list[np.ndarray] = []
-    auctions = 0
-    dispatches = 0
-    failures_pending = 0
-    clock = 0.0
-    last_dispatch = 0.0
-    cycle_start = 0.0
+    auctions = dispatches = 0
+    # Every batch ends at a dispatch, so the clock is the last dispatch's time.
+    clock = cycle_start = 0.0
     cycles_left = config.num_cycles
 
     with contextlib.ExitStack() as stack:
@@ -401,20 +428,12 @@ def simulate(
             log = event_log
         else:
             log = stack.enter_context(open(event_log, "w", encoding="utf-8"))
-        if per_window:
-            draws = _draw_durations(rng, sampler, n_required, auction.arrival_rate)
-        else:
+        if config.duration_sampler == "dispatch":
             draws = _draw_dispatches(rng, auction, p, table)
-        for batch in draws:
-            if per_window:
-                duration = batch
-                success = duration < max_time
-                # Window index of each dispatch.
-                dispatched = np.flatnonzero(success)
-                count = dispatched.size
-            else:
-                failures, closes = batch
-                count = failures.size
+        else:
+            draws = _regroup(rng, config.duration_sampler, auction)
+        for failures, closes in draws:
+            count = failures.size
             level = level_before(dispatches + np.arange(count))
             # Dispatch index of each cycle end.
             closing = np.flatnonzero(level <= n_required)
@@ -423,40 +442,25 @@ def simulate(
                 closing = closing[:cycles_left]
                 count = int(closing[-1]) + 1
                 level = level[:count]
-                if per_window:
-                    dispatched = dispatched[:count]
-                    end = dispatched[-1] + 1
-                    duration, success = duration[:end], success[:end]
-                else:
-                    failures, closes = failures[:count], closes[:count]
-            if per_window:
-                # A cumulative sum adds in sequence, exactly as `clock += window`.
-                marks = np.cumsum(np.concatenate(([clock], np.minimum(duration, max_time))))
-                times = marks[dispatched + 1]
-                failures_before = np.diff(dispatched, prepend=-1 - failures_pending) - 1
-                windows = duration.size
-            else:
-                # The clock after each dispatch's failed windows, then after its
-                # closing window, added in sequence.
-                steps = np.column_stack((failures * max_time, closes)).ravel()
-                marks = np.cumsum(np.concatenate(([clock], steps)))
-                times = marks[2::2]
-                failures_before = failures
-                windows = count + _integer_sum(failures)
+                failures, closes = failures[:count], closes[:count]
+            # The clock after each dispatch's failed windows, then after its
+            # closing window, added in sequence.
+            steps = np.column_stack((failures * max_time, closes)).ravel()
+            marks = np.cumsum(np.concatenate(([clock], steps)))
+            times = marks[2::2]
+            windows = count + _integer_sum(failures)
             if not math.isfinite(marks[-1]):
-                overflowed = int(np.argmin(np.isfinite(marks)))
-                if not per_window:
-                    # The windows up to that mark: F_0, 1, F_1, 1, ...
-                    counts = np.column_stack((failures, np.ones(count))).ravel()
-                    overflowed = int(np.cumsum(counts)[overflowed - 1])
+                # The windows up to that mark: F_0, 1, F_1, 1, ...
+                counts = np.column_stack((failures, np.ones(count))).ravel()
+                overflowed = int(np.cumsum(counts)[int(np.argmin(np.isfinite(marks))) - 1])
                 raise NumericsError(
                     f"simulation clock overflowed at auction {auctions + overflowed}: "
                     f"{auction} has a time scale beyond double precision"
                 )
-            gaps = np.diff(times, prepend=last_dispatch)
+            gaps = np.diff(times, prepend=clock)
             terms = (
                 costs.holding_rate * level * gaps
-                + costs.failure_penalty * failures_before
+                + costs.failure_penalty * failures
                 + dispatch_charge
             )
             if closing.size:
@@ -470,44 +474,17 @@ def simulate(
                 cycle_start = cycle_ends[-1]
             else:
                 open_terms.append(terms)
-            if gaps.size:
-                gap_shift = float(gaps[0]) if gap_shift is None else gap_shift
-                shifted = gaps - gap_shift
-                # Sequential sums, as the clock's: equal for every batch size.
-                gap_sum = float(np.cumsum(np.append(gap_sum, shifted))[-1])
-                gap_square_sum = float(np.cumsum(np.append(gap_square_sum, shifted**2))[-1])
-            if log is not None and per_window:
-                level_after = level_before(dispatches + np.cumsum(success))
-                _write_windows(log, auctions, marks[:-1], duration, success, level_after, max_time)
-            elif log is not None:
-                # Rebuild the windows in chunks: window w of the batch belongs
-                # to the first dispatch whose closing window is at or after it.
-                failed = failures.astype(np.int64)
-                closes_at = np.cumsum(failed + 1) - 1
-                opens_at = closes_at - failed
+            gap_shift = float(gaps[0]) if gap_shift is None else gap_shift
+            shifted = gaps - gap_shift
+            # Sequential sums, as the clock's: equal for every batch size.
+            gap_sum = float(np.cumsum(np.append(gap_sum, shifted))[-1])
+            gap_square_sum = float(np.cumsum(np.append(gap_square_sum, shifted**2))[-1])
+            if log is not None:
                 after = level_before(dispatches + 1 + np.arange(count))
-                for chunk in range(0, windows, _DRAW_BATCH):
-                    window = np.arange(chunk, min(chunk + _DRAW_BATCH, windows))
-                    owner = np.searchsorted(closes_at, window)
-                    ok = window == closes_at[owner]
-                    _write_windows(
-                        log,
-                        auctions + chunk,
-                        marks[2 * owner] + (window - opens_at[owner]) * max_time,
-                        closes[owner],
-                        ok,
-                        np.where(ok, after[owner], level[owner]),
-                        max_time,
-                    )
+                _write_windows(log, auctions, marks, failures, closes, level, after, max_time)
             auctions += windows
             dispatches += count
-            if count:
-                last_dispatch = times[-1]
-            if per_window and count:
-                failures_pending = windows - 1 - dispatched[-1]
-            elif per_window:
-                failures_pending += windows
-            clock = marks[-1]
+            clock = times[-1]
             cycles_left -= closing.size
             if not cycles_left:
                 break

@@ -64,9 +64,9 @@ class SweepSpec:
     td_mode: dispatch-time mode used for the optimization in every cell.
     simulation: when given, each successful cell also runs one simulation
         at the real-valued optimal quantity. A cell whose simulation fails
-        (an unbounded window, or more bidding windows than the simulator's
-        budget) keeps its closed-form numbers and gets an error naming the
-        simulation.
+        (an unbounded window, say) keeps its closed-form numbers and gets
+        an error naming the simulation. The simulations share one work
+        budget, checked before the first of them runs.
     """
 
     n_values: Sequence[int]
@@ -112,26 +112,27 @@ def _evaluate_cell(n: int, t: float, rate: float, spec: SweepSpec) -> SweepRow:
     # Positional arguments in field order: keyword binding is a measurable
     # share of a cell's time.
     try:
-        params = AuctionParams(n, t, rate)
-        stats = auction_statistics(params)
+        stats = auction_statistics(AuctionParams(n, t, rate))
         td, q_star, q_int, cost_star = _optimum(stats, spec.costs, n, spec.td_mode)
     except GroupBuyError as exc:
         return SweepRow(n, t, rate, error=f"{type(exc).__name__}: {exc}")
-    row = SweepRow(n, t, rate, stats.p_success, td, q_star, q_int, cost_star)
-    if spec.simulation is None:
-        return row
+    return SweepRow(n, t, rate, stats.p_success, td, q_star, q_int, cost_star)
+
+
+def _simulate_cell(row: SweepRow, spec: SweepSpec) -> SweepRow:
     from .simulator import simulate
 
     # A failed simulation keeps the cell's closed-form numbers.
     try:
-        result = simulate(params, spec.costs, Policy(q_star), spec.simulation)
+        auction = AuctionParams(row.n, row.t, row.arrival_rate)
+        result = simulate(auction, spec.costs, Policy(row.q_star_real), spec.simulation)
     except GroupBuyError as exc:
         return dataclasses.replace(row, error=f"simulation: {type(exc).__name__}: {exc}")
     return dataclasses.replace(
         row,
         sim_cost=result.long_run_cost,
         sim_halfwidth=result.long_run_cost_halfwidth,
-        delta=result.long_run_cost - cost_star,
+        delta=result.long_run_cost - row.optimal_cost,
     )
 
 
@@ -142,7 +143,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     a deterministic function of the axis sets. Always returns one row per
     cell; failed cells carry an error marker instead of numbers. Raises
     NumericsError before the first cell when the grid holds more than
-    _MAX_CELLS cells.
+    _MAX_CELLS cells, and before the first simulation when the cells'
+    simulations, each charged as one replicate stream, exceed _MAX_DRAWS.
     """
     n_axis = sorted(set(spec.n_values))
     for value in n_axis:
@@ -155,12 +157,31 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             f"sweep would evaluate {cells} cells, over the budget of {_MAX_CELLS}; "
             "use fewer axis values"
         )
-    return [
+    rows = [
         _evaluate_cell(n, t, rate, spec)
         for n in n_axis
         for t in t_axis
         for rate in rate_axis
     ]
+    if spec.simulation is None:
+        return rows
+    from .simulator import _MAX_DRAWS, _STREAM_UNITS, _plan
+
+    total = 0.0
+    for row in (row for row in rows if row.error is None):
+        try:
+            auction = AuctionParams(row.n, row.t, row.arrival_rate)
+            total += _plan(auction, Policy(row.q_star_real), spec.simulation, False)[3]
+        except GroupBuyError:
+            continue  # its simulation cannot run: the cell gets its error
+        total += _STREAM_UNITS
+    if total > _MAX_DRAWS:
+        raise NumericsError(
+            f"sweep simulations would draw about {total:.3g} units in all (each cell's "
+            f"simulation estimate plus {_STREAM_UNITS} for its fixed cost), over the budget "
+            f"of {_MAX_DRAWS:.0e}; use fewer axis values or fewer cycles"
+        )
+    return [row if row.error is not None else _simulate_cell(row, spec) for row in rows]
 
 
 def _format_number(value: float | int | None) -> str:

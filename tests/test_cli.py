@@ -649,6 +649,24 @@ class TestSubprocessEntry:
             "250000; use fewer axis values\n"
         )
 
+    def test_simulated_sweep_over_the_work_budget_is_numeric_error(self, config_file):
+        # 6.9e8 and 4.8e8 exponentials: each cell fits the budget alone, and
+        # the two together took about 15 s before the sweep's budget.
+        result = subprocess.run(
+            [sys.executable, "-m", "groupbuy_inventory.cli", "sweep", config_file,
+             "--n-values", "100", "--t-values", "7,8", "--lambda-values", "14",
+             "--include-simulation", "true", "--cycles", "600000",
+             "--duration-sampler", "interarrival_sum"],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr == (
+            "numeric domain error: sweep simulations would draw about 1.17e+09 units in all "
+            "(each cell's simulation estimate plus 10000 for its fixed cost), over the budget "
+            "of 1e+09; use fewer axis values or fewer cycles\n"
+        )
+
     # n_required = 1e10 at p = 1: one window of 1e10 arrivals.
     FOUND = ["simulate", "--n-required", "10000000000", "--max-time", "785714285.7142857",
              "--quantity", "10000000000", "--cycles", "1"]

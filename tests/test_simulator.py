@@ -31,12 +31,35 @@ from groupbuy_inventory import simulator
 from groupbuy_inventory.simulator import SimulationCounts, SimulationResult
 
 
+def _reference_windows(auction, policy, config, rng):
+    """Every window's duration, one float at a time, as the sampler draws them.
+
+    The per-window samplers' raw durations; the dispatch sampler's (F, S)
+    replayed as F failed windows of max_time, then the closing window S.
+    """
+    if config.duration_sampler != "dispatch":
+        batches = simulator._draw_durations(
+            rng, config.duration_sampler, auction.n_required, auction.arrival_rate
+        )
+        return itertools.chain.from_iterable(batch.tolist() for batch in batches)
+    p, _, table, _, _ = simulator._plan(auction, policy, config, False)
+    return (
+        window
+        for failures, closes in simulator._draw_dispatches(rng, auction, p, table)
+        for f, s in zip(failures.tolist(), closes.tolist())
+        for window in [auction.max_time] * int(f) + [s]
+    )
+
+
 def reference_simulate(auction, costs, policy, config, *, stream=0, event_log=None):
     """The step-by-step oracle: one Python iteration per bidding window.
 
-    It draws the same durations as simulate and accrues holding cost as
-    level * window per window, where simulate sums level * (time since the
-    previous dispatch) per dispatch; the two agree up to roundoff.
+    It draws the same windows as simulate and keeps simulate's clock rule:
+    failed window i after a dispatch starts at last_dispatch + i * max_time,
+    and the dispatch closes at (last_dispatch + F * max_time) + S. It
+    accrues holding cost as level * window per window, where simulate sums
+    level * (time since the previous dispatch) per dispatch; the two agree
+    up to roundoff.
     """
     rng = simulator.rng_stream(config.seed, stream)
     n_required = auction.n_required
@@ -44,26 +67,24 @@ def reference_simulate(auction, costs, policy, config, *, stream=0, event_log=No
     dispatch_charge = costs.dispatch_cost + costs.unit_transport_cost * n_required
     reset = config.shortfall_rule == "reset_to_q"
     cycle_costs, cycle_lengths, intervals = [], [], []
-    auctions = dispatches = 0
-    clock = last_dispatch = cycle_start = cycle_cost = 0.0
+    auctions = dispatches = failed = 0
+    last_dispatch = cycle_start = cycle_cost = 0.0
     level = policy.quantity
     cycles_left = config.num_cycles
-    batches = simulator._draw_durations(
-        rng, config.duration_sampler, n_required, auction.arrival_rate
-    )
-    for duration in itertools.chain.from_iterable(batch.tolist() for batch in batches):
+    for duration in _reference_windows(auction, policy, config, rng):
         auctions += 1
         success = duration < max_time
         window = duration if success else max_time
-        start = clock
-        clock += window
+        start = last_dispatch + failed * max_time
         cycle_cost += costs.holding_rate * level * window + (
             dispatch_charge if success else costs.failure_penalty
         )
         if success:
+            clock = start + duration
             dispatches += 1
             intervals.append(clock - last_dispatch)
             last_dispatch = clock
+            failed = 0
             remaining = level - n_required
             if remaining <= 0.0:
                 cycle_cost += costs.reorder_cost
@@ -75,6 +96,8 @@ def reference_simulate(auction, costs, policy, config, *, stream=0, event_log=No
                 cycles_left -= 1
             else:
                 level = remaining
+        else:
+            failed += 1
         if event_log is not None:
             event_log.write(
                 f'{{"auction":{auctions},"start":{start},"duration":{window},'
@@ -295,10 +318,12 @@ class TestReferenceEquivalence:
         "carry-int-q": (BASE, 150, "carry_shortfall", 300),
         "carry-q-multiple-of-n": (BASE, 300.0, "carry_shortfall", 300),
         "carry-n-required-1": (AuctionParams(1, 1.0, 5.0), 37.25, "carry_shortfall", 50),
+        # F * max_time rounds once where F additions of max_time round F times.
+        "non-integer-window": (AuctionParams(100, 6.3, 14.0), 150, "reset_to_q", 300),
     }
 
     @pytest.mark.parametrize("batch", [7, simulator._DRAW_BATCH], ids=["batch-7", "batch-default"])
-    @pytest.mark.parametrize("sampler", ["interarrival_sum", "erlang"])
+    @pytest.mark.parametrize("sampler", ["interarrival_sum", "erlang", "dispatch"])
     @pytest.mark.parametrize("design", list(DESIGNS))
     def test_matches_step_by_step_reference(self, monkeypatch, base_costs, design, sampler, batch):
         auction, quantity, rule, cycles = self.DESIGNS[design]
@@ -629,6 +654,20 @@ class TestShortfallRules:
         assert lines == [json.dumps(record, separators=(",", ":")) for record in parsed]
         # ... and those values equal a run with Python floats.
         assert parsed == [json.loads(line) for line in records(150.0, 7.0)]
+
+    @pytest.mark.parametrize("sampler", ["interarrival_sum", "erlang", "dispatch"])
+    def test_int_window_whose_failed_windows_pass_2_to_63(self, base_costs, sampler):
+        # p = 0.11 at max_time = 10**18: F * max_time passes 2**63, where
+        # int64 arithmetic would wrap. The clock and the log's failed-window
+        # starts are float arithmetic, as for max_time = 1e18.
+        def run(max_time):
+            log = io.StringIO()
+            auction = AuctionParams(n_required=100, max_time=max_time, arrival_rate=88.2e-18)
+            config = _config(num_cycles=30, duration_sampler=sampler)
+            result = simulate(auction, base_costs, Policy(150.0), config, event_log=log)
+            return result, [json.loads(line) for line in log.getvalue().splitlines()]
+
+        assert run(10**18) == run(1e18)
 
     def test_carry_shortfall_shortens_cycles(self, base_auction, base_costs, base_policy):
         reset = simulate(

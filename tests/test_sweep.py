@@ -17,6 +17,7 @@ from groupbuy_inventory import (
     costmodel,
     emit_report,
     run_sweep,
+    simulator,
     sweep,
 )
 from reference_values import (
@@ -171,6 +172,33 @@ class TestRunSweep:
         monkeypatch.setattr(sweep, "_MAX_CELLS", 3)
         with pytest.raises(NumericsError, match="4 cells, over the budget of 3"):
             run_sweep(spec)
+
+    @pytest.mark.parametrize("budget,refused", [(20194, True), (20195, False)])
+    def test_simulations_share_one_work_budget(self, monkeypatch, base_costs, budget, refused):
+        # 10 cycles: 50 dispatches at p = 0.4333 (115.4 windows) at t = 7 and
+        # 70 at p = 0.8826 (79.3 windows) at t = 8, plus 10,000 units per
+        # simulated cell, 20,194.7 in all; each cell fits the budget alone.
+        # The unbounded window's simulation cannot run and is not charged.
+        monkeypatch.setattr(simulator, "_MAX_DRAWS", budget)
+        spec = SweepSpec(
+            n_values=(100,), t_values=(7.0, 8.0, math.inf), lambda_values=(14.0,),
+            costs=base_costs, simulation=SimulationConfig(num_cycles=10, seed=5),
+        )
+        if not refused:
+            rows = run_sweep(spec)
+            assert [row.sim_cost is not None for row in rows] == [True, True, False]
+        else:
+            def no_simulations(*args):
+                raise AssertionError("a cell was simulated")
+
+            monkeypatch.setattr(simulator, "simulate", no_simulations)
+            with pytest.raises(
+                NumericsError,
+                match=r"^sweep simulations would draw about 2\.02e\+04 units in all \(each "
+                r"cell's simulation estimate plus 10000 for its fixed cost\), over the budget "
+                r"of 2e\+04; use fewer axis values or fewer cycles$",
+            ):
+                run_sweep(spec)
 
     def test_spec_validation(self, base_costs):
         with pytest.raises(ParameterError):

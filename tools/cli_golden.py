@@ -9,11 +9,10 @@ per tree as ``python -m groupbuy_inventory.cli`` on the base scenario
 stdout, stderr and the exit code are compared byte for byte. The
 commands cover reports (sweeps in all three formats), ``--help``,
 rejected configs (exit 2), overflowing or underflowing results,
-simulations over the work budget and sweeps over the cell budget (exit 3),
-and failed sweep cells, whose
-reasons go to stderr (exit 4). A command that runs longer
-than TIMEOUT_S seconds on either tree is stopped and counts as a
-difference.
+simulations over the work budget and sweeps over the cell or simulation
+budget (exit 3), and failed sweep cells, whose reasons go to stderr
+(exit 4). A command that runs longer than TIMEOUT_S seconds on either
+tree is stopped and counts as a difference.
 The script prints one line per command, the differing stdout and stderr
 lines, and a summary; it exits 0 when every command is identical and 1
 otherwise.
@@ -157,6 +156,16 @@ COMMANDS = [
     OVER_CELL_BUDGET,
     # 11.5 windows per stream, but each of the 1e7 streams has a fixed cost: exit 3 at once.
     ["simulate", "--quantity", "434", "--cycles", "1", "--replications", "10000000"],
+    # Per-window samplers at a window that is not an integer, where F * max_time
+    # and F additions of max_time round differently.
+    ["simulate", "--quantity", "150", "--max-time", "6.3", "--cycles", "300", "--seed", "7",
+     "--duration-sampler", "erlang"],
+    ["simulate", "--quantity", "150", "--max-time", "6.3", "--cycles", "300", "--seed", "7",
+     "--duration-sampler", "interarrival_sum"],
+    # Two simulated cells that each fit the work budget, 1.17e9 units together: exit 3
+    # before the first simulation.
+    ["sweep", "--n-values", "100", "--t-values", "7,8", "--lambda-values", "14",
+     "--include-simulation", "true", "--cycles", "600000", "--duration-sampler", "interarrival_sum"],
 ]
 
 
