@@ -21,16 +21,27 @@ window and regroup each batch into (F, S). For all samplers the clock
 adds each F * max_time and then each S, and the event log is rebuilt
 from (F, S).
 
+The stock before each dispatch is a closed form of its index, so the
+run's dispatch total D is known before the first draw. Every draw is
+sized to it: a dispatch batch holds min(_DRAW_BATCH, D - dispatches so
+far) dispatches, and a per-window batch ceil(that / p_success) windows.
+Under interarrival_sum the exponentials pass through one reused buffer
+of _CHUNK_BUDGET, so the memory that draws hold does not grow with
+n_required or the batch.
+
 Determinism contract: results are a pure function of (auction, costs,
 policy, config, stream). Random numbers come from
 numpy.random.default_rng(SeedSequence(seed, spawn_key=(stream,))), and
 the dispatch sampler draws each quantity from its own child of that
 generator. Draws are made in batches, but the sequence of draws does not
-depend on the batch size, because numpy fills uniform, exponential, gamma
-and beta draws sequentially; so repeated runs consume identical draw
-sequences. Each cycle's cost is summed over all its terms at once,
-wherever batches split it, so results do not depend on the batch size
-either. Writing an event log does not change the results.
+depend on the batch size or on the size asked for, because numpy fills
+uniform, exponential, gamma and beta draws sequentially; so repeated
+runs consume identical draw sequences. A window of up to _CHUNK_BUDGET
+exponentials is summed in one call; a longer window is summed in slices
+of _CHUNK_BUDGET whose sums are added in order. Each cycle's cost is
+summed over all its terms at once, wherever batches split it, so results
+do not depend on the batch size either. Writing an event log does not
+change the results.
 """
 
 from __future__ import annotations
@@ -39,7 +50,7 @@ import contextlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterator
+from typing import IO, TYPE_CHECKING, Generator, Iterator
 
 from .costmodel import CostParams, Policy, dispatches_per_cycle
 from .errors import ConfigError, NumericsError, check_int
@@ -51,16 +62,19 @@ if TYPE_CHECKING:
     # paths (optimize, sweeps without simulation) never load it.
     import numpy as np
 
-# Windows per duration draw, dispatches per dispatch draw, half the windows
-# per event-log write, and exponentials per interarrival_sum draw (a longer
-# window is drawn in slices): a batch costs little memory and little unused
-# work when a run is short.
+# Most windows per duration draw and dispatches per dispatch draw, and half
+# the windows per event-log write; a run asks only for what it still needs.
+# Exponentials in interarrival_sum's one buffer (512 KiB): whole runs took
+# 8 to 17 ns per exponential used through it at n_required = 10 to 1e5
+# (Intel Xeon, numpy 2.4); drawing a batch of 4096 windows as one array
+# took 10 to 220 ns, and 6.4 MB at n_required = 195.
 _DRAW_BATCH = 1 << 12
-_CHUNK_BUDGET = 1 << 21
+_CHUNK_BUDGET = 1 << 16
 # Most units of work one simulate call may do: bidding windows, exponentials
 # under interarrival_sum, or dispatches on the dispatch sampler's table
-# route. Minutes, not years, at the measured 0.5 us (erlang) to 1.6 us
-# (interarrival_sum) per window.
+# route. Minutes, not years: whole runs took about 15 ns per exponential
+# (interarrival_sum), 80 to 110 ns per window (erlang) and 180 to 550 ns per
+# dispatch (dispatch sampler), on the machine above.
 _MAX_DRAWS = 10**9
 # Units charged per replication stream for its fixed cost (its generator,
 # result and report line): about 1 ms and 2 kB per stream, measured at
@@ -130,45 +144,70 @@ def rng_stream(seed: int, index: int) -> np.random.Generator:
 
 
 def _draw_durations(
-    rng: np.random.Generator, sampler: DurationSampler, n_required: int, arrival_rate: float
-) -> Iterator[np.ndarray]:
-    """Every window's duration, in arrays of at most _DRAW_BATCH windows."""
-    if sampler == "interarrival_sum":
-        width = min(n_required, _CHUNK_BUDGET)
-        windows = max(1, min(_DRAW_BATCH, _CHUNK_BUDGET // n_required))
-        while True:
-            # Slice sums add in draw order (0 + x is x). A batch held in a local
-            # across the yield raised a base-case simulate's peak RSS by 3 MB.
-            yield sum(
-                rng.standard_exponential((windows, min(width, n_required - start))).sum(axis=1)
-                for start in range(0, n_required, width)
-            ) / arrival_rate
-    else:
-        shape, scale = float(n_required), 1.0 / arrival_rate
-        while True:
-            yield rng.gamma(shape=shape, scale=scale, size=_DRAW_BATCH)
+    rng: np.random.Generator,
+    sampler: DurationSampler,
+    n_required: int,
+    arrival_rate: float,
+    size: int | None = None,
+) -> Generator[np.ndarray, int | None, None]:
+    """Every window's duration, in arrays of size windows (None: _DRAW_BATCH).
 
-
-def _regroup(
-    rng: np.random.Generator, sampler: DurationSampler, auction: AuctionParams
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every dispatch's failed windows F and closing window S, from _draw_durations.
-
-    Yields one batch per duration batch that holds a dispatch. The failed
-    windows after a batch's last dispatch carry over into the next F.
+    A size sent to the generator is the size of the next array. Under
+    interarrival_sum the exponentials pass through one buffer of
+    _CHUNK_BUDGET: max(1, _CHUNK_BUDGET // n_required) windows at a time,
+    and a longer window in slices of _CHUNK_BUDGET.
     """
     import numpy as np
 
+    if sampler != "interarrival_sum":
+        while True:
+            batch = rng.gamma(float(n_required), 1.0 / arrival_rate, size or _DRAW_BATCH)
+            size = yield batch
+    rows = max(1, _CHUNK_BUDGET // n_required)
+    width = min(n_required, _CHUNK_BUDGET)
+    buffer = np.empty(rows * width)
+    while True:
+        batch = np.zeros(size or _DRAW_BATCH)
+        for first in range(0, batch.size, rows):
+            block = batch[first : first + rows]
+            for start in range(0, n_required, width):
+                draws = buffer[: block.size * min(width, n_required - start)]
+                rng.standard_exponential(out=draws)
+                # Slice sums add in draw order (0 + x is x).
+                block += draws.reshape(block.size, -1).sum(axis=1)
+        batch /= arrival_rate
+        size = yield batch
+
+
+def _regroup(
+    rng: np.random.Generator, sampler: DurationSampler, auction: AuctionParams, p: float, total: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every dispatch's failed windows F and closing window S, from _draw_durations.
+
+    Yields one batch per duration batch that holds a dispatch. With r of
+    the run's total dispatches still to come, a duration batch has
+    ceil(min(_DRAW_BATCH, r / p)) windows. The failed windows after a
+    batch's last dispatch carry over into the next F.
+    """
+    import numpy as np
+
+    def windows() -> int:
+        return math.ceil(min(_DRAW_BATCH, total / p))
+
+    durations = _draw_durations(rng, sampler, auction.n_required, auction.arrival_rate, windows())
+    duration = next(durations)
     carried = 0
-    for duration in _draw_durations(rng, sampler, auction.n_required, auction.arrival_rate):
+    while True:
         dispatched = np.flatnonzero(duration < auction.max_time)
         if dispatched.size:
             # Float, as the dispatch sampler's F: int64 times an int max_time wraps.
             failures = np.diff(dispatched, prepend=-1.0 - carried) - 1.0
             carried = duration.size - 1 - int(dispatched[-1])
+            total -= dispatched.size
             yield failures, duration[dispatched]
         else:
             carried += duration.size
+        duration = durations.send(windows())
 
 
 def _excess_table(auction: AuctionParams, p: float) -> np.ndarray | None:
@@ -193,17 +232,22 @@ def _excess_table(auction: AuctionParams, p: float) -> np.ndarray | None:
 
 
 def _draw_dispatches(
-    rng: np.random.Generator, auction: AuctionParams, p: float, table: np.ndarray | None
+    rng: np.random.Generator,
+    auction: AuctionParams,
+    p: float,
+    table: np.ndarray | None,
+    total: float = math.inf,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every dispatch's failed windows F and closing window S, in batches.
 
-    Yields arrays of _DRAW_BATCH dispatches. F = Geometric(p) - 1 is the
-    float floor(log U / log1p(-p)), so that no p overflows an integer
-    (Devroye, Non-Uniform Random Variate Generation, 1986, X.2). S given
-    S < T is T * Beta(n, m - n + 1), with m = N(T) given N(T) >= n drawn
-    from the table, since given N(T) = m the arrival times are uniform
-    order statistics (Ross, Stochastic Processes, 2.3); without a table it
-    is the gamma draws below T, in draw order. F, the table's uniforms and
+    Yields arrays of at most _DRAW_BATCH dispatches, total in all (no end
+    by default). F = Geometric(p) - 1 is the float
+    floor(log U / log1p(-p)), so that no p overflows an integer (Devroye,
+    Non-Uniform Random Variate Generation, 1986, X.2). S given S < T is
+    T * Beta(n, m - n + 1), with m = N(T) given N(T) >= n drawn from the
+    table, since given N(T) = m the arrival times are uniform order
+    statistics (Ross, Stochastic Processes, 2.3); without a table it is
+    the gamma draws below T, in draw order. F, the table's uniforms and
     the beta or gamma variates each have their own child stream, and
     accepted gamma draws carry over to the next batch, so the sequences do
     not depend on the batch size.
@@ -215,8 +259,9 @@ def _draw_dispatches(
     log_miss = math.log1p(-p) if p < 1.0 else -math.inf
     below_max = np.nextafter(max_time, 0.0)
     accepted = np.empty(0)
-    while True:
-        size = _DRAW_BATCH
+    while total > 0:
+        size = min(_DRAW_BATCH, total)
+        total -= size
         # log1p(-U) is log(1 - U), finite for U in [0, 1).
         failures = np.floor(np.log1p(-failure_rng.random(size)) / log_miss)
         if table is not None:
@@ -394,13 +439,20 @@ def simulate(
     # closed form of m; it is also the stock after dispatch m - 1. Below
     # 2**53 units every subtraction is exact, so the levels equal those of a
     # step-by-step replay bit for bit, and an int quantity keeps int levels.
+    # So is the run's dispatch total: ceil(Q / n) per cycle under
+    # reset_to_q; under carry_shortfall, cycle c closes at the first dispatch
+    # that brings the units dispatched to c * Q or more, so the run ends at
+    # ceil(num_cycles * Q / n), taken exactly from Q's integer ratio.
     if config.shortfall_rule == "reset_to_q":
         per_cycle = int(batches)
+        total = config.num_cycles * per_cycle
 
         def level_before(m: np.ndarray) -> np.ndarray:
             return quantity - (m % per_cycle) * n_required
 
     else:
+        numerator, denominator = quantity.as_integer_ratio()
+        total = -(-config.num_cycles * numerator // (denominator * n_required))
 
         def level_before(m: np.ndarray) -> np.ndarray:
             return quantity - np.fmod(m * n_required, quantity)
@@ -429,9 +481,9 @@ def simulate(
         else:
             log = stack.enter_context(open(event_log, "w", encoding="utf-8"))
         if config.duration_sampler == "dispatch":
-            draws = _draw_dispatches(rng, auction, p, table)
+            draws = _draw_dispatches(rng, auction, p, table, total)
         else:
-            draws = _regroup(rng, config.duration_sampler, auction)
+            draws = _regroup(rng, config.duration_sampler, auction, p, total)
         for failures, closes in draws:
             count = failures.size
             level = level_before(dispatches + np.arange(count))

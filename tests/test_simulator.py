@@ -10,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from groupbuy_inventory import (
@@ -122,6 +124,36 @@ def reference_simulate(auction, costs, policy, config, *, stream=0, event_log=No
         simulator._Z_95 * long_run_se,
         SimulationCounts(auctions, auctions - dispatches, dispatches, len(cycle_costs)),
     )
+
+
+class _CountingGenerator:
+    """A numpy Generator that counts, per method, the values its draws return."""
+
+    def __init__(self, rng, counts):
+        self._rng, self._counts = rng, counts
+
+    def spawn(self, n_children):
+        return [_CountingGenerator(child, self._counts) for child in self._rng.spawn(n_children)]
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            values = method(*args, **kwargs)
+            self._counts[name] = self._counts.get(name, 0) + np.size(values)
+            return values
+
+        return counted
+
+
+def _count_draws(monkeypatch) -> dict:
+    """Route simulate's streams through _CountingGenerator; returns its counts."""
+    counts = {}
+    stream = simulator.rng_stream
+    monkeypatch.setattr(
+        simulator, "rng_stream", lambda seed, index: _CountingGenerator(stream(seed, index), counts)
+    )
+    return counts
 
 
 @pytest.fixture
@@ -269,7 +301,7 @@ class TestDrawBatches:
         monkeypatch.setattr(simulator, "_DRAW_BATCH", 7)
         assert simulate(base_auction, base_costs, base_policy, config) == default
 
-    # A window of 2**23 exponentials is drawn in slices of 2**21 (16 MiB).
+    # A window of 2**23 exponentials is drawn in slices of 2**16 (512 KiB).
     @pytest.mark.parametrize("n_required,bound", [(1, 2 * 2**20), (2**23, 20 * 2**20)])
     def test_one_auction_run_draws_a_small_batch(self, base_costs, n_required, bound):
         auction = AuctionParams(n_required=n_required, max_time=float(n_required), arrival_rate=5.0)
@@ -284,6 +316,88 @@ class TestDrawBatches:
             tracemalloc.stop()
         assert result.counts.cycles == 1
         assert peak < bound
+
+    def test_interarrival_sum_draws_through_one_small_buffer(self, base_costs):
+        # p is about 1/2, so 2,500 dispatches take two batches of windows of
+        # 200 exponentials each: 6.25 MiB for a batch drawn at once.
+        auction = AuctionParams(n_required=200, max_time=40.0, arrival_rate=5.0)
+        config = _config(num_cycles=1, duration_sampler="interarrival_sum")
+        # The first run loads numpy's generator machinery; trace the second.
+        simulate(auction, base_costs, Policy(200 * 2500), config)
+        tracemalloc.start()
+        try:
+            result = simulate(auction, base_costs, Policy(200 * 2500), config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.counts.auctions > simulator._DRAW_BATCH
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("batch", [7, simulator._DRAW_BATCH], ids=["batch-7", "batch-default"])
+    def test_dispatch_run_draws_exactly_its_dispatches(self, monkeypatch, base_costs, batch):
+        # (120, 6) at Q = 9 takes the table route with one dispatch per cycle:
+        # each of the D = 10 dispatches takes a uniform for F, a uniform for
+        # the table and a beta variate.
+        counts = _count_draws(monkeypatch)
+        monkeypatch.setattr(simulator, "_DRAW_BATCH", batch)
+        auction = AuctionParams(120, 6.0, 14.0)
+        result = simulate(auction, base_costs, Policy(9.0), _config(num_cycles=10))
+        assert result.counts.dispatches == 10
+        assert counts == {"random": 20, "beta": 10}
+
+    @pytest.mark.parametrize("sampler", ["interarrival_sum", "erlang"])
+    def test_per_window_run_draws_no_padded_batch(self, monkeypatch, base_costs, sampler):
+        counts = _count_draws(monkeypatch)
+        config = _config(num_cycles=3, duration_sampler=sampler)
+        result = simulate(BASE, base_costs, Policy(Q_STAR), config)
+        if sampler == "erlang":
+            windows = counts.pop("gamma")
+        else:
+            windows = counts.pop("standard_exponential") / BASE.n_required
+        assert not counts
+        # 15 dispatches at p = 0.43: about 35 windows, where a full batch is 4096.
+        assert result.counts.auctions <= windows < 2 * result.counts.auctions
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_required=st.integers(min_value=1, max_value=300),
+        ratio=st.one_of(
+            st.integers(min_value=1, max_value=50), st.floats(min_value=0.01, max_value=50.0)
+        ),
+        ulps=st.integers(min_value=-2, max_value=2),
+        cycles=st.integers(min_value=1, max_value=40),
+        rule=st.sampled_from(["reset_to_q", "carry_shortfall"]),
+    )
+    # Q a multiple of n, fractional, below n, and one ulp either side of 3n.
+    @example(n_required=100, ratio=3, ulps=0, cycles=7, rule="carry_shortfall")
+    @example(n_required=100, ratio=4.338596995663529, ulps=0, cycles=7, rule="carry_shortfall")
+    @example(n_required=100, ratio=0.5, ulps=0, cycles=7, rule="reset_to_q")
+    @example(n_required=3, ratio=3, ulps=1, cycles=7, rule="carry_shortfall")
+    @example(n_required=3, ratio=3, ulps=-1, cycles=7, rule="reset_to_q")
+    def test_dispatch_total_is_known_before_the_first_draw(
+        self, n_required, ratio, ulps, cycles, rule
+    ):
+        quantity = ratio * n_required
+        for _ in range(abs(ulps)):
+            quantity = math.nextafter(quantity, math.copysign(math.inf, ulps))
+        if rule == "carry_shortfall" and quantity < n_required:
+            return
+        # p is about 1, so the run is short whatever its dispatches per cycle.
+        auction = AuctionParams(n_required, n_required + 10.0 * math.sqrt(n_required) + 10.0, 1.0)
+        costs = CostParams(40.0, 4.0, 0.02, 10.0, 300.0)
+        totals = []
+        draw = simulator._draw_dispatches
+
+        def recording(rng, auction, p, table, total):
+            totals.append(total)
+            return draw(rng, auction, p, table, total)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulator, "_draw_dispatches", recording)
+            config = _config(num_cycles=cycles, shortfall_rule=rule)
+            result = simulate(auction, costs, Policy(quantity), config)
+        assert result.counts.cycles == cycles
+        assert totals == [result.counts.dispatches]
 
     def test_dispatch_gap_statistics_do_not_grow_with_the_run(self, base_costs):
         # p_success is 1, so 2,000 cycles of Q / n = 1,000 are 2e6 dispatches:

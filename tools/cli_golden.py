@@ -166,6 +166,12 @@ COMMANDS = [
     # before the first simulation.
     ["sweep", "--n-values", "100", "--t-values", "7,8", "--lambda-values", "14",
      "--include-simulation", "true", "--cycles", "600000", "--duration-sampler", "interarrival_sum"],
+    # Windows of 1e5 exponentials at p near 1/2, each summed in slices of 2**16.
+    ["simulate", "--n-required", "100000", "--max-time", "7142.857142857143",
+     "--quantity", "100000", "--cycles", "5", "--seed", "7", "--duration-sampler", "interarrival_sum"],
+    # A short run at a fractional quantity: ceil(7 * 250.5 / 100) = 18 dispatches.
+    ["simulate", "--quantity", "250.5", "--shortfall-rule", "carry_shortfall", "--cycles", "7",
+     "--seed", "3"],
 ]
 
 
