@@ -23,11 +23,14 @@ from (F, S).
 
 The stock before each dispatch is a closed form of its index, so the
 run's dispatch total D is known before the first draw. Every draw is
-sized to it: a dispatch batch holds min(_DRAW_BATCH, D - dispatches so
-far) dispatches, and a per-window batch ceil(that / p_success) windows.
-Under interarrival_sum the exponentials pass through one reused buffer
-of _CHUNK_BUDGET, so the memory that draws hold does not grow with
-n_required or the batch.
+sized to it: with r = min(_DRAW_BATCH, D - dispatches so far), a
+dispatch batch holds r dispatches and a per-window batch
+ceil(min(_CHUNK_BUDGET, r / p_success)) windows, so one accounting pass
+covers about r dispatches even at a small p_success. A run that writes an
+event log caps its windows at _DRAW_BATCH instead, which bounds what one
+log write holds. Under interarrival_sum the exponentials pass through one
+reused buffer of _CHUNK_BUDGET, so the memory that draws hold does not
+grow with n_required or the batch.
 
 Determinism contract: results are a pure function of (auction, costs,
 policy, config, stream). Random numbers come from
@@ -50,7 +53,7 @@ import contextlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Generator, Iterator
+from typing import IO, TYPE_CHECKING, Generator, Iterator, NamedTuple
 
 from .costmodel import CostParams, Policy, dispatches_per_cycle
 from .errors import ConfigError, NumericsError, check_int
@@ -62,13 +65,18 @@ if TYPE_CHECKING:
     # paths (optimize, sweeps without simulation) never load it.
     import numpy as np
 
-# Most windows per duration draw and dispatches per dispatch draw, and half
-# the windows per event-log write; a run asks only for what it still needs.
-# Exponentials in interarrival_sum's one buffer (512 KiB): whole runs took
-# 8 to 17 ns per exponential used through it at n_required = 10 to 1e5
-# (Intel Xeon, numpy 2.4); drawing a batch of 4096 windows as one array
-# took 10 to 220 ns, and 6.4 MB at n_required = 195.
+# Most dispatches per dispatch draw and per accounting pass, most windows
+# per duration draw of a logged run, and half the windows per event-log
+# write; a run asks only for what it still needs.
 _DRAW_BATCH = 1 << 12
+# Most windows per duration draw of an unlogged run (512 KiB of durations),
+# and the exponentials in interarrival_sum's one buffer (512 KiB): whole
+# runs took 8 to 17 ns per exponential used through it at n_required = 10
+# to 1e5 (Intel Xeon, numpy 2.4); drawing a batch of 4096 windows as one
+# array took 10 to 220 ns, and 6.4 MB at n_required = 195. At p_success =
+# 0.01 to 0.06, 4096 windows hold only 40 to 250 dispatches, and an
+# accounting pass per 4096 windows (about 35 numpy calls) cost about as
+# much as the gamma draws.
 _CHUNK_BUDGET = 1 << 16
 # Most units of work one simulate call may do: bidding windows, exponentials
 # under interarrival_sum, or dispatches on the dispatch sampler's table
@@ -180,19 +188,27 @@ def _draw_durations(
 
 
 def _regroup(
-    rng: np.random.Generator, sampler: DurationSampler, auction: AuctionParams, p: float, total: int
+    rng: np.random.Generator,
+    sampler: DurationSampler,
+    auction: AuctionParams,
+    p: float,
+    total: int,
+    logged: bool,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every dispatch's failed windows F and closing window S, from _draw_durations.
 
     Yields one batch per duration batch that holds a dispatch. With r of
     the run's total dispatches still to come, a duration batch has
-    ceil(min(_DRAW_BATCH, r / p)) windows. The failed windows after a
-    batch's last dispatch carry over into the next F.
+    ceil(min(cap, min(_DRAW_BATCH, r) / p)) windows, where cap is
+    _DRAW_BATCH for a logged run and _CHUNK_BUDGET otherwise. The failed
+    windows after a batch's last dispatch carry over into the next F.
     """
     import numpy as np
 
+    cap = _DRAW_BATCH if logged else _CHUNK_BUDGET
+
     def windows() -> int:
-        return math.ceil(min(_DRAW_BATCH, total / p))
+        return math.ceil(min(cap, min(_DRAW_BATCH, total) / p))
 
     durations = _draw_durations(rng, sampler, auction.n_required, auction.arrival_rate, windows())
     duration = next(durations)
@@ -358,35 +374,56 @@ def _ratio_se(costs_arr: "np.ndarray", lengths_arr: "np.ndarray", ratio: float) 
     return math.sqrt(float(residuals.var(ddof=1)) / n) / float(lengths_arr.mean())
 
 
+class _Plan(NamedTuple):
+    """What one stream will do, found before it draws anything."""
+
+    p: float  # success probability
+    table: np.ndarray | None  # the dispatch sampler's table, if it takes that route
+    per_cycle: int  # dispatches per cycle under reset_to_q
+    dispatches: int  # the run's dispatch total D
+    work: float  # the work estimate, in unit
+    unit: str
+
+
 def _plan(
     auction: AuctionParams, policy: Policy, config: SimulationConfig, logged: bool
-) -> tuple[float, float, np.ndarray | None, float, str]:
-    """Check that one stream can run, and estimate its work.
+) -> _Plan:
+    """Check that one stream can run, and count its dispatches and work.
 
-    Returns the success probability, the dispatches per cycle, the dispatch
-    sampler's table (None for the other samplers and the rejection route),
-    and the work estimate with its unit, as simulate documents them.
+    The table is None for the other samplers and the rejection route; the
+    work estimate and its unit are as simulate documents them.
     """
     if auction.unbounded:
         raise ConfigError("max_time: must be finite for simulation")
-    if config.shortfall_rule == "carry_shortfall" and policy.quantity < auction.n_required:
+    quantity, n_required = policy.quantity, auction.n_required
+    per_cycle = int(dispatches_per_cycle(quantity, n_required, "exact"))
+    if config.shortfall_rule == "reset_to_q":
+        dispatches = config.num_cycles * per_cycle
+        formula = "cycles * ceil(quantity / n_required)"
+    elif quantity < n_required:
         raise ConfigError(
             "carry_shortfall requires quantity >= n_required so the restart level stays positive"
         )
-    batches = dispatches_per_cycle(policy.quantity, auction.n_required, "exact")
+    else:
+        # Cycle c closes at the first dispatch that brings the units
+        # dispatched to c * Q or more, so the run ends at ceil(num_cycles *
+        # Q / n), taken exactly from Q's integer ratio.
+        numerator, denominator = quantity.as_integer_ratio()
+        dispatches = -(-config.num_cycles * numerator // (denominator * n_required))
+        formula = "ceil(cycles * quantity / n_required)"
     p = _nondegenerate_success_pair(auction)[0]
     sampler = config.duration_sampler
     table = _excess_table(auction, p) if sampler == "dispatch" else None
     if sampler == "interarrival_sum":
-        work = config.num_cycles * batches * auction.n_required / p
-        unit = "exponentials (cycles * ceil(quantity / n_required) * n_required / p_success)"
+        work = dispatches * n_required / p
+        unit = f"exponentials ({formula} * n_required / p_success)"
     elif table is not None and not logged:
-        work = config.num_cycles * batches
-        unit = "dispatches (cycles * ceil(quantity / n_required))"
+        work = dispatches
+        unit = f"dispatches ({formula})"
     else:
-        work = config.num_cycles * batches / p
-        unit = "bidding windows (cycles * ceil(quantity / n_required) / p_success)"
-    return p, batches, table, work, unit
+        work = dispatches / p
+        unit = f"bidding windows ({formula} / p_success)"
+    return _Plan(p, table, per_cycle, dispatches, work, unit)
 
 
 def simulate(
@@ -405,11 +442,13 @@ def simulate(
     of at least n_required. Raises DegenerateAuctionError before drawing
     anything when the success probability underflows, as such a run would
     never end; NumericsError, also before drawing anything, when the
-    estimated work exceeds _MAX_DRAWS units. With D = num_cycles *
-    ceil(Q / n_required) dispatches, the estimate is D on the dispatch
-    sampler's table route, D / p_success bidding windows under "erlang",
-    on the rejection route and for any logged run, and D * n_required /
-    p_success exponentials under "interarrival_sum". It also raises
+    estimated work exceeds _MAX_DRAWS units. With D dispatches in the run,
+    num_cycles * ceil(Q / n_required) under "reset_to_q" and
+    ceil(num_cycles * Q / n_required) under "carry_shortfall", the
+    estimate is D on the dispatch sampler's table route, D / p_success
+    bidding windows under "erlang", on the rejection route and for any
+    logged run, and D * n_required / p_success exponentials under
+    "interarrival_sum". It also raises
     NumericsError when the clock overflows double precision; the clock is
     checked before a batch is logged, so the log never holds a non-finite
     time. Every sampler's draws are accounted as each dispatch's failed
@@ -421,10 +460,10 @@ def simulate(
     Per dispatch the log holds F failure lines, the i-th starting
     i * max_time after the previous dispatch, then the success line.
     """
-    p, batches, table, work, unit = _plan(auction, policy, config, event_log is not None)
-    if work > _MAX_DRAWS:
+    plan = _plan(auction, policy, config, event_log is not None)
+    if plan.work > _MAX_DRAWS:
         raise NumericsError(
-            f"simulation would draw about {work:.3g} {unit}, over the budget of "
+            f"simulation would draw about {plan.work:.3g} {plan.unit}, over the budget of "
             f"{_MAX_DRAWS:.0e}; use fewer cycles or a smaller quantity"
         )
     n_required = auction.n_required
@@ -439,21 +478,11 @@ def simulate(
     # closed form of m; it is also the stock after dispatch m - 1. Below
     # 2**53 units every subtraction is exact, so the levels equal those of a
     # step-by-step replay bit for bit, and an int quantity keeps int levels.
-    # So is the run's dispatch total: ceil(Q / n) per cycle under
-    # reset_to_q; under carry_shortfall, cycle c closes at the first dispatch
-    # that brings the units dispatched to c * Q or more, so the run ends at
-    # ceil(num_cycles * Q / n), taken exactly from Q's integer ratio.
     if config.shortfall_rule == "reset_to_q":
-        per_cycle = int(batches)
-        total = config.num_cycles * per_cycle
-
         def level_before(m: np.ndarray) -> np.ndarray:
-            return quantity - (m % per_cycle) * n_required
+            return quantity - (m % plan.per_cycle) * n_required
 
     else:
-        numerator, denominator = quantity.as_integer_ratio()
-        total = -(-config.num_cycles * numerator // (denominator * n_required))
-
         def level_before(m: np.ndarray) -> np.ndarray:
             return quantity - np.fmod(m * n_required, quantity)
 
@@ -481,9 +510,11 @@ def simulate(
         else:
             log = stack.enter_context(open(event_log, "w", encoding="utf-8"))
         if config.duration_sampler == "dispatch":
-            draws = _draw_dispatches(rng, auction, p, table, total)
+            draws = _draw_dispatches(rng, auction, plan.p, plan.table, plan.dispatches)
         else:
-            draws = _regroup(rng, config.duration_sampler, auction, p, total)
+            draws = _regroup(
+                rng, config.duration_sampler, auction, plan.p, plan.dispatches, log is not None
+            )
         for failures, closes in draws:
             count = failures.size
             level = level_before(dispatches + np.arange(count))
@@ -497,8 +528,11 @@ def simulate(
                 failures, closes = failures[:count], closes[:count]
             # The clock after each dispatch's failed windows, then after its
             # closing window, added in sequence.
-            steps = np.column_stack((failures * max_time, closes)).ravel()
-            marks = np.cumsum(np.concatenate(([clock], steps)))
+            marks = np.empty(2 * count + 1)
+            marks[0] = clock
+            np.multiply(failures, max_time, out=marks[1::2])
+            marks[2::2] = closes
+            np.cumsum(marks, out=marks)
             times = marks[2::2]
             windows = count + _integer_sum(failures)
             if not math.isfinite(marks[-1]):
@@ -509,7 +543,7 @@ def simulate(
                     f"simulation clock overflowed at auction {auctions + overflowed}: "
                     f"{auction} has a time scale beyond double precision"
                 )
-            gaps = np.diff(times, prepend=clock)
+            gaps = times - marks[:-1:2]
             terms = (
                 costs.holding_rate * level * gaps
                 + costs.failure_penalty * failures
@@ -600,11 +634,11 @@ def replicate(
     """
     check_int("num_replications", num_replications, 1)
     if num_replications > 1:
-        work, unit = _plan(auction, policy, config, False)[3:]
-        total = num_replications * (work + _STREAM_UNITS)
+        plan = _plan(auction, policy, config, False)
+        total = num_replications * (plan.work + _STREAM_UNITS)
         if total > _MAX_DRAWS:
             raise NumericsError(
-                f"{num_replications} replications of about {work:.3g} {unit} each, plus "
+                f"{num_replications} replications of about {plan.work:.3g} {plan.unit} each, plus "
                 f"{_STREAM_UNITS} per stream for its fixed cost, {total:.3g} in all, are over "
                 f"the budget of {_MAX_DRAWS:.0e}; "
                 "use fewer replications, fewer cycles or a smaller quantity"

@@ -171,7 +171,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     for row in (row for row in rows if row.error is None):
         try:
             auction = AuctionParams(row.n, row.t, row.arrival_rate)
-            total += _plan(auction, Policy(row.q_star_real), spec.simulation, False)[3]
+            total += _plan(auction, Policy(row.q_star_real), spec.simulation, False).work
         except GroupBuyError:
             continue  # its simulation cannot run: the cell gets its error
         total += _STREAM_UNITS

@@ -44,10 +44,10 @@ def _reference_windows(auction, policy, config, rng):
             rng, config.duration_sampler, auction.n_required, auction.arrival_rate
         )
         return itertools.chain.from_iterable(batch.tolist() for batch in batches)
-    p, _, table, _, _ = simulator._plan(auction, policy, config, False)
+    plan = simulator._plan(auction, policy, config, False)
     return (
         window
-        for failures, closes in simulator._draw_dispatches(rng, auction, p, table)
+        for failures, closes in simulator._draw_dispatches(rng, auction, plan.p, plan.table)
         for f, s in zip(failures.tolist(), closes.tolist())
         for window in [auction.max_time] * int(f) + [s]
     )
@@ -301,6 +301,47 @@ class TestDrawBatches:
         monkeypatch.setattr(simulator, "_DRAW_BATCH", 7)
         assert simulate(base_auction, base_costs, base_policy, config) == default
 
+    @pytest.mark.parametrize("batch", [7, simulator._DRAW_BATCH], ids=["batch-7", "batch-default"])
+    @pytest.mark.parametrize("sampler", ["interarrival_sum", "erlang"])
+    def test_result_does_not_depend_on_the_window_cap(
+        self, monkeypatch, base_costs, sampler, batch
+    ):
+        # 100 cycles of ceil(130 / 40) = 4 dispatches at p = 0.019: about
+        # 21k windows, so a cap of 64 binds on every draw. n_required stays
+        # below it: interarrival_sum's slice width is min(n_required, cap).
+        auction = AuctionParams(n_required=40, max_time=2.0, arrival_rate=14.0)
+        config = _config(num_cycles=100, duration_sampler=sampler)
+        default = simulate(auction, base_costs, Policy(130.0), config)
+        monkeypatch.setattr(simulator, "_CHUNK_BUDGET", 64)
+        monkeypatch.setattr(simulator, "_DRAW_BATCH", batch)
+        assert simulate(auction, base_costs, Policy(130.0), config) == default
+
+    @pytest.mark.parametrize("logged", [False, True], ids=["unlogged", "logged"])
+    def test_per_window_draw_sizes(self, monkeypatch, base_costs, logged):
+        # (120, 7) at Q = 94: 500 dispatches at p = 0.017, about 29k windows.
+        # Unlogged, they come in one draw, or two when the first falls
+        # short; a logged run draws at most _DRAW_BATCH windows at a time.
+        sizes = []
+        draw = simulator._draw_durations
+
+        def counting(*args):
+            durations = draw(*args)
+            batch = next(durations)
+            while True:
+                sizes.append(batch.size)
+                batch = durations.send((yield batch))
+
+        monkeypatch.setattr(simulator, "_draw_durations", counting)
+        config = _config(num_cycles=500, duration_sampler="erlang")
+        log = io.StringIO() if logged else None
+        auction = AuctionParams(120, 7.0, 14.0)
+        result = simulate(auction, base_costs, Policy(94.0), config, event_log=log)
+        assert result.counts.auctions <= sum(sizes)
+        if logged:
+            assert max(sizes) <= simulator._DRAW_BATCH
+        else:
+            assert len(sizes) <= 2
+
     # A window of 2**23 exponentials is drawn in slices of 2**16 (512 KiB).
     @pytest.mark.parametrize("n_required,bound", [(1, 2 * 2**20), (2**23, 20 * 2**20)])
     def test_one_auction_run_draws_a_small_batch(self, base_costs, n_required, bound):
@@ -398,6 +439,7 @@ class TestDrawBatches:
             result = simulate(auction, costs, Policy(quantity), config)
         assert result.counts.cycles == cycles
         assert totals == [result.counts.dispatches]
+        assert simulator._plan(auction, Policy(quantity), config, False).dispatches == totals[0]
 
     def test_dispatch_gap_statistics_do_not_grow_with_the_run(self, base_costs):
         # p_success is 1, so 2,000 cycles of Q / n = 1,000 are 2e6 dispatches:
@@ -886,6 +928,16 @@ class TestValidation:
                 simulate(base_auction, base_costs, Policy(434.0), config)
         else:
             assert simulate(base_auction, base_costs, Policy(434.0), config).counts.cycles == 10
+
+    def test_carry_shortfall_estimate_counts_the_runs_dispatches(self, base_auction):
+        # ceil(3e8 * 101 / 100) = 3.03e8 dispatches, about 7e8 windows at
+        # p = 0.43: within the budget, where 3e8 cycles of ceil(101 / 100) = 2
+        # dispatches would be 1.38e9.
+        config = _config(num_cycles=300_000_000, shortfall_rule="carry_shortfall")
+        plan = simulator._plan(base_auction, Policy(101.0), config, False)
+        assert plan.dispatches == 303_000_000
+        assert plan.work < simulator._MAX_DRAWS
+        assert plan.unit == "bidding windows (ceil(cycles * quantity / n_required) / p_success)"
 
     def test_degenerate_design_raises_before_drawing(self):
         # p underflows to 0, so a run would never complete a cycle; the

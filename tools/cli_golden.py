@@ -172,6 +172,9 @@ COMMANDS = [
     # A short run at a fractional quantity: ceil(7 * 250.5 / 100) = 18 dispatches.
     ["simulate", "--quantity", "250.5", "--shortfall-rule", "carry_shortfall", "--cycles", "7",
      "--seed", "3"],
+    # About 29k windows at p = 0.017, drawn at once by an unlogged per-window run.
+    ["simulate", "--n-required", "120", "--max-time", "7", "--quantity", "94", "--cycles", "500",
+     "--duration-sampler", "erlang"],
 ]
 
 
