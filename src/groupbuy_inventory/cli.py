@@ -5,6 +5,13 @@ starts a comment) plus per-key override flags; a flag always wins over
 the file. All reports are plain deterministic text on stdout, or written
 to the file named by ``path`` / ``--out``.
 
+The command line ``COMMAND [CONFIG] (--KEY VALUE)*``, with exact flag
+names, each key once and no CONFIG or VALUE that starts with '-', is read
+without argparse, whose import (with gettext and locale) and set-up cost
+several milliseconds of every launch. argparse reads everything else
+(``--help``, usage errors, a flag given twice, ``--key=value``,
+abbreviated flags, values such as ``-1``), so those keep its behaviour.
+
 Exit codes: 0 success, 1 validation checks failed, 2 configuration
 error (including a usage error, a config file that cannot be read and a
 report that cannot be written), 3 numeric domain error, 4 sweep finished
@@ -13,7 +20,6 @@ with failed cells.
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -46,6 +52,8 @@ from .stochastics import (
 # The commands that simulate or sweep import the simulator or the sweep
 # themselves, so each command loads only the modules it runs.
 if TYPE_CHECKING:
+    import argparse
+
     from .simulator import SimulationResult
 
 # The cost keys every command requires, and the CostParams field each fills.
@@ -629,28 +637,38 @@ _COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors (unknown flag, missing value, unknown command) exit 2."""
+# Every config-key flag and its key, in the order build_parser registers them:
+# the keys' own flags, then --cycles and --out.
+_FLAGS = {
+    **{f"--{key.replace('_', '-')}": key for key in _PARSERS if key != "path"},
+    "--cycles": "num_cycles",
+    "--out": "path",
+}
 
-    def error(self, message):
-        raise ConfigError(message)
 
+def _read_command_line(argv: list[str]) -> tuple[str, str | None, dict[str, str]] | None:
+    """(command, config, overrides) of ``COMMAND [CONFIG] (--KEY VALUE)*``, or None.
 
-class _StoreOnce(argparse.Action):
-    """Store a flag's value; a second flag for the same key is a ConfigError.
-
-    Covers a repeated flag and a flag given with its alias (--cycles and
-    --num-cycles), which argparse would otherwise resolve last-wins.
+    Accepts only exact flags of _FLAGS, each key at most once (--cycles and
+    --num-cycles are one key), and no CONFIG or value that starts with '-';
+    the overrides follow _PARSERS' order, as argparse's namespace does.
+    None leaves the line to build_parser, which reads every other form.
     """
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        first_flag = vars(namespace).setdefault("_first_flag", {})
-        if self.dest in first_flag:
-            raise ConfigError(
-                f"{self.dest} given twice ({first_flag[self.dest]}, then {option_string})"
-            )
-        first_flag[self.dest] = option_string
-        setattr(namespace, self.dest, values)
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command, *rest = argv
+    config = None
+    if rest and not rest[0].startswith("-"):
+        config, *rest = rest
+    if len(rest) % 2:
+        return None
+    given: dict[str, str] = {}
+    for flag, value in zip(rest[::2], rest[1::2]):
+        key = _FLAGS.get(flag)
+        if key is None or key in given or value.startswith("-"):
+            return None
+        given[key] = value
+    return command, config, {key: given[key] for key in _PARSERS if key in given}
 
 
 def build_parser(command: str) -> argparse.ArgumentParser:
@@ -658,13 +676,42 @@ def build_parser(command: str) -> argparse.ArgumentParser:
 
     Only the subparser named ``command`` gets the config file and flags:
     the others need only exist, for the command list in ``--help`` and the
-    "invalid choice" error.
+    "invalid choice" error. argparse is imported here, so only a command
+    line that _read_command_line leaves to it loads argparse.
     """
-    parser = _Parser(
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """Usage errors (unknown flag, missing value, unknown command) exit 2."""
+
+        def error(self, message):
+            raise ConfigError(message)
+
+    class StoreOnce(argparse.Action):
+        """Store a flag's value; a second flag for the same key is a ConfigError.
+
+        Covers a repeated flag and a flag given with its alias (--cycles and
+        --num-cycles), which argparse would otherwise resolve last-wins.
+        """
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            first_flag = vars(namespace).setdefault("_first_flag", {})
+            if self.dest in first_flag:
+                raise ConfigError(
+                    f"{self.dest} given twice ({first_flag[self.dest]}, then {option_string})"
+                )
+            first_flag[self.dest] = option_string
+            setattr(namespace, self.dest, values)
+
+    parser = Parser(
         prog="groupbuy-inventory",
         description="Replenishment analytics for inventory feeding group-buying auctions.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    flag_help = {
+        "--cycles": "alias for --num-cycles",
+        "--out": "write the report to FILE instead of stdout",
+    }
     descriptions = {
         "optimize": "closed-form statistics, optimal quantity and cost breakdown",
         "simulate": "Monte Carlo run with analytic side-by-side comparison",
@@ -677,28 +724,28 @@ def build_parser(command: str) -> argparse.ArgumentParser:
             continue
         sub.add_argument("config", nargs="?", default=None,
                          help="path to a flat key = value config file")
-        for key in _PARSERS:
-            if key != "path":
-                sub.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None,
-                                 metavar="V", action=_StoreOnce)
-        sub.add_argument("--cycles", dest="num_cycles", default=None, metavar="V",
-                         action=_StoreOnce, help="alias for --num-cycles")
-        sub.add_argument("--out", dest="path", default=None, metavar="FILE",
-                         action=_StoreOnce, help="write the report to FILE instead of stdout")
+        for flag, key in _FLAGS.items():
+            sub.add_argument(flag, dest=key, default=None,
+                             metavar="FILE" if key == "path" else "V",
+                             action=StoreOnce, help=flag_help.get(flag))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         argv = sys.argv[1:] if argv is None else argv
-        args = build_parser(argv[0] if argv else "").parse_args(argv)
-        overrides = {
-            key: value
-            for key, value in vars(args).items()
-            if key in _PARSERS and value is not None
-        }
-        cfg = load_run_config(args.config, overrides)
-        text, code = _COMMANDS[args.command](cfg)
+        line = _read_command_line(argv)
+        if line is None:
+            args = build_parser(argv[0] if argv else "").parse_args(argv)
+            overrides = {
+                key: value
+                for key, value in vars(args).items()
+                if key in _PARSERS and value is not None
+            }
+            line = args.command, args.config, overrides
+        command, config_path, overrides = line
+        cfg = load_run_config(config_path, overrides)
+        text, code = _COMMANDS[command](cfg)
         if cfg.path is not None:
             try:
                 Path(cfg.path).write_text(text, encoding="utf-8")

@@ -90,6 +90,13 @@ _MAX_DRAWS = 10**9
 # default sampler. The budget then admits 1e5 streams: minutes and a few
 # hundred MB.
 _STREAM_UNITS = 10_000
+# Most cycles one stream may run: a stream keeps each cycle's cost and
+# length to the end, and its peak memory grew by about _CYCLE_BYTES per
+# cycle (two floats in arrays, then in the Python lists that math.fsum
+# reads; 1e6 and 3e6 one-dispatch cycles on the machine above), so 1e7
+# cycles are about 0.7 GB, whatever the work budget admits.
+_MAX_CYCLES = 10**7
+_CYCLE_BYTES = 72
 # The dispatch sampler draws the closing window by rejection from this
 # success probability up, and by its inverse-CDF table below it. Rejection
 # costs about 45/p ns per dispatch and the table 130 to 210 ns (measured at
@@ -442,7 +449,8 @@ def simulate(
     of at least n_required. Raises DegenerateAuctionError before drawing
     anything when the success probability underflows, as such a run would
     never end; NumericsError, also before drawing anything, when the
-    estimated work exceeds _MAX_DRAWS units. With D dispatches in the run,
+    estimated work exceeds _MAX_DRAWS units or num_cycles exceeds
+    _MAX_CYCLES. With D dispatches in the run,
     num_cycles * ceil(Q / n_required) under "reset_to_q" and
     ceil(num_cycles * Q / n_required) under "carry_shortfall", the
     estimate is D on the dispatch sampler's table route, D / p_success
@@ -461,11 +469,39 @@ def simulate(
     i * max_time after the previous dispatch, then the success line.
     """
     plan = _plan(auction, policy, config, event_log is not None)
+    _check_stream(plan, config)
+    return _run(auction, costs, policy, config, plan, stream, event_log)
+
+
+def _check_stream(plan: _Plan, config: SimulationConfig) -> None:
+    """Refuse one stream over the work budget or the cycle bound."""
     if plan.work > _MAX_DRAWS:
         raise NumericsError(
             f"simulation would draw about {plan.work:.3g} {plan.unit}, over the budget of "
             f"{_MAX_DRAWS:.0e}; use fewer cycles or a smaller quantity"
         )
+    _check_cycles(config)
+
+
+def _check_cycles(config: SimulationConfig) -> None:
+    """Refuse a stream that would keep more than _MAX_CYCLES cycles in memory."""
+    if config.num_cycles > _MAX_CYCLES:
+        raise NumericsError(
+            f"simulation would keep {config.num_cycles} cycles, over the bound of "
+            f"{_MAX_CYCLES:.0e} per stream (about {_CYCLE_BYTES} bytes each); use fewer cycles"
+        )
+
+
+def _run(
+    auction: AuctionParams,
+    costs: CostParams,
+    policy: Policy,
+    config: SimulationConfig,
+    plan: _Plan,
+    stream: int,
+    event_log: str | Path | IO[str] | None,
+) -> SimulationResult:
+    """simulate's run of one stream, from a plan already checked."""
     n_required = auction.n_required
     quantity = policy.quantity
     import numpy as np
@@ -630,20 +666,22 @@ def replicate(
     the same regardless of how many replications were requested. The work
     budget covers all streams: NumericsError is raised before any stream
     draws when num_replications times simulate's per-stream estimate plus
-    _STREAM_UNITS exceeds _MAX_DRAWS units.
+    _STREAM_UNITS exceeds _MAX_DRAWS units, or num_cycles exceeds
+    _MAX_CYCLES. The run is planned once, for every stream.
     """
     check_int("num_replications", num_replications, 1)
-    if num_replications > 1:
-        plan = _plan(auction, policy, config, False)
-        total = num_replications * (plan.work + _STREAM_UNITS)
-        if total > _MAX_DRAWS:
-            raise NumericsError(
-                f"{num_replications} replications of about {plan.work:.3g} {plan.unit} each, plus "
-                f"{_STREAM_UNITS} per stream for its fixed cost, {total:.3g} in all, are over "
-                f"the budget of {_MAX_DRAWS:.0e}; "
-                "use fewer replications, fewer cycles or a smaller quantity"
-            )
+    plan = _plan(auction, policy, config, False)
+    total = num_replications * (plan.work + _STREAM_UNITS)
+    if num_replications > 1 and total > _MAX_DRAWS:
+        raise NumericsError(
+            f"{num_replications} replications of about {plan.work:.3g} {plan.unit} each, plus "
+            f"{_STREAM_UNITS} per stream for its fixed cost, {total:.3g} in all, are over "
+            f"the budget of {_MAX_DRAWS:.0e}; "
+            "use fewer replications, fewer cycles or a smaller quantity"
+        )
+    # One stream keeps simulate's own message.
+    _check_stream(plan, config)
     return [
-        simulate(auction, costs, policy, config, stream=index)
+        _run(auction, costs, policy, config, plan, index, None)
         for index in range(num_replications)
     ]

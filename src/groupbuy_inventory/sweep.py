@@ -66,7 +66,8 @@ class SweepSpec:
         at the real-valued optimal quantity. A cell whose simulation fails
         (an unbounded window, say) keeps its closed-form numbers and gets
         an error naming the simulation. The simulations share one work
-        budget, checked before the first of them runs.
+        budget, checked with the per-stream cycle bound before the first
+        of them runs.
     """
 
     n_values: Sequence[int]
@@ -144,7 +145,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     cell; failed cells carry an error marker instead of numbers. Raises
     NumericsError before the first cell when the grid holds more than
     _MAX_CELLS cells, and before the first simulation when the cells'
-    simulations, each charged as one replicate stream, exceed _MAX_DRAWS.
+    simulations, each charged as one replicate stream, exceed _MAX_DRAWS
+    or the cycles exceed the simulator's per-stream _MAX_CYCLES.
     """
     n_axis = sorted(set(spec.n_values))
     for value in n_axis:
@@ -165,7 +167,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     ]
     if spec.simulation is None:
         return rows
-    from .simulator import _MAX_DRAWS, _STREAM_UNITS, _plan
+    from .simulator import _MAX_DRAWS, _STREAM_UNITS, _check_cycles, _plan
 
     total = 0.0
     for row in (row for row in rows if row.error is None):
@@ -181,6 +183,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             f"simulation estimate plus {_STREAM_UNITS} for its fixed cost), over the budget "
             f"of {_MAX_DRAWS:.0e}; use fewer axis values or fewer cycles"
         )
+    _check_cycles(spec.simulation)
     return [row if row.error is not None else _simulate_cell(row, spec) for row in rows]
 
 

@@ -569,6 +569,81 @@ class TestSchema:
         assert getattr(from_file, key) != getattr(unset, key)
 
 
+# Pieces of command lines: the commands and one bogus command; every flag and
+# argparse-only spellings (an unknown key, an abbreviation, key=value, help,
+# the end of options); values, some of which start with '-' or name a command.
+LINE_COMMANDS = [*cli._COMMANDS, "frobnicate"]
+LINE_FLAGS = [
+    *(f"--{key.replace('_', '-')}" for key in SCHEMA_KEYS if key != "path"),
+    "--cycles", "--out", "--path", "--cyc", "--seed=3", "-h", "--",
+]
+LINE_VALUES = ["5", "base.cfg", "-1", "", "a=b", "optimize"]
+LINE_PIECES = st.sampled_from(LINE_COMMANDS + LINE_FLAGS + LINE_VALUES)
+
+
+def argparse_line(argv):
+    """(command, config, overrides) as main read it from argparse's namespace alone."""
+    args = cli.build_parser(argv[0]).parse_args(argv)
+    overrides = {
+        key: value for key, value in vars(args).items() if key in cli._PARSERS and value is not None
+    }
+    return args.command, args.config, list(overrides.items())
+
+
+class TestCommandLine:
+    # A command, perhaps a config, flags each followed by a value or any piece,
+    # perhaps one more piece.
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        argv=st.tuples(
+            st.sampled_from(LINE_COMMANDS),
+            st.lists(st.sampled_from(LINE_VALUES), max_size=1),
+            st.lists(
+                st.tuples(st.sampled_from(LINE_FLAGS), st.sampled_from(LINE_VALUES) | LINE_PIECES),
+                max_size=4,
+            ),
+            st.lists(LINE_PIECES, max_size=1),
+        ).map(lambda parts: [parts[0], *parts[1], *(p for pair in parts[2] for p in pair),
+                             *parts[3]])
+    )
+    @example(argv=["simulate", "base.cfg", "--quantity", "434", "--cycles", "5", "--out", "a=b"])
+    @example(argv=["optimize", "", "--seed", "", "--n-values", "optimize"])
+    @example(argv=["validate"])
+    def test_recognized_line_is_argparses(self, argv):
+        line = cli._read_command_line(argv)
+        if line is not None:
+            command, config, overrides = line
+            assert argparse_line(argv) == (command, config, list(overrides.items()))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["optimize", "-h"],
+            ["optimize", "--help"],
+            ["frobnicate"],
+            ["optimize", "base.cfg", "base.cfg"],
+            ["optimize", "--seed", "3", "base.cfg"],
+            ["optimize", "--seed"],
+            ["optimize", "--seed", "-1"],
+            ["optimize", "--seed=3"],
+            ["optimize", "--cyc", "3"],
+            ["optimize", "--path", "report.txt"],
+            ["optimize", "--seed", "1", "--seed", "2"],
+            ["optimize", "--cycles", "1", "--num-cycles", "2"],
+            ["optimize", "--", "base.cfg"],
+            ["--seed", "3", "optimize"],
+        ],
+        ids=[
+            "empty", "-h", "--help", "unknown-command", "two-configs", "config-after-a-flag",
+            "missing-value", "negative-value", "key=value", "abbreviation", "path-flag",
+            "repeated-flag", "alias-and-flag", "end-of-options", "flag-first",
+        ],
+    )
+    def test_other_lines_are_left_to_argparse(self, argv):
+        assert cli._read_command_line(argv) is None
+
+
 class TestSubprocessEntry:
     def test_module_invocation_is_byte_deterministic(self, config_file):
         argv = [
@@ -667,6 +742,35 @@ class TestSubprocessEntry:
             "of 1e+09; use fewer axis values or fewer cycles\n"
         )
 
+    # (120, 6) at Q = 9: one table-route dispatch per cycle, about 0.5 us each.
+    LOW_P = ["--n-required", "120", "--max-time", "6", "--quantity", "9"]
+    CYCLE_BOUND = (
+        "numeric domain error: simulation would keep {} cycles, over the bound of 1e+07 per "
+        "stream (about 72 bytes each); use fewer cycles\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv,code,stderr",
+        [
+            # 1e9 dispatches fit the work budget, but not about 72 GB of cycles.
+            (["simulate", *LOW_P, "--cycles", "1000000000"], 3, CYCLE_BOUND.format(1000000000)),
+            (["simulate", *LOW_P, "--cycles", "20000000", "--replications", "2"], 3,
+             CYCLE_BOUND.format(20000000)),
+            (["sweep", "--n-values", "120", "--t-values", "6", "--lambda-values", "14",
+              "--include-simulation", "true", "--cycles", "20000000"], 3,
+             CYCLE_BOUND.format(20000000)),
+            (["simulate", *LOW_P, "--cycles", "2000000"], 0, ""),
+        ],
+        ids=["simulate", "replications", "sweep", "within-the-bound"],
+    )
+    def test_cycles_over_the_memory_bound_are_numeric_error(self, config_file, argv, code, stderr):
+        command, *flags = argv
+        result = subprocess.run(
+            [sys.executable, "-m", "groupbuy_inventory.cli", command, config_file, *flags],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (result.returncode, result.stderr) == (code, stderr)
+
     # n_required = 1e10 at p = 1: one window of 1e10 arrivals.
     FOUND = ["simulate", "--n-required", "10000000000", "--max-time", "785714285.7142857",
              "--quantity", "10000000000", "--cycles", "1"]
@@ -725,12 +829,12 @@ class TestSubprocessEntry:
             ("import groupbuy_inventory",
              ["numpy", *(f"groupbuy_inventory.{m}" for m in SUBMODULES)]),
             (cli_script("optimize"),
-             ["numpy", "groupbuy_inventory.simulator", "groupbuy_inventory.sweep"]),
+             ["argparse", "numpy", "groupbuy_inventory.simulator", "groupbuy_inventory.sweep"]),
             (cli_script("sweep", "--n-values", "100", "--t-values", "7", "--lambda-values", "14"),
-             ["numpy", "groupbuy_inventory.simulator"]),
+             ["argparse", "numpy", "groupbuy_inventory.simulator"]),
             (cli_script("simulate", "--quantity", "434", "--cycles", "200"),
-             ["groupbuy_inventory.sweep"]),
-            (cli_script("validate", "--cycles", "200"), ["groupbuy_inventory.sweep"]),
+             ["argparse", "groupbuy_inventory.sweep"]),
+            (cli_script("validate", "--cycles", "200"), ["argparse", "groupbuy_inventory.sweep"]),
         ],
         ids=["import", "cli-optimize", "cli-sweep", "cli-simulate", "cli-validate"],
     )

@@ -210,6 +210,18 @@ class TestReplicate:
         results = replicate(base_auction, base_costs, base_policy, config, 3)
         assert results[0] == simulate(base_auction, base_costs, base_policy, config, stream=0)
 
+    def test_plans_once_for_every_stream(self, monkeypatch, base_costs):
+        # p = 0.017: the dispatch sampler's table route, whose table the plan holds.
+        auction, policy, config = AuctionParams(120, 7.0, 14.0), Policy(94.0), _config(num_cycles=50)
+        expected = [
+            simulate(auction, base_costs, policy, config, stream=index) for index in range(5)
+        ]
+        plans = []
+        plan = simulator._plan
+        monkeypatch.setattr(simulator, "_plan", lambda *args: plans.append(plan(*args)) or plans[-1])
+        assert replicate(auction, base_costs, policy, config, 5) == expected
+        assert len(plans) == 1 and plans[0].table is not None
+
     def test_prefix_stability(self, base_auction, base_costs, base_policy):
         config = _config(num_cycles=300)
         two = replicate(base_auction, base_costs, base_policy, config, 2)

@@ -8,10 +8,10 @@ per tree as ``python -m groupbuy_inventory.cli`` on the base scenario
 (n_required=100, max_time=7, arrival_rate=14, costs 40/4/0.02/10/300);
 stdout, stderr and the exit code are compared byte for byte. The
 commands cover reports (sweeps in all three formats), ``--help``,
-rejected configs (exit 2), overflowing or underflowing results,
-simulations over the work budget and sweeps over the cell or simulation
-budget (exit 3), and failed sweep cells, whose reasons go to stderr
-(exit 4). A command that runs longer than TIMEOUT_S seconds on either
+spellings that only argparse reads, rejected configs (exit 2),
+overflowing or underflowing results, simulations over the work budget
+and sweeps over the cell or simulation budget (exit 3), and failed sweep
+cells, whose reasons go to stderr (exit 4). A command that runs longer than TIMEOUT_S seconds on either
 tree is stopped and counts as a difference.
 The script prints one line per command, the differing stdout and stderr
 lines, and a summary; it exits 0 when every command is identical and 1
@@ -175,6 +175,11 @@ COMMANDS = [
     # About 29k windows at p = 0.017, drawn at once by an unlogged per-window run.
     ["simulate", "--n-required", "120", "--max-time", "7", "--quantity", "94", "--cycles", "500",
      "--duration-sampler", "erlang"],
+    # Spellings that only argparse reads: key=value, abbreviated flags and a value
+    # that starts with '-' (as "--seed -1" above).
+    ["simulate", "--quantity=434", "--cycles", "300", "--seed", "7"],
+    ["simulate", "--quant", "434", "--cyc", "300", "--seed", "7"],
+    ["simulate", "--quantity", "-434", "--cycles", "300"],
 ]
 
 
