@@ -491,8 +491,16 @@ def cmd_validate(cfg: RunConfig) -> tuple[str, int]:
     auction = _auction_from(cfg)
     costs = cfg.costs
     _require_optimizable(costs)
-    if auction.unbounded:
-        raise ConfigError("max_time: must be finite for validation")
+    # Simulate first, so that its checks refuse a run before the grid work.
+    stats = auction_statistics(auction)
+    n = auction.n_required
+    if cfg.policy is not None:
+        policy = cfg.policy
+        quantity_origin = "config"
+    else:
+        policy = Policy(float(best_integer_quantity(stats, costs, n, cfg.td_mode)))
+        quantity_origin = "best integer optimum"
+    result = simulate(auction, costs, policy, replace(cfg.simulation, shortfall_rule="reset_to_q"))
 
     checks: list[tuple[str, str]] = []
 
@@ -573,16 +581,6 @@ def cmd_validate(cfg: RunConfig) -> tuple[str, int]:
     eoq = eoq_limit(_REFERENCE_COSTS, _REFERENCE_RATE)
     eoq_rel = abs(q_long - eoq) / eoq
     check(eoq_rel <= 1e-3, f"eoq limit: rel delta {eoq_rel:.2e} at max_time=1e5 (tol 1e-03)")
-
-    stats = auction_statistics(auction)
-    n = auction.n_required
-    if cfg.policy is not None:
-        policy = cfg.policy
-        quantity_origin = "config"
-    else:
-        policy = Policy(float(best_integer_quantity(stats, costs, n, cfg.td_mode)))
-        quantity_origin = "best integer optimum"
-    result = simulate(auction, costs, policy, replace(cfg.simulation, shortfall_rule="reset_to_q"))
 
     comparison = _analytic_comparison(result, stats, costs, policy, n)
     for key, text in (

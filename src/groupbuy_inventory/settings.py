@@ -46,10 +46,7 @@ class SimulationConfig:
         regrouped into each dispatch's F and S, so all three share one
         accounting path and one clock rule. The per-window two are kept as
         the reference for the dispatch one: the same system, other draws.
-        The work budget counts dispatches on the table route, bidding
-        windows under "erlang" and on the rejection route (one gamma draw
-        per window) and whenever an event log is written, and n_required
-        exponentials per window under "interarrival_sum".
+        simulate documents the work each of them is charged.
     """
 
     num_cycles: int

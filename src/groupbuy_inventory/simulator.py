@@ -50,6 +50,7 @@ change the results.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,11 +85,11 @@ _CHUNK_BUDGET = 1 << 16
 # (interarrival_sum), 80 to 110 ns per window (erlang) and 180 to 550 ns per
 # dispatch (dispatch sampler), on the machine above.
 _MAX_DRAWS = 10**9
-# Units charged per replication stream for its fixed cost (its generator,
-# result and report line): about 1 ms and 2 kB per stream, measured at
-# 1e3 to 2e4 one-cycle streams, where a unit costs about 100 ns on the
-# default sampler. The budget then admits 1e5 streams: minutes and a few
-# hundred MB.
+# Units charged per stream, when replications or sweep cells run several, for
+# its fixed cost (its generator, result and report line): about 1 ms and 2 kB
+# per stream, measured at 1e3 to 2e4 one-cycle streams, where a unit costs
+# about 100 ns on the default sampler. The budget then admits 1e5 streams:
+# minutes and a few hundred MB.
 _STREAM_UNITS = 10_000
 # Most cycles one stream may run: a stream keeps each cycle's cost and
 # length to the end, and its peak memory grew by about _CYCLE_BYTES per
@@ -233,25 +234,34 @@ def _regroup(
         duration = durations.send(windows())
 
 
+def _table_length(auction: AuctionParams, p: float) -> int:
+    """The dispatch sampler's table length, or 0 on its rejection route."""
+    length = 10 * math.isqrt(auction.n_required) + 100
+    return length if p < _TABLE_MAX_P and length <= _MAX_TABLE else 0
+
+
+@functools.lru_cache(maxsize=1)
 def _excess_table(auction: AuctionParams, p: float) -> np.ndarray | None:
     """Cumulative weights of N(T) - n_required given N(T) >= n_required.
 
-    N(T) is the Poisson(rate * T) count of arrivals in a window. None
-    selects the dispatch sampler's rejection route: from p = _TABLE_MAX_P
-    up, or when the table would exceed _MAX_TABLE entries.
+    N(T) is the Poisson(rate * T) count of arrivals in a window; None on
+    the rejection route. The last table is kept, read-only: replicate's
+    streams share it, and a sweep holds one table at a time.
     """
-    n = auction.n_required
-    length = 10 * math.isqrt(n) + 100
-    if p >= _TABLE_MAX_P or length > _MAX_TABLE:
+    length = _table_length(auction, p)
+    if not length:
         return None
     import numpy as np
 
+    n = auction.n_required
     # log P(N = n + k) - log P(N = n) sums log(rate * T / (n + j)) over
     # j = 1..k. Below _TABLE_MAX_P, rate * T < n + 1, so the weights fall
     # from 1, and the last is under e^-56 (scanned for n_required = 1 to
     # 1e8): far below the 2**-53 resolution of the uniform that inverts them.
     steps = np.log(auction.arrival_rate * auction.max_time / np.arange(n + 1.0, n + length))
-    return np.cumsum(np.exp(np.concatenate(([0.0], np.cumsum(steps)))))
+    table = np.cumsum(np.exp(np.concatenate(([0.0], np.cumsum(steps)))))
+    table.flags.writeable = False
+    return table
 
 
 def _draw_dispatches(
@@ -385,7 +395,6 @@ class _Plan(NamedTuple):
     """What one stream will do, found before it draws anything."""
 
     p: float  # success probability
-    table: np.ndarray | None  # the dispatch sampler's table, if it takes that route
     per_cycle: int  # dispatches per cycle under reset_to_q
     dispatches: int  # the run's dispatch total D
     work: float  # the work estimate, in unit
@@ -397,8 +406,7 @@ def _plan(
 ) -> _Plan:
     """Check that one stream can run, and count its dispatches and work.
 
-    The table is None for the other samplers and the rejection route; the
-    work estimate and its unit are as simulate documents them.
+    The work estimate and its unit are as simulate documents them.
     """
     if auction.unbounded:
         raise ConfigError("max_time: must be finite for simulation")
@@ -420,17 +428,16 @@ def _plan(
         formula = "ceil(cycles * quantity / n_required)"
     p = _nondegenerate_success_pair(auction)[0]
     sampler = config.duration_sampler
-    table = _excess_table(auction, p) if sampler == "dispatch" else None
     if sampler == "interarrival_sum":
         work = dispatches * n_required / p
         unit = f"exponentials ({formula} * n_required / p_success)"
-    elif table is not None and not logged:
+    elif sampler == "dispatch" and _table_length(auction, p) and not logged:
         work = dispatches
         unit = f"dispatches ({formula})"
     else:
         work = dispatches / p
         unit = f"bidding windows ({formula} / p_success)"
-    return _Plan(p, table, per_cycle, dispatches, work, unit)
+    return _Plan(p, per_cycle, dispatches, work, unit)
 
 
 def simulate(
@@ -448,15 +455,14 @@ def simulate(
     needs no simulation) and, under "carry_shortfall", a policy quantity
     of at least n_required. Raises DegenerateAuctionError before drawing
     anything when the success probability underflows, as such a run would
-    never end; NumericsError, also before drawing anything, when the
-    estimated work exceeds _MAX_DRAWS units or num_cycles exceeds
-    _MAX_CYCLES. With D dispatches in the run,
-    num_cycles * ceil(Q / n_required) under "reset_to_q" and
-    ceil(num_cycles * Q / n_required) under "carry_shortfall", the
-    estimate is D on the dispatch sampler's table route, D / p_success
-    bidding windows under "erlang", on the rejection route and for any
-    logged run, and D * n_required / p_success exponentials under
-    "interarrival_sum". It also raises
+    never end; NumericsError, also before drawing anything, when
+    _check_budget refuses the work estimate of _plan or num_cycles. With
+    D dispatches in the run, num_cycles * ceil(Q / n_required) under
+    "reset_to_q" and ceil(num_cycles * Q / n_required) under
+    "carry_shortfall", the estimate is D on the dispatch sampler's table
+    route, D / p_success bidding windows under "erlang", on the rejection
+    route and for any logged run, and D * n_required / p_success
+    exponentials under "interarrival_sum". It also raises
     NumericsError when the clock overflows double precision; the clock is
     checked before a batch is logged, so the log never holds a non-finite
     time. Every sampler's draws are accounted as each dispatch's failed
@@ -469,22 +475,31 @@ def simulate(
     i * max_time after the previous dispatch, then the success line.
     """
     plan = _plan(auction, policy, config, event_log is not None)
-    _check_stream(plan, config)
+    _check_budget(plan.work, plan.unit, 1, config)
     return _run(auction, costs, policy, config, plan, stream, event_log)
 
 
-def _check_stream(plan: _Plan, config: SimulationConfig) -> None:
-    """Refuse one stream over the work budget or the cycle bound."""
-    if plan.work > _MAX_DRAWS:
+def _check_budget(work: float, unit: str, streams: int, config: SimulationConfig) -> None:
+    """Refuse simulations over the work budget, then over the cycle bound.
+
+    The one size check of simulate, replicate and simulated sweeps. work
+    is the estimate of all streams together, in unit. Several streams also
+    pay _STREAM_UNITS each for their fixed cost; a single stream pays
+    nothing. Each stream may keep at most _MAX_CYCLES cycles.
+    """
+    total = work + (streams * _STREAM_UNITS if streams > 1 else 0)
+    if total > _MAX_DRAWS and streams > 1:
         raise NumericsError(
-            f"simulation would draw about {plan.work:.3g} {plan.unit}, over the budget of "
-            f"{_MAX_DRAWS:.0e}; use fewer cycles or a smaller quantity"
+            f"{streams} simulations of about {work / streams:.3g} {unit} each, plus "
+            f"{_STREAM_UNITS} per simulation for its fixed cost, {total:.3g} in all, are over "
+            f"the budget of {_MAX_DRAWS:.0e}; use fewer simulations, fewer cycles or a smaller "
+            "quantity"
         )
-    _check_cycles(config)
-
-
-def _check_cycles(config: SimulationConfig) -> None:
-    """Refuse a stream that would keep more than _MAX_CYCLES cycles in memory."""
+    if total > _MAX_DRAWS:
+        raise NumericsError(
+            f"simulation would draw about {work:.3g} {unit}, over the budget of {_MAX_DRAWS:.0e}; "
+            "use fewer cycles or a smaller quantity"
+        )
     if config.num_cycles > _MAX_CYCLES:
         raise NumericsError(
             f"simulation would keep {config.num_cycles} cycles, over the bound of "
@@ -546,7 +561,8 @@ def _run(
         else:
             log = stack.enter_context(open(event_log, "w", encoding="utf-8"))
         if config.duration_sampler == "dispatch":
-            draws = _draw_dispatches(rng, auction, plan.p, plan.table, plan.dispatches)
+            table = _excess_table(auction, plan.p)
+            draws = _draw_dispatches(rng, auction, plan.p, table, plan.dispatches)
         else:
             draws = _regroup(
                 rng, config.duration_sampler, auction, plan.p, plan.dispatches, log is not None
@@ -663,24 +679,13 @@ def replicate(
     """Run independent replications on streams 0 .. num_replications - 1.
 
     Replication r always uses stream index r, so any prefix of the list is
-    the same regardless of how many replications were requested. The work
-    budget covers all streams: NumericsError is raised before any stream
-    draws when num_replications times simulate's per-stream estimate plus
-    _STREAM_UNITS exceeds _MAX_DRAWS units, or num_cycles exceeds
-    _MAX_CYCLES. The run is planned once, for every stream.
+    the same regardless of how many replications were requested. The run
+    is planned once, for every stream, and _check_budget refuses all the
+    streams together before any of them draws.
     """
     check_int("num_replications", num_replications, 1)
     plan = _plan(auction, policy, config, False)
-    total = num_replications * (plan.work + _STREAM_UNITS)
-    if num_replications > 1 and total > _MAX_DRAWS:
-        raise NumericsError(
-            f"{num_replications} replications of about {plan.work:.3g} {plan.unit} each, plus "
-            f"{_STREAM_UNITS} per stream for its fixed cost, {total:.3g} in all, are over "
-            f"the budget of {_MAX_DRAWS:.0e}; "
-            "use fewer replications, fewer cycles or a smaller quantity"
-        )
-    # One stream keeps simulate's own message.
-    _check_stream(plan, config)
+    _check_budget(num_replications * plan.work, plan.unit, num_replications, config)
     return [
         _run(auction, costs, policy, config, plan, index, None)
         for index in range(num_replications)

@@ -65,9 +65,11 @@ class SweepSpec:
     simulation: when given, each successful cell also runs one simulation
         at the real-valued optimal quantity. A cell whose simulation fails
         (an unbounded window, say) keeps its closed-form numbers and gets
-        an error naming the simulation. The simulations share one work
-        budget, checked with the per-stream cycle bound before the first
-        of them runs.
+        an error naming the simulation. The simulator's _check_budget
+        checks the simulations together before the first of them runs.
+        Every cell runs on stream 0, as common random numbers: the errors
+        of neighbouring cells' delta are correlated, and each cell's
+        halfwidth holds for that cell alone.
     """
 
     n_values: Sequence[int]
@@ -120,21 +122,9 @@ def _evaluate_cell(n: int, t: float, rate: float, spec: SweepSpec) -> SweepRow:
     return SweepRow(n, t, rate, stats.p_success, td, q_star, q_int, cost_star)
 
 
-def _simulate_cell(row: SweepRow, spec: SweepSpec) -> SweepRow:
-    from .simulator import simulate
-
+def _simulation_failed(row: SweepRow, exc: GroupBuyError) -> SweepRow:
     # A failed simulation keeps the cell's closed-form numbers.
-    try:
-        auction = AuctionParams(row.n, row.t, row.arrival_rate)
-        result = simulate(auction, spec.costs, Policy(row.q_star_real), spec.simulation)
-    except GroupBuyError as exc:
-        return dataclasses.replace(row, error=f"simulation: {type(exc).__name__}: {exc}")
-    return dataclasses.replace(
-        row,
-        sim_cost=result.long_run_cost,
-        sim_halfwidth=result.long_run_cost_halfwidth,
-        delta=result.long_run_cost - row.optimal_cost,
-    )
+    return dataclasses.replace(row, error=f"simulation: {type(exc).__name__}: {exc}")
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -144,9 +134,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     a deterministic function of the axis sets. Always returns one row per
     cell; failed cells carry an error marker instead of numbers. Raises
     NumericsError before the first cell when the grid holds more than
-    _MAX_CELLS cells, and before the first simulation when the cells'
-    simulations, each charged as one replicate stream, exceed _MAX_DRAWS
-    or the cycles exceed the simulator's per-stream _MAX_CYCLES.
+    _MAX_CELLS cells, and before the first simulation when the
+    simulator's _check_budget refuses the cells' simulations together.
     """
     n_axis = sorted(set(spec.n_values))
     for value in n_axis:
@@ -165,26 +154,36 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         for t in t_axis
         for rate in rate_axis
     ]
-    if spec.simulation is None:
+    config = spec.simulation
+    if config is None:
         return rows
-    from .simulator import _MAX_DRAWS, _STREAM_UNITS, _check_cycles, _plan
+    from .simulator import _check_budget, _plan, _run
 
-    total = 0.0
-    for row in (row for row in rows if row.error is None):
+    planned = {}
+    for index, row in enumerate(rows):
+        if row.error is None:
+            try:
+                auction = AuctionParams(row.n, row.t, row.arrival_rate)
+                policy = Policy(row.q_star_real)
+                planned[index] = auction, policy, _plan(auction, policy, config, False)
+            except GroupBuyError as exc:
+                rows[index] = _simulation_failed(row, exc)
+    _check_budget(sum(plan.work for _, _, plan in planned.values()), "units", len(planned), config)
+    for index, (auction, policy, plan) in planned.items():
+        row = rows[index]
         try:
-            auction = AuctionParams(row.n, row.t, row.arrival_rate)
-            total += _plan(auction, Policy(row.q_star_real), spec.simulation, False).work
-        except GroupBuyError:
-            continue  # its simulation cannot run: the cell gets its error
-        total += _STREAM_UNITS
-    if total > _MAX_DRAWS:
-        raise NumericsError(
-            f"sweep simulations would draw about {total:.3g} units in all (each cell's "
-            f"simulation estimate plus {_STREAM_UNITS} for its fixed cost), over the budget "
-            f"of {_MAX_DRAWS:.0e}; use fewer axis values or fewer cycles"
+            # Stream 0 in every cell, as common random numbers: neighbouring deltas err alike.
+            result = _run(auction, spec.costs, policy, config, plan, 0, None)
+        except GroupBuyError as exc:
+            rows[index] = _simulation_failed(row, exc)
+            continue
+        rows[index] = dataclasses.replace(
+            row,
+            sim_cost=result.long_run_cost,
+            sim_halfwidth=result.long_run_cost_halfwidth,
+            delta=result.long_run_cost - row.optimal_cost,
         )
-    _check_cycles(spec.simulation)
-    return [row if row.error is not None else _simulate_cell(row, spec) for row in rows]
+    return rows
 
 
 def _format_number(value: float | int | None) -> str:

@@ -737,9 +737,9 @@ class TestSubprocessEntry:
         assert result.returncode == 3
         assert result.stdout == ""
         assert result.stderr == (
-            "numeric domain error: sweep simulations would draw about 1.17e+09 units in all "
-            "(each cell's simulation estimate plus 10000 for its fixed cost), over the budget "
-            "of 1e+09; use fewer axis values or fewer cycles\n"
+            "numeric domain error: 2 simulations of about 5.84e+08 units each, plus 10000 per "
+            "simulation for its fixed cost, 1.17e+09 in all, are over the budget of 1e+09; "
+            "use fewer simulations, fewer cycles or a smaller quantity\n"
         )
 
     # (120, 6) at Q = 9: one table-route dispatch per cycle, about 0.5 us each.

@@ -47,7 +47,9 @@ def _reference_windows(auction, policy, config, rng):
     plan = simulator._plan(auction, policy, config, False)
     return (
         window
-        for failures, closes in simulator._draw_dispatches(rng, auction, plan.p, plan.table)
+        for failures, closes in simulator._draw_dispatches(
+            rng, auction, plan.p, simulator._excess_table(auction, plan.p)
+        )
         for f, s in zip(failures.tolist(), closes.tolist())
         for window in [auction.max_time] * int(f) + [s]
     )
@@ -211,7 +213,7 @@ class TestReplicate:
         assert results[0] == simulate(base_auction, base_costs, base_policy, config, stream=0)
 
     def test_plans_once_for_every_stream(self, monkeypatch, base_costs):
-        # p = 0.017: the dispatch sampler's table route, whose table the plan holds.
+        # p = 0.017: the dispatch sampler's table route, whose table all streams share.
         auction, policy, config = AuctionParams(120, 7.0, 14.0), Policy(94.0), _config(num_cycles=50)
         expected = [
             simulate(auction, base_costs, policy, config, stream=index) for index in range(5)
@@ -219,8 +221,11 @@ class TestReplicate:
         plans = []
         plan = simulator._plan
         monkeypatch.setattr(simulator, "_plan", lambda *args: plans.append(plan(*args)) or plans[-1])
+        simulator._excess_table.cache_clear()
         assert replicate(auction, base_costs, policy, config, 5) == expected
-        assert len(plans) == 1 and plans[0].table is not None
+        # One plan, and one table built, then reused by the other four streams.
+        assert len(plans) == 1 and simulator._excess_table.cache_info()[:2] == (4, 1)
+        assert simulator._excess_table(auction, plans[0].p) is not None
 
     def test_prefix_stability(self, base_auction, base_costs, base_policy):
         config = _config(num_cycles=300)
@@ -242,10 +247,10 @@ class TestReplicate:
         [
             # 10 cycles of ceil(434 / 100) = 5 dispatches at p = 0.4333: 115.4
             # windows per stream, plus 10,000 for the stream itself; 30,346 for three.
-            (3, r"^3 replications of about 115 bidding windows \(cycles \* ceil\(quantity / "
-                r"n_required\) / p_success\) each, plus 10000 per stream for its fixed cost, "
+            (3, r"^3 simulations of about 115 bidding windows \(cycles \* ceil\(quantity / "
+                r"n_required\) / p_success\) each, plus 10000 per simulation for its fixed cost, "
                 r"3\.03e\+04 in all, are over the budget of 3e\+04; "
-                r"use fewer replications, fewer cycles or a smaller quantity$"),
+                r"use fewer simulations, fewer cycles or a smaller quantity$"),
             # One stream keeps simulate's own message.
             (1, r"^simulation would draw about 115 bidding windows"),
         ],

@@ -9,14 +9,17 @@ from hypothesis import strategies as st
 
 from groupbuy_inventory import (
     CSV_COLUMNS,
+    AuctionParams,
     NumericsError,
     ParameterError,
+    Policy,
     SimulationConfig,
     SweepRow,
     SweepSpec,
     costmodel,
     emit_report,
     run_sweep,
+    simulate,
     simulator,
     sweep,
 )
@@ -191,14 +194,93 @@ class TestRunSweep:
             def no_simulations(*args):
                 raise AssertionError("a cell was simulated")
 
-            monkeypatch.setattr(simulator, "simulate", no_simulations)
+            monkeypatch.setattr(simulator, "_run", no_simulations)
             with pytest.raises(
                 NumericsError,
-                match=r"^sweep simulations would draw about 2\.02e\+04 units in all \(each "
-                r"cell's simulation estimate plus 10000 for its fixed cost\), over the budget "
-                r"of 2e\+04; use fewer axis values or fewer cycles$",
+                match=r"^2 simulations of about 97\.4 units each, plus 10000 per simulation for "
+                r"its fixed cost, 2\.02e\+04 in all, are over the budget of 2e\+04; use fewer "
+                r"simulations, fewer cycles or a smaller quantity$",
             ):
                 run_sweep(spec)
+
+    @pytest.mark.parametrize("refused", [True, False])
+    def test_sweep_builds_each_table_as_its_cell_runs(self, monkeypatch, base_costs, refused):
+        # Six table-route cells (p from 2e-6 to 0.017): their plans hold no
+        # table, so a refused sweep builds none, and a run one builds each
+        # cell's table in that cell's run.
+        if refused:
+            monkeypatch.setattr(simulator, "_MAX_DRAWS", 10**4)
+        spec = SweepSpec(
+            n_values=(120, 130), t_values=(6.0, 6.5, 7.0), lambda_values=(14.0,),
+            costs=base_costs, simulation=SimulationConfig(num_cycles=20, seed=5),
+        )
+        simulator._excess_table.cache_clear()
+        with mock.patch.object(simulator, "_excess_table", wraps=simulator._excess_table) as table:
+            if refused:
+                with pytest.raises(NumericsError, match=r"^6 simulations of about "):
+                    run_sweep(spec)
+            else:
+                rows = run_sweep(spec)
+        if refused:
+            assert table.call_count == 0
+        else:
+            assert all(row.error is None and row.sim_cost is not None for row in rows)
+            assert [call.args[0] for call in table.call_args_list] == [
+                AuctionParams(row.n, row.t, row.arrival_rate) for row in rows
+            ]
+
+    def test_each_simulated_cell_is_planned_once(self, base_costs):
+        spec = SweepSpec(
+            n_values=(100,), t_values=(7.0, 8.0, math.inf), lambda_values=(14.0,),
+            costs=base_costs, simulation=SimulationConfig(num_cycles=10, seed=5),
+        )
+        with mock.patch.object(simulator, "_plan", wraps=simulator._plan) as plan:
+            rows = run_sweep(spec)
+        # The unbounded window's plan raises; the other two cells run from theirs.
+        assert plan.call_count == 3
+        assert [(row.sim_cost, row.sim_halfwidth, row.delta, row.error) for row in rows] == [
+            (39.49566950057518, 9.095876929606801, 1.390202753782475, None),
+            (66.98967901336366, 6.68704006289431, -0.21122205596923038, None),
+            (None, None, None, "simulation: ConfigError: max_time: must be finite for simulation"),
+        ]
+
+    @pytest.mark.parametrize("budget,refused", [(115, True), (116, False)])
+    def test_one_simulated_cell_pays_no_fixed_cost(self, monkeypatch, base_costs, budget, refused):
+        # 10 cycles of 5 dispatches at p = 0.4333: 115.4 windows, charged as
+        # a single stream, as simulate charges it.
+        monkeypatch.setattr(simulator, "_MAX_DRAWS", budget)
+        spec = SweepSpec(
+            n_values=(100,), t_values=(7.0,), lambda_values=(14.0,),
+            costs=base_costs, simulation=SimulationConfig(num_cycles=10, seed=5),
+        )
+        if refused:
+            with pytest.raises(
+                NumericsError,
+                match=r"^simulation would draw about 115 units, over the budget of 1e\+02; "
+                r"use fewer cycles or a smaller quantity$",
+            ):
+                run_sweep(spec)
+        else:
+            (row,) = run_sweep(spec)
+            assert row.error is None and row.sim_cost is not None
+
+    def test_simulated_cells_share_stream_zero(self, base_costs):
+        # Common random numbers across the grid: each cell is simulate's stream 0.
+        config = SimulationConfig(num_cycles=200, seed=11)
+        spec = SweepSpec(
+            n_values=(100,), t_values=(7.0,), lambda_values=(14.0, 14.5),
+            costs=base_costs, simulation=config,
+        )
+        rows = run_sweep(spec)
+        assert len(rows) == 2
+        for row in rows:
+            result = simulate(
+                AuctionParams(row.n, row.t, row.arrival_rate), base_costs,
+                Policy(row.q_star_real), config, stream=0,
+            )
+            assert (row.sim_cost, row.sim_halfwidth) == (
+                result.long_run_cost, result.long_run_cost_halfwidth
+            )
 
     def test_spec_validation(self, base_costs):
         with pytest.raises(ParameterError):

@@ -180,6 +180,10 @@ COMMANDS = [
     ["simulate", "--quantity=434", "--cycles", "300", "--seed", "7"],
     ["simulate", "--quant", "434", "--cyc", "300", "--seed", "7"],
     ["simulate", "--quantity", "-434", "--cycles", "300"],
+    # One simulated cell of 1.04e9 units: over the budget as a single stream, which
+    # pays no fixed cost: exit 3 before the simulation.
+    ["sweep", "--n-values", "100", "--t-values", "7", "--lambda-values", "14",
+     "--include-simulation", "true", "--cycles", "900000", "--duration-sampler", "interarrival_sum"],
 ]
 
 
