@@ -23,10 +23,10 @@ cost and the failure penalty: those terms do not depend on Q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from typing import Literal
 
-from .errors import NumericsError, ParameterError, check_choice, check_int
+from .errors import NumericsError, ParameterError, check_choice, check_int, record
 from .stochastics import AuctionStatistics, TdMode, select_dispatch_time
 
 AMode = Literal["exact", "approx"]
@@ -34,7 +34,7 @@ AMode = Literal["exact", "approx"]
 A_MODES: tuple[str, ...] = ("exact", "approx")
 
 
-@dataclass(frozen=True)
+@record
 class CostParams:
     """Cost coefficients of the replenishment system.
 
@@ -63,7 +63,7 @@ class CostParams:
                 raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
 
 
-@dataclass(frozen=True)
+@record
 class Policy:
     """Replenishment policy: reorder up to ``quantity`` units."""
 
@@ -74,7 +74,7 @@ class Policy:
             raise ParameterError(f"quantity must be finite and > 0, got {self.quantity!r}")
 
 
-@dataclass(frozen=True)
+@record
 class CostBreakdown:
     """Expected cost of one replenishment cycle, split by source.
 
@@ -155,7 +155,8 @@ def _cycle_costs(
     cycle_total = holding + dispatching + transport + penalty + costs.reorder_cost
     values = (holding, dispatching, transport, penalty, costs.reorder_cost, cycle_length,
               cycle_total, _divide(cycle_total, cycle_length, "cycle length"))
-    if not all(map(math.isfinite, values)):
+    # A field that is not finite makes cycle_total, and so this sum, not finite.
+    if not math.isfinite(cycle_total + cycle_length + values[-1]):
         for field, value in zip(fields(CostBreakdown), values):
             if not math.isfinite(value):
                 raise NumericsError(f"expected {field.name} is not finite: {value!r}")
@@ -198,16 +199,19 @@ def long_run_average_cost(
     return _cycle_costs(stats, costs, policy.quantity, n, td, batches, a_mode)[-1]
 
 
+_Q_FREE_TERMS = ("holding_batch", "dispatch", "transport", "penalty")
+
+
 def _q_free_rate_terms(
     stats: AuctionStatistics, costs: CostParams, n: float, td: float
-) -> dict[str, float]:
-    # The four cost-rate terms that do not depend on Q, in report order.
-    return {
-        "holding_batch": costs.holding_rate * n / 2.0,
-        "dispatch": costs.dispatch_cost / td,
-        "transport": costs.unit_transport_cost * n / td,
-        "penalty": costs.failure_penalty * stats.expected_failures / td,
-    }
+) -> tuple[float, float, float, float]:
+    # The four cost-rate terms that do not depend on Q, in _Q_FREE_TERMS order.
+    return (
+        costs.holding_rate * n / 2.0,
+        costs.dispatch_cost / td,
+        costs.unit_transport_cost * n / td,
+        costs.failure_penalty * stats.expected_failures / td,
+    )
 
 
 def cost_rate_terms(
@@ -227,7 +231,7 @@ def cost_rate_terms(
     q = policy.quantity
     return {
         "holding_quantity": costs.holding_rate * q / 2.0,
-        **_q_free_rate_terms(stats, costs, n, td),
+        **dict(zip(_Q_FREE_TERMS, _q_free_rate_terms(stats, costs, n, td))),
         "reorder": _divide(costs.reorder_cost * n, q * td, "quantity * dispatch time"),
     }
 
@@ -283,11 +287,11 @@ def optimal_quantity(
 
 
 def _optimal_cost(stats: AuctionStatistics, costs: CostParams, n: float, td: float) -> float:
+    holding_batch, dispatch, transport, penalty = _q_free_rate_terms(stats, costs, n, td)
+    # Left to right, not sum(): from Python 3.12 sum() compensates float
+    # roundoff, which would move the last printed digits.
     rate = math.sqrt(2.0 * costs.holding_rate * costs.reorder_cost * n / td)
-    # A left-to-right loop, not sum(): from Python 3.12 sum() compensates
-    # float roundoff, which would move the last printed digits.
-    for term in _q_free_rate_terms(stats, costs, n, td).values():
-        rate += term
+    rate = rate + holding_batch + dispatch + transport + penalty
     return _finite(rate, "optimal cost rate")
 
 

@@ -7,10 +7,9 @@ parses these settings (optimize, a sweep without simulation) loads neither.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Literal
 
-from .errors import ParameterError, check_choice, check_int
+from .errors import ParameterError, check_choice, check_int, record
 
 ShortfallRule = Literal["reset_to_q", "carry_shortfall"]
 DurationSampler = Literal["interarrival_sum", "erlang", "dispatch"]
@@ -22,7 +21,7 @@ REPORT_FORMATS: tuple[str, ...] = ("csv", "json", "markdown")
 _MAX_SEED = 2**64
 
 
-@dataclass(frozen=True)
+@record
 class SimulationConfig:
     """Run-length, seeding and behavioural switches for one simulation.
 

@@ -51,13 +51,13 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Generator, Iterator, NamedTuple
 
 from .costmodel import CostParams, Policy, dispatches_per_cycle
-from .errors import ConfigError, NumericsError, check_int
+from .errors import ConfigError, NumericsError, check_int, record
 from .settings import DurationSampler, SimulationConfig
 from .stochastics import AuctionParams, _nondegenerate_success_pair
 
@@ -93,11 +93,11 @@ _MAX_DRAWS = 10**9
 _STREAM_UNITS = 10_000
 # Most cycles one stream may run: a stream keeps each cycle's cost and
 # length to the end, and its peak memory grew by about _CYCLE_BYTES per
-# cycle (two floats in arrays, then in the Python lists that math.fsum
-# reads; 1e6 and 3e6 one-dispatch cycles on the machine above), so 1e7
-# cycles are about 0.7 GB, whatever the work budget admits.
+# cycle (two floats in arrays, copied into one array each at the end; peak RSS
+# at 1e6 and 3e6 one-dispatch cycles of (120, 6), Q = 9, on the machine above),
+# so 1e7 cycles are about 0.5 GB, whatever the work budget admits.
 _MAX_CYCLES = 10**7
-_CYCLE_BYTES = 72
+_CYCLE_BYTES = 48
 # The dispatch sampler draws the closing window by rejection from this
 # success probability up, and by its inverse-CDF table below it. Rejection
 # costs about 45/p ns per dispatch and the table 130 to 210 ns (measured at
@@ -110,7 +110,7 @@ _MAX_TABLE = 1 << 18
 _Z_95 = 1.959963984540054
 
 
-@dataclass(frozen=True)
+@record
 class SimulationCounts:
     """Event tallies: failures + dispatches == auctions, cycles == num_cycles."""
 
@@ -120,7 +120,7 @@ class SimulationCounts:
     cycles: int
 
 
-@dataclass(frozen=True)
+@record
 class SimulationResult:
     """Point estimates with standard errors from one simulation stream.
 
@@ -366,8 +366,11 @@ def _write_windows(
 
 
 def _fsum(values: "np.ndarray") -> float:
+    # One exact math.fsum, fed from lists of at most _CHUNK_BUDGET values: a
+    # list of the whole array would take 32 bytes per value.
+    chunks = (values[i:i + _CHUNK_BUDGET].tolist() for i in range(0, values.size, _CHUNK_BUDGET))
     try:
-        return math.fsum(values.tolist())
+        return math.fsum(itertools.chain.from_iterable(chunks))
     except OverflowError:  # finite terms whose sum overflows
         return math.inf
 

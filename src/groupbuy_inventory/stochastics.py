@@ -28,11 +28,10 @@ argument rather than silently preferring one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Literal
 
 from .errors import DegenerateAuctionError, DomainError, NumericsError, ParameterError
-from .errors import check_choice, check_int
+from .errors import check_choice, check_int, record
 
 TdMode = Literal["paper", "consistent"]
 
@@ -48,7 +47,7 @@ _FPMIN = 1e-300
 _LOG_UNDERFLOW = -745.0
 
 
-@dataclass(frozen=True)
+@record
 class AuctionParams:
     """Design of one group-buying auction.
 
@@ -75,7 +74,7 @@ class AuctionParams:
         return math.isinf(self.max_time)
 
 
-@dataclass(frozen=True)
+@record
 class AuctionStatistics:
     """Closed-form summary of one auction design.
 

@@ -17,8 +17,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import operator
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 # The three public optimum names go unused here; perfbench's trace replay patches them.
 from .costmodel import (  # noqa: F401
@@ -29,13 +28,13 @@ from .costmodel import (  # noqa: F401
     optimal_cost,
     optimal_quantity,
 )
-from .errors import GroupBuyError, NumericsError, ParameterError, check_choice, check_int
+from .errors import GroupBuyError, NumericsError, ParameterError, check_choice, check_int, record
 from .settings import REPORT_FORMATS, SimulationConfig
 from .stochastics import TD_MODES, AuctionParams, TdMode, auction_statistics
 
-# Most cells one sweep may evaluate. A closed-form cell costs about 40 us,
-# and 1 kB at the peak of a JSON report: 250,047 cells took 10 s and
-# peaked at 259 MB through the CLI.
+# Most cells one sweep may evaluate. A closed-form cell costs about 35 us,
+# and 1.4 kB at the peak of a JSON report: 246,078 cells took 8.4 to 9.9 s
+# and peaked at 336 MB through the CLI (2-vCPU VM, Python 3.11).
 _MAX_CELLS = 250_000
 
 CSV_COLUMNS: tuple[str, ...] = (
@@ -53,7 +52,7 @@ CSV_COLUMNS: tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class SweepSpec:
     """Grid definition for one sweep.
 
@@ -86,7 +85,7 @@ class SweepSpec:
         check_choice("td_mode", self.td_mode, TD_MODES)
 
 
-@dataclass(frozen=True)
+@record
 class SweepRow:
     """One evaluated grid cell.
 
@@ -127,12 +126,22 @@ def _simulation_failed(row: SweepRow, exc: GroupBuyError) -> SweepRow:
     return dataclasses.replace(row, error=f"simulation: {type(exc).__name__}: {exc}")
 
 
+def _float_axis(name: str, values: Sequence[float]) -> list[float]:
+    axis = list(map(float, sorted(set(values))))
+    # NaN has no place in a sorted axis, and no JSON spelling.
+    if any(map(math.isnan, axis)):
+        raise ParameterError(f"{name} entry must not be NaN")
+    return axis
+
+
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate every grid cell in lexicographic (n, t, lambda) order.
 
     Axes are deduplicated and sorted ascending first, so the row order is
     a deterministic function of the axis sets. Always returns one row per
     cell; failed cells carry an error marker instead of numbers. Raises
+    ParameterError before the first cell for an n_values entry that is not
+    an integer or a t_values or lambda_values entry that is NaN, and
     NumericsError before the first cell when the grid holds more than
     _MAX_CELLS cells, and before the first simulation when the
     simulator's _check_budget refuses the cells' simulations together.
@@ -140,8 +149,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     n_axis = sorted(set(spec.n_values))
     for value in n_axis:
         check_int("n_values entry", value)
-    t_axis = [float(v) for v in sorted(set(spec.t_values))]
-    rate_axis = [float(v) for v in sorted(set(spec.lambda_values))]
+    t_axis = _float_axis("t_values", spec.t_values)
+    rate_axis = _float_axis("lambda_values", spec.lambda_values)
     cells = len(n_axis) * len(t_axis) * len(rate_axis)
     if cells > _MAX_CELLS:
         raise NumericsError(
@@ -186,62 +195,68 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     return rows
 
 
-def _format_number(value: float | int | None) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.6g}"
+def _format_numbers(values: Iterable[float | int | None]) -> list[str]:
+    # The one 6-significant-digit rule, a whole row per call: "" for None, str
+    # for an int, %g for anything else. Floats are tested first, as most
+    # cells are floats.
+    return [
+        f"{v:.6g}" if isinstance(v, float) or not (v is None or isinstance(v, int))
+        else "" if v is None else str(v)
+        for v in values
+    ]
 
 
 # A row's report cells: every SweepRow field but the last one, error.
 _row_cells = operator.attrgetter(*(field.name for field in dataclasses.fields(SweepRow)[:-1]))
+_GRIDS = {"success probability": "p_success", "expected dispatch time": "dispatch_time",
+          "optimal quantity (integer)": "q_star_integer", "optimal cost rate": "optimal_cost"}
+# A row's cells in the markdown grids, in _GRIDS order, and in its simulation table.
+_grid_cells = operator.attrgetter(*_GRIDS.values())
+_sim_cells = operator.attrgetter("t", "sim_cost", "sim_halfwidth", "delta")
 
 
 def _emit_csv(rows: Sequence[SweepRow]) -> str:
     lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(map(_format_number, _row_cells(row))))
+    lines.extend(",".join(_format_numbers(_row_cells(row))) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def _json_value(cell: float | int | None) -> str:
-    # The text json.dumps(..., allow_nan=False) gives the value, for floats
-    # the 6-significant-digit value the CSV prints. That value's repr is the
-    # CSV text itself, with ".0" after positional text that has no point,
-    # except where repr writes positional digits for exponents 6 to 15, or
-    # fewer digits for a subnormal. RFC 8259 has no infinity; an unbounded
-    # window is the string "inf", which float() parses back like the CSV
-    # cell.
-    if isinstance(cell, float):
-        if math.isfinite(cell):
-            text = _format_number(cell)
-            if "e" not in text:
-                return text if "." in text else text + ".0"
-            exponent = int(text.partition("e")[2])
-            if 6 <= exponent <= 15 or exponent <= -308:
-                return repr(float(text))
-            return text
-        if math.isnan(cell):
-            raise ValueError(f"Out of range float values are not JSON compliant: {cell!r}")
-        return '"inf"'
-    return "null" if cell is None else str(cell)
+def _json_float(cell: float, text: str) -> str:
+    # The text json.dumps(..., allow_nan=False) gives a float whose CSV text,
+    # the 6-significant-digit value, is text when that is not positional with
+    # a point. The value's repr is the CSV text itself, with ".0" after
+    # positional text that has no point, except where repr writes positional
+    # digits for exponents 6 to 15, or fewer digits for a subnormal. RFC 8259
+    # has no infinity; an infinite cell is the string "inf" or "-inf", which
+    # float() parses back like the CSV cell.
+    if "e" in text:
+        exponent = int(text.partition("e")[2])
+        return repr(float(text)) if 6 <= exponent <= 15 or exponent <= -308 else text
+    if text.endswith("inf"):
+        return f'"{text}"'
+    if text == "nan":
+        raise ValueError(f"Out of range float values are not JSON compliant: {cell!r}")
+    return text + ".0"
 
 
-# One report object in json.dumps(payload, indent=2)'s layout, a {} per column.
-_JSON_OBJECT = "  {{\n" + ",\n".join(f'    "{name}": {{}}' for name in CSV_COLUMNS) + "\n  }}"
+# One report object in json.dumps(payload, indent=2)'s layout, a %s per column.
+_JSON_OBJECT = "  {\n" + ",\n".join(f'    "{name}": %s' for name in CSV_COLUMNS) + "\n  }"
+
+
+def _json_texts(row: SweepRow) -> tuple[str, ...]:
+    # Each cell in JSON's spelling: a float's CSV text, which is already JSON
+    # when positional with a point; null for None; str for anything else.
+    cells = _row_cells(row)
+    return tuple([
+        (text if "." in text and "e" not in text else _json_float(cell, text))
+        if isinstance(cell, float) else "null" if cell is None else str(cell)
+        for cell, text in zip(cells, _format_numbers(cells))
+    ])
 
 
 def _emit_json(rows: Sequence[SweepRow]) -> str:
-    objects = (_JSON_OBJECT.format(*map(_json_value, _row_cells(row))) for row in rows)
+    objects = (_JSON_OBJECT % _json_texts(row) for row in rows)
     return "[\n" + ",\n".join(objects) + "\n]\n"
-
-
-def _grid_cell(row: SweepRow | None, field: str) -> str:
-    if row is None:
-        return ""
-    value = getattr(row, field)
-    return "ERR" if value is None else _format_number(value)
 
 
 def _emit_markdown(rows: Sequence[SweepRow]) -> str:
@@ -249,29 +264,24 @@ def _emit_markdown(rows: Sequence[SweepRow]) -> str:
     for rate in sorted({row.arrival_rate for row in rows}):
         group = [row for row in rows if row.arrival_rate == rate]
         t_axis = sorted({row.t for row in group})
-        by_cell = {(row.n, row.t): row for row in group}
-        # Each table row's cells, None where the grid has no row.
+        by_cell = {(row.n, row.t): _format_numbers(_grid_cells(row)) for row in group}
+        # Each table row's grid texts, None where the grid has no row.
         grid = [
             (n, [by_cell.get((n, t)) for t in t_axis]) for n in sorted({row.n for row in group})
         ]
         header = (
-            "| n \\ t | " + " | ".join(_format_number(t) for t in t_axis) + " |",
+            "| n \\ t | " + " | ".join(_format_numbers(t_axis)) + " |",
             "| --- |" + " --- |" * len(t_axis),
         )
-        lines.append(f"## arrival_rate = {_format_number(rate)}")
+        lines.append(f"## arrival_rate = {_format_numbers((rate,))[0]}")
         lines.append("")
-        for title, field in (
-            ("success probability", "p_success"),
-            ("expected dispatch time", "dispatch_time"),
-            ("optimal quantity (integer)", "q_star_integer"),
-            ("optimal cost rate", "optimal_cost"),
-        ):
+        for column, title in enumerate(_GRIDS):
             lines.append(f"### {title}")
             lines.append("")
             lines.extend(header)
             for n, cells in grid:
-                values = " | ".join(_grid_cell(row, field) for row in cells)
-                lines.append(f"| {n} | {values} |")
+                values = ["" if texts is None else texts[column] or "ERR" for texts in cells]
+                lines.append(f"| {n} | {' | '.join(values)} |")
             lines.append("")
         sim_rows = [row for row in group if row.sim_cost is not None]
         if sim_rows:
@@ -280,17 +290,14 @@ def _emit_markdown(rows: Sequence[SweepRow]) -> str:
             lines.append("| n | t | sim_cost | sim_halfwidth | delta |")
             lines.append("| --- | --- | --- | --- | --- |")
             for row in sim_rows:
-                lines.append(
-                    f"| {row.n} | {_format_number(row.t)} | {_format_number(row.sim_cost)} "
-                    f"| {_format_number(row.sim_halfwidth)} | {_format_number(row.delta)} |"
-                )
+                lines.append(f"| {row.n} | {' | '.join(_format_numbers(_sim_cells(row)))} |")
             lines.append("")
         errors = [row for row in group if row.error is not None]
         if errors:
             lines.append("### errors")
             lines.append("")
             for row in errors:
-                lines.append(f"- n={row.n} t={_format_number(row.t)}: {row.error}")
+                lines.append(f"- n={row.n} t={_format_numbers((row.t,))[0]}: {row.error}")
             lines.append("")
     return "\n".join(lines).rstrip("\n") + "\n"
 
@@ -304,7 +311,8 @@ def emit_report(rows: Sequence[SweepRow], format: str = "csv") -> str:
     CSV: fixed 11-column header, one line per row, empty cells for missing
     values. JSON (RFC 8259): an array of objects with exactly the CSV
     column names; each number is its CSV cell's text in JSON's spelling,
-    missing values are null and an unbounded window is the string "inf".
+    missing values are null and an infinite cell is the string "inf" or
+    "-inf"; a NaN cell raises ValueError.
     Markdown: per-arrival-rate grid tables with "ERR" in failed cells plus
     an error list. Output is byte-deterministic for equal rows.
     """

@@ -746,13 +746,13 @@ class TestSubprocessEntry:
     LOW_P = ["--n-required", "120", "--max-time", "6", "--quantity", "9"]
     CYCLE_BOUND = (
         "numeric domain error: simulation would keep {} cycles, over the bound of 1e+07 per "
-        "stream (about 72 bytes each); use fewer cycles\n"
+        "stream (about 48 bytes each); use fewer cycles\n"
     )
 
     @pytest.mark.parametrize(
         "argv,code,stderr",
         [
-            # 1e9 dispatches fit the work budget, but not about 72 GB of cycles.
+            # 1e9 dispatches fit the work budget, but not about 48 GB of cycles.
             (["simulate", *LOW_P, "--cycles", "1000000000"], 3, CYCLE_BOUND.format(1000000000)),
             (["simulate", *LOW_P, "--cycles", "20000000", "--replications", "2"], 3,
              CYCLE_BOUND.format(20000000)),

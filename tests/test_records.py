@@ -1,0 +1,149 @@
+"""The package's frozen records: each behaves as a frozen dataclass, whatever
+builds its __init__."""
+
+import dataclasses
+import math
+import pickle
+import re
+
+import pytest
+
+from groupbuy_inventory import (
+    AuctionParams,
+    AuctionStatistics,
+    CostParams,
+    ParameterError,
+    Policy,
+    SimulationConfig,
+    SweepRow,
+    SweepSpec,
+)
+from groupbuy_inventory.costmodel import CostBreakdown
+from groupbuy_inventory.simulator import SimulationCounts, SimulationResult
+
+REQUIRED = dataclasses.MISSING
+COSTS = CostParams(40.0, 4.0, 0.02, 10.0, 300.0)
+COUNTS = SimulationCounts(12, 2, 10, 2)
+
+# Each record: its fields as (name, default), and one argument per field.
+RECORDS = [
+    (CostParams,
+     [("dispatch_cost", REQUIRED), ("unit_transport_cost", REQUIRED), ("holding_rate", REQUIRED),
+      ("failure_penalty", REQUIRED), ("reorder_cost", REQUIRED)],
+     (40.0, 4.0, 0.02, 10.0, 300.0)),
+    (Policy, [("quantity", REQUIRED)], (434.0,)),
+    (CostBreakdown,
+     [("holding", REQUIRED), ("dispatching", REQUIRED), ("transport", REQUIRED),
+      ("penalty", REQUIRED), ("reorder", REQUIRED), ("cycle_length", REQUIRED),
+      ("cycle_total", REQUIRED), ("long_run_average", REQUIRED)],
+     (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 15.0, 2.5)),
+    (SimulationConfig,
+     [("num_cycles", REQUIRED), ("seed", 0), ("shortfall_rule", "reset_to_q"),
+      ("duration_sampler", "dispatch")],
+     (200, 7, "carry_shortfall", "erlang")),
+    (SimulationCounts,
+     [("auctions", REQUIRED), ("failures", REQUIRED), ("dispatches", REQUIRED),
+      ("cycles", REQUIRED)],
+     (12, 2, 10, 2)),
+    (SimulationResult,
+     [("p_hat", REQUIRED), ("p_hat_se", REQUIRED), ("mean_dispatch_interval", REQUIRED),
+      ("mean_dispatch_interval_se", REQUIRED), ("mean_cycle_length", REQUIRED),
+      ("mean_cycle_length_se", REQUIRED), ("mean_cycle_cost", REQUIRED),
+      ("mean_cycle_cost_se", REQUIRED), ("total_cost", REQUIRED), ("total_time", REQUIRED),
+      ("long_run_cost", REQUIRED), ("long_run_cost_se", REQUIRED),
+      ("long_run_cost_halfwidth", REQUIRED), ("counts", REQUIRED)],
+     (0.8, 0.1, 9.5, 0.5, 48.0, 2.0, 2000.0, 90.0, 4000.0, 96.0, 41.7, 1.2, 2.35, COUNTS)),
+    (AuctionParams,
+     [("n_required", REQUIRED), ("max_time", REQUIRED), ("arrival_rate", REQUIRED)],
+     (100, math.inf, 14.0)),
+    (AuctionStatistics,
+     [("p_success", REQUIRED), ("e_min_duration", REQUIRED), ("e_cond_duration", REQUIRED),
+      ("expected_failures", REQUIRED), ("dispatch_time_paper", REQUIRED),
+      ("dispatch_time_consistent", REQUIRED)],
+     (0.43, 6.9, 6.6, 1.3, 16.0, 15.7)),
+    (SweepSpec,
+     [("n_values", REQUIRED), ("t_values", REQUIRED), ("lambda_values", REQUIRED),
+      ("costs", REQUIRED), ("td_mode", "paper"), ("simulation", None)],
+     ((80, 100), (6.0, 7.0), (14.0,), COSTS, "consistent", SimulationConfig(200))),
+    (SweepRow,
+     [("n", REQUIRED), ("t", REQUIRED), ("arrival_rate", REQUIRED), ("p_success", None),
+      ("dispatch_time", None), ("q_star_real", None), ("q_star_integer", None),
+      ("optimal_cost", None), ("sim_cost", None), ("sim_halfwidth", None), ("delta", None),
+      ("error", None)],
+     (100, 7.0, 14.0, 0.43, 15.9, 433.9, 434, 38.1, 38.4, 0.6, 0.3, "simulation: x")),
+]
+IDS = [cls.__name__ for cls, _, _ in RECORDS]
+
+
+@pytest.mark.parametrize("cls,fields,args", RECORDS, ids=IDS)
+class TestRecordSemantics:
+    def test_fields_and_defaults(self, cls, fields, args):
+        assert dataclasses.is_dataclass(cls)
+        assert [(f.name, f.default) for f in dataclasses.fields(cls)] == fields
+
+    def test_assignment_and_deletion_are_refused(self, cls, fields, args):
+        obj = cls(*args)
+        name = fields[0][0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, args[0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, name)
+        assert getattr(obj, name) == args[0]
+
+    def test_positional_and_keyword_construction_agree(self, cls, fields, args):
+        positional = cls(*args)
+        keyword = cls(**{name: value for (name, _), value in zip(fields, args)})
+        assert positional == keyword
+        assert hash(positional) == hash(keyword)
+        assert [getattr(positional, name) for name, _ in fields] == list(args)
+
+    def test_defaults_fill_missing_arguments(self, cls, fields, args):
+        required = [value for (_, default), value in zip(fields, args) if default is REQUIRED]
+        obj = cls(*required)
+        for name, default in fields[len(required):]:
+            assert getattr(obj, name) == default
+
+    def test_repr(self, cls, fields, args):
+        text = ", ".join(f"{name}={value!r}" for (name, _), value in zip(fields, args))
+        assert repr(cls(*args)) == f"{cls.__name__}({text})"
+
+    def test_replace_and_pickle_round_trips(self, cls, fields, args):
+        obj = cls(*args)
+        assert dataclasses.replace(obj) == obj
+        name = fields[0][0]
+        assert dataclasses.replace(obj, **{name: args[0]}) == obj
+        copy = pickle.loads(pickle.dumps(obj))
+        assert copy == obj and type(copy) is cls
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(copy, name, args[0])
+
+    def test_missing_argument_is_type_error(self, cls, fields, args):
+        names = [repr(name) for name, default in fields if default is REQUIRED]
+        listed = names[0] if len(names) == 1 else (
+            f"{', '.join(names[:-1])}{',' if len(names) > 2 else ''} and {names[-1]}"
+        )
+        plural = "s" if len(names) > 1 else ""
+        message = (
+            f"{cls.__name__}.__init__() missing {len(names)} required positional "
+            f"argument{plural}: {listed}"
+        )
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            cls()
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: AuctionParams(100, math.nan, 14.0),
+         "max_time must be > 0 (math.inf allowed), got nan"),
+        (lambda: CostParams(40.0, 4.0, -0.02, 10.0, 300.0),
+         "holding_rate must be finite and >= 0, got -0.02"),
+        (lambda: Policy(math.inf), "quantity must be finite and > 0, got inf"),
+        (lambda: SimulationConfig(200, seed=-1), "seed must satisfy 0 <= seed < 2**64, got -1"),
+        (lambda: SweepSpec((100,), (), (14.0,), COSTS), "t_values must be non-empty"),
+    ],
+    ids=["AuctionParams", "CostParams", "Policy", "SimulationConfig", "SweepSpec"],
+)
+def test_post_init_checks_keep_their_messages(build, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        build()

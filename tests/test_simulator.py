@@ -305,6 +305,20 @@ class TestResultContracts:
         assert result.counts.dispatches == 1
         assert result.mean_dispatch_interval_se == 0.0
 
+    def test_fsum_in_slices_is_one_exact_sum(self):
+        # Four slices, with magnitudes whose naive sums round differently, and a
+        # 1e16 whose cancellation spans two slices: one exact sum keeps the 1.0
+        # that a sum of per-slice sums would round away.
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal(200_000) * 10.0 ** rng.integers(-20, 20, 200_000)
+        values[:2], values[70_000] = (1e16, 1.0), -1e16
+        assert simulator._fsum(values).hex() == math.fsum(values.tolist()).hex()
+        values = np.zeros(200_000)
+        values[:2], values[70_000] = (1e16, 1.0), -1e16
+        assert simulator._fsum(values) == 1.0
+        huge = np.full(200_000, 1e308)
+        assert simulator._fsum(huge) == math.inf
+
 
 class TestDrawBatches:
     @pytest.mark.parametrize("sampler", ["interarrival_sum", "erlang", "dispatch"])

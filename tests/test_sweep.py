@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -296,6 +297,14 @@ class TestRunSweep:
         with pytest.raises(ParameterError):
             run_sweep(bad)
 
+    @pytest.mark.parametrize("axis", ["t_values", "lambda_values"])
+    def test_nan_axis_entry_is_refused_before_the_first_cell(self, monkeypatch, base_costs, axis):
+        axes = {"n_values": (100,), "t_values": (7.0, 8.0), "lambda_values": (14.0,)}
+        axes[axis] += (math.nan,)
+        monkeypatch.setattr(sweep, "_evaluate_cell", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ParameterError, match=f"^{axis} entry must not be NaN$"):
+            run_sweep(SweepSpec(**axes, costs=base_costs))
+
 
 class TestEmitReport:
     def test_csv_single_row_is_two_lines(self, base_costs):
@@ -339,6 +348,21 @@ class TestEmitReport:
         for line, obj in zip(csv_lines, objects):
             for name, cell in zip(CSV_COLUMNS, line.split(",")):
                 assert obj[name] is None if cell == "" else float(cell) == float(obj[name])
+
+    def test_json_spells_minus_inf_as_the_csv_cell(self, base_costs):
+        spec = SweepSpec((100,), (-math.inf, 7.0), (14.0,), base_costs)
+        rows = run_sweep(spec)
+        assert rows[0].error is not None
+        assert emit_report(rows, "csv").splitlines()[1].startswith("100,-inf,14,")
+        objects = json.loads(emit_report(rows, "json"))
+        assert [obj["t"] for obj in objects] == ["-inf", 7.0]
+        assert float(objects[0]["t"]) == -math.inf
+
+    def test_markdown_is_the_reference_bytes(self, reference_rows, base_costs):
+        # The reference grid plus one error cell, at a window no other row has.
+        rows = reference_rows + run_sweep(SweepSpec((500,), (0.5,), (RATE,), base_costs))
+        expected = (Path(__file__).parent / "reference_grid.md").read_text(encoding="utf-8")
+        assert emit_report(rows, "markdown") == expected
 
     def test_error_cells_render_empty_in_csv(self, base_costs):
         spec = SweepSpec(
@@ -392,11 +416,11 @@ class TestEmitReport:
 
 def _json_by_the_encoder(rows) -> str:
     # The report as json.dumps renders it: the 6-significant-digit floats the
-    # CSV prints, an unbounded window as "inf", missing values as null.
+    # CSV prints, an infinity as its signed string, missing values as null.
     def value(cell):
         if not isinstance(cell, float):
             return cell
-        return "inf" if math.isinf(cell) else float(f"{cell:.6g}")
+        return ("inf" if cell > 0 else "-inf") if math.isinf(cell) else float(f"{cell:.6g}")
 
     columns = [field.name for field in dataclasses.fields(SweepRow)][:-1]
     payload = [
@@ -444,3 +468,25 @@ def test_json_report_is_the_encoders_bytes(rows):
             emit_report(rows, "json")
         return
     assert emit_report(rows, "json") == expected
+
+
+def _csv_by_the_oracle(rows) -> str:
+    # The report as its rule states it: "" for None, str for an int and 6
+    # significant digits for a float.
+    def text(cell):
+        if cell is None:
+            return ""
+        return f"{cell:.6g}" if isinstance(cell, float) else str(cell)
+
+    columns = [field.name for field in dataclasses.fields(SweepRow)][:-1]
+    lines = [",".join(CSV_COLUMNS)]
+    lines += [",".join(text(getattr(row, column)) for column in columns) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(_GOOD_ROWS | _ERROR_ROWS, min_size=1, max_size=4))
+@example(rows=[SweepRow(n=2**63, t=-math.inf, arrival_rate=-0.0, q_star_integer=-(2**63))])
+@example(rows=[SweepRow(n=1, t=5e-324, arrival_rate=1e300, sim_cost=math.nan)])
+def test_csv_report_is_the_oracles_bytes(rows):
+    assert emit_report(rows, "csv") == _csv_by_the_oracle(rows)

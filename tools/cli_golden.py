@@ -184,6 +184,10 @@ COMMANDS = [
     # pays no fixed cost: exit 3 before the simulation.
     ["sweep", "--n-values", "100", "--t-values", "7", "--lambda-values", "14",
      "--include-simulation", "true", "--cycles", "900000", "--duration-sampler", "interarrival_sum"],
+    # 1e9 one-dispatch cycles fit the work budget, but not the 1e7-cycle bound: exit 3
+    # at once, naming the bytes each cycle keeps.
+    ["simulate", "--n-required", "120", "--max-time", "6", "--quantity", "9",
+     "--cycles", "1000000000"],
 ]
 
 
