@@ -21,6 +21,7 @@ with failed cells.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -744,19 +745,25 @@ def main(argv: list[str] | None = None) -> int:
         command, config_path, overrides = line
         cfg = load_run_config(config_path, overrides)
         text, code = _COMMANDS[command](cfg)
-        if cfg.path is not None:
-            try:
+        try:
+            if cfg.path is None:
+                sys.stdout.write(text)
+                sys.stdout.flush()
+            else:
                 Path(cfg.path).write_text(text, encoding="utf-8")
-            except OSError as exc:
-                raise ConfigError(f"cannot write report to {cfg.path}: {exc}") from None
+        except OSError as exc:
+            target = cfg.path
+            if target is None:
+                target = "stdout"
+                # The buffer that failed would be flushed again at shutdown.
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ConfigError(f"cannot write report to {target}: {exc}") from None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, NumericsError, ParameterError) as exc:
         print(f"numeric domain error: {exc}", file=sys.stderr)
         return 3
-    if cfg.path is None:
-        sys.stdout.write(text)
     return code
 
 

@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import fields
-from typing import Literal
+from typing import Literal, get_args
 
 from .errors import NumericsError, ParameterError, check_choice, check_int, record
 from .stochastics import AuctionStatistics, TdMode, select_dispatch_time
 
 AMode = Literal["exact", "approx"]
 
-A_MODES: tuple[str, ...] = ("exact", "approx")
+A_MODES: tuple[str, ...] = get_args(AMode)
 
 
 @record

@@ -45,12 +45,14 @@ def check_choice(name: str, value: str, choices: tuple[str, ...]) -> None:
         raise ParameterError(f"{name} must be one of {choices}, got {value!r}")
 
 
-def check_int(name: str, value: int, low: int | None = None) -> None:
-    """Raise ParameterError unless value is an int, not a bool, and not below low."""
+def check_int(name: str, value: int, low: int | None = None, high: float | None = None) -> None:
+    """Raise ParameterError unless value is an int, not a bool, and within [low, high]."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParameterError(f"{name} must be an integer")
     if low is not None and value < low:
         raise ParameterError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ParameterError(f"{name} must be <= {high!r}")
 
 
 def record(cls: type) -> type:

@@ -7,15 +7,15 @@ parses these settings (optimize, a sweep without simulation) loads neither.
 
 from __future__ import annotations
 
-from typing import Literal
+from typing import Literal, get_args
 
 from .errors import ParameterError, check_choice, check_int, record
 
 ShortfallRule = Literal["reset_to_q", "carry_shortfall"]
 DurationSampler = Literal["interarrival_sum", "erlang", "dispatch"]
 
-SHORTFALL_RULES: tuple[str, ...] = ("reset_to_q", "carry_shortfall")
-DURATION_SAMPLERS: tuple[str, ...] = ("interarrival_sum", "erlang", "dispatch")
+SHORTFALL_RULES: tuple[str, ...] = get_args(ShortfallRule)
+DURATION_SAMPLERS: tuple[str, ...] = get_args(DurationSampler)
 REPORT_FORMATS: tuple[str, ...] = ("csv", "json", "markdown")
 
 _MAX_SEED = 2**64

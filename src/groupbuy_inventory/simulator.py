@@ -53,6 +53,7 @@ import contextlib
 import functools
 import itertools
 import math
+import sys
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Generator, Iterator, NamedTuple
 
@@ -432,15 +433,20 @@ def _plan(
     p = _nondegenerate_success_pair(auction)[0]
     sampler = config.duration_sampler
     if sampler == "interarrival_sum":
-        work = dispatches * n_required / p
+        work = _as_float(dispatches * n_required) / p
         unit = f"exponentials ({formula} * n_required / p_success)"
     elif sampler == "dispatch" and _table_length(auction, p) and not logged:
-        work = dispatches
+        work = _as_float(dispatches)
         unit = f"dispatches ({formula})"
     else:
-        work = dispatches / p
+        work = _as_float(dispatches) / p
         unit = f"bidding windows ({formula} / p_success)"
     return _Plan(p, per_cycle, dispatches, work, unit)
+
+
+def _as_float(count: int) -> float:
+    # A count past the float range is over every budget: it counts as inf.
+    return float(count) if count <= sys.float_info.max else math.inf
 
 
 def simulate(
@@ -486,14 +492,16 @@ def _check_budget(work: float, unit: str, streams: int, config: SimulationConfig
     """Refuse simulations over the work budget, then over the cycle bound.
 
     The one size check of simulate, replicate and simulated sweeps. work
-    is the estimate of all streams together, in unit. Several streams also
-    pay _STREAM_UNITS each for their fixed cost; a single stream pays
-    nothing. Each stream may keep at most _MAX_CYCLES cycles.
+    is one stream's estimate, in unit, on average over the streams.
+    Several streams also pay _STREAM_UNITS each for their fixed cost; a
+    single stream pays nothing. Each stream may keep at most _MAX_CYCLES
+    cycles.
     """
-    total = work + (streams * _STREAM_UNITS if streams > 1 else 0)
+    count = _as_float(streams)
+    total = count * work + count * _STREAM_UNITS if streams > 1 else work
     if total > _MAX_DRAWS and streams > 1:
         raise NumericsError(
-            f"{streams} simulations of about {work / streams:.3g} {unit} each, plus "
+            f"{streams} simulations of about {work:.3g} {unit} each, plus "
             f"{_STREAM_UNITS} per simulation for its fixed cost, {total:.3g} in all, are over "
             f"the budget of {_MAX_DRAWS:.0e}; use fewer simulations, fewer cycles or a smaller "
             "quantity"
@@ -688,7 +696,7 @@ def replicate(
     """
     check_int("num_replications", num_replications, 1)
     plan = _plan(auction, policy, config, False)
-    _check_budget(num_replications * plan.work, plan.unit, num_replications, config)
+    _check_budget(plan.work, plan.unit, num_replications, config)
     return [
         _run(auction, costs, policy, config, plan, index, None)
         for index in range(num_replications)

@@ -28,14 +28,15 @@ argument rather than silently preferring one.
 from __future__ import annotations
 
 import math
-from typing import Literal
+import sys
+from typing import Literal, get_args
 
 from .errors import DegenerateAuctionError, DomainError, NumericsError, ParameterError
 from .errors import check_choice, check_int, record
 
 TdMode = Literal["paper", "consistent"]
 
-TD_MODES: tuple[str, ...] = ("paper", "consistent")
+TD_MODES: tuple[str, ...] = get_args(TdMode)
 
 # Below this success probability the expected failure count overflows any
 # sensible budget and conditional quantities lose all precision.
@@ -62,7 +63,8 @@ class AuctionParams:
     arrival_rate: float
 
     def __post_init__(self) -> None:
-        check_int("n_required", self.n_required, 1)
+        # Every formula takes n_required as a float.
+        check_int("n_required", self.n_required, 1, sys.float_info.max)
         if math.isnan(self.max_time) or self.max_time <= 0.0:
             raise ParameterError(f"max_time must be > 0 (math.inf allowed), got {self.max_time}")
         if not math.isfinite(self.arrival_rate) or self.arrival_rate <= 0.0:

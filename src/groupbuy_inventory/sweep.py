@@ -177,7 +177,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                 planned[index] = auction, policy, _plan(auction, policy, config, False)
             except GroupBuyError as exc:
                 rows[index] = _simulation_failed(row, exc)
-    _check_budget(sum(plan.work for _, _, plan in planned.values()), "units", len(planned), config)
+    work = sum(plan.work for _, _, plan in planned.values())
+    _check_budget(work / len(planned) if planned else 0.0, "units", len(planned), config)
     for index, (auction, policy, plan) in planned.items():
         row = rows[index]
         try:

@@ -742,6 +742,50 @@ class TestSubprocessEntry:
             "use fewer simulations, fewer cycles or a smaller quantity\n"
         )
 
+    BIG = str(10**400)
+    N_BOUND = "n_required must be <= 1.7976931348623157e+308\n"
+
+    @pytest.mark.parametrize(
+        "argv,code,stderr",
+        [
+            (["optimize", "--n-required", BIG], 3, f"numeric domain error: {N_BOUND}"),
+            (["validate", "--n-required", BIG], 3, f"numeric domain error: {N_BOUND}"),
+            (["simulate", "--quantity", "434", "--cycles", BIG], 3,
+             "numeric domain error: simulation would draw about inf bidding windows "
+             "(cycles * ceil(quantity / n_required) / p_success), over the budget of 1e+09; "
+             "use fewer cycles or a smaller quantity\n"),
+            (["simulate", "--quantity", "434", "--cycles", "10", "--replications", BIG], 3,
+             f"numeric domain error: {BIG} simulations of about 115 bidding windows "
+             "(cycles * ceil(quantity / n_required) / p_success) each, plus 10000 per "
+             "simulation for its fixed cost, inf in all, are over the budget of 1e+09; "
+             "use fewer simulations, fewer cycles or a smaller quantity\n"),
+            (["sweep", "--n-values", BIG, "--t-values", "7", "--lambda-values", "14"], 4,
+             f"sweep: n={BIG} t=7 lambda=14: ParameterError: {N_BOUND}"),
+        ],
+        ids=["optimize", "validate", "cycles", "replications", "sweep"],
+    )
+    def test_integers_past_the_float_range_exit_with_one_line(
+        self, config_file, argv, code, stderr
+    ):
+        command, *flags = argv
+        result = subprocess.run(
+            [sys.executable, "-m", "groupbuy_inventory.cli", command, config_file, *flags],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert "Traceback" not in result.stderr
+        assert (result.returncode, result.stderr) == (code, stderr)
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
+    def test_report_that_cannot_reach_stdout_is_config_error(self, config_file):
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "groupbuy_inventory.cli", "optimize", config_file],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        assert result.returncode == 2
+        assert result.stderr.startswith("config error: cannot write report to stdout: ")
+        assert result.stderr.count("\n") == 1
+
     # (120, 6) at Q = 9: one table-route dispatch per cycle, about 0.5 us each.
     LOW_P = ["--n-required", "120", "--max-time", "6", "--quantity", "9"]
     CYCLE_BOUND = (

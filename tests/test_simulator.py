@@ -266,6 +266,17 @@ class TestReplicate:
         with pytest.raises(NumericsError, match=message):
             replicate(base_auction, base_costs, Policy(434.0), _config(num_cycles=10), replications)
 
+    @pytest.mark.parametrize(
+        "cycles,replications,message",
+        [(10**400, 1, "about inf bidding windows"), (10, 10**400, "each, .* inf in all")],
+        ids=["cycles", "replications"],
+    )
+    def test_counts_past_the_float_range_are_over_the_budget(
+        self, base_auction, base_costs, cycles, replications, message
+    ):
+        with pytest.raises(NumericsError, match=message):
+            replicate(base_auction, base_costs, Policy(434.0), _config(num_cycles=cycles), replications)
+
     def test_replications_within_the_budget_run(self, monkeypatch, base_auction, base_costs):
         # Two streams of 115.4 windows and 10,000 fixed units: 20,231 in all.
         monkeypatch.setattr(simulator, "_MAX_DRAWS", 20_231)

@@ -546,6 +546,7 @@ class TestParamsValidation:
             dict(n_required=-3, max_time=1.0, arrival_rate=1.0),
             dict(n_required=True, max_time=1.0, arrival_rate=1.0),
             dict(n_required=2.0, max_time=1.0, arrival_rate=1.0),
+            dict(n_required=10**400, max_time=1.0, arrival_rate=1.0),
             dict(n_required=2, max_time=0.0, arrival_rate=1.0),
             dict(n_required=2, max_time=-1.0, arrival_rate=1.0),
             dict(n_required=2, max_time=math.nan, arrival_rate=1.0),
