@@ -3,10 +3,12 @@
 Every error raised by this package derives from GroupBuyError, so callers
 can catch one base class; the leaf classes also subclass the closest
 builtin (ValueError or ArithmeticError). check_choice and check_int hold
-the one check of a mode argument and of an integer argument, and record is
-the one way to declare a frozen record.
+the one check of a mode argument and of an integer argument, int_text is
+the one way a message shows a caller's integer, and record is the one way
+to declare a frozen record.
 """
 
+import math
 from dataclasses import MISSING, dataclass, fields
 
 
@@ -50,9 +52,24 @@ def check_int(name: str, value: int, low: int | None = None, high: float | None 
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParameterError(f"{name} must be an integer")
     if low is not None and value < low:
-        raise ParameterError(f"{name} must be >= {low}, got {value}")
+        raise ParameterError(f"{name} must be >= {low}, got {int_text(value)}")
     if high is not None and value > high:
         raise ParameterError(f"{name} must be <= {high!r}")
+
+
+def int_text(value: int) -> str:
+    """value in decimal, or in e-notation past Python's int-to-str digit limit.
+
+    Past the limit (sys.get_int_max_str_digits()) str raises ValueError, so
+    the text is the first three digits, truncated, as in -1.23e+5000.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        # floor(log10 |value|) less 3, give or take one: lead holds 3 to 6 digits.
+        shift = int((abs(value).bit_length() - 1) * math.log10(2)) - 3
+        lead = str(abs(value) // 10**shift)
+        return f"{'-' if value < 0 else ''}{lead[0]}.{lead[1:3]}e+{shift + len(lead) - 1}"
 
 
 def record(cls: type) -> type:

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from typing import Literal, get_args
 
-from .errors import ParameterError, check_choice, check_int, record
+from .errors import ParameterError, check_choice, check_int, int_text, record
 
 ShortfallRule = Literal["reset_to_q", "carry_shortfall"]
-DurationSampler = Literal["interarrival_sum", "erlang", "dispatch"]
+DurationSampler = Literal["erlang", "dispatch"]
 
 SHORTFALL_RULES: tuple[str, ...] = get_args(ShortfallRule)
 DURATION_SAMPLERS: tuple[str, ...] = get_args(DurationSampler)
@@ -40,12 +40,10 @@ class SimulationConfig:
         n_required and a beta variate; from 0.25 up (or when n_required
         exceeds about 6.9e8), from gamma variates below T. Its work grows
         with dispatches, not windows. "erlang" draws every window's length
-        in one gamma variate; "interarrival_sum" draws n_required
-        exponential gaps per window and sums them; their windows are
-        regrouped into each dispatch's F and S, so all three share one
-        accounting path and one clock rule. The per-window two are kept as
-        the reference for the dispatch one: the same system, other draws.
-        simulate documents the work each of them is charged.
+        in one gamma variate and regroups the windows into each dispatch's
+        F and S, so both share one accounting path and one clock rule. It
+        is kept as the reference for the dispatch sampler: the same system,
+        other draws. simulate documents the work each of them is charged.
     """
 
     num_cycles: int
@@ -57,6 +55,6 @@ class SimulationConfig:
         check_int("num_cycles", self.num_cycles, 1)
         check_int("seed", self.seed)
         if not 0 <= self.seed < _MAX_SEED:
-            raise ParameterError(f"seed must satisfy 0 <= seed < 2**64, got {self.seed}")
+            raise ParameterError(f"seed must satisfy 0 <= seed < 2**64, got {int_text(self.seed)}")
         check_choice("shortfall_rule", self.shortfall_rule, SHORTFALL_RULES)
         check_choice("duration_sampler", self.duration_sampler, DURATION_SAMPLERS)

@@ -14,23 +14,20 @@ The accounting runs per batch of dispatches, in numpy array operations:
 the level only changes at dispatches, so a cycle's cost is a sum over
 its dispatches of holding (level times the time since the previous
 dispatch), the penalties of the failed windows before the dispatch and
-the dispatch charge. Every sampler feeds it each dispatch's failed
+the dispatch charge. Both samplers feed it each dispatch's failed
 windows F and closing window S. The "dispatch" sampler draws them, so
-its work grows with dispatches; the per-window samplers draw every
-window and regroup each batch into (F, S). For all samplers the clock
-adds each F * max_time and then each S, and the event log is rebuilt
-from (F, S).
+its work grows with dispatches; the "erlang" sampler draws every window
+and regroups each batch into (F, S). For both the clock adds each
+F * max_time and then each S, and the event log is rebuilt from (F, S).
 
 The stock before each dispatch is a closed form of its index, so the
 run's dispatch total D is known before the first draw. Every draw is
 sized to it: with r = min(_DRAW_BATCH, D - dispatches so far), a
-dispatch batch holds r dispatches and a per-window batch
+dispatch batch holds r dispatches and an erlang batch
 ceil(min(_CHUNK_BUDGET, r / p_success)) windows, so one accounting pass
 covers about r dispatches even at a small p_success. A run that writes an
 event log caps its windows at _DRAW_BATCH instead, which bounds what one
-log write holds. Under interarrival_sum the exponentials pass through one
-reused buffer of _CHUNK_BUDGET, so the memory that draws hold does not
-grow with n_required or the batch.
+log write holds.
 
 Determinism contract: results are a pure function of (auction, costs,
 policy, config, stream). Random numbers come from
@@ -38,13 +35,10 @@ numpy.random.default_rng(SeedSequence(seed, spawn_key=(stream,))), and
 the dispatch sampler draws each quantity from its own child of that
 generator. Draws are made in batches, but the sequence of draws does not
 depend on the batch size or on the size asked for, because numpy fills
-uniform, exponential, gamma and beta draws sequentially; so repeated
-runs consume identical draw sequences. A window of up to _CHUNK_BUDGET
-exponentials is summed in one call; a longer window is summed in slices
-of _CHUNK_BUDGET whose sums are added in order. Each cycle's cost is
-summed over all its terms at once, wherever batches split it, so results
-do not depend on the batch size either. Writing an event log does not
-change the results.
+uniform, gamma and beta draws sequentially; so repeated runs consume
+identical draw sequences. Each cycle's cost is summed over all its terms
+at once, wherever batches split it, so results do not depend on the
+batch size either. Writing an event log does not change the results.
 """
 
 from __future__ import annotations
@@ -55,11 +49,11 @@ import itertools
 import math
 import sys
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Generator, Iterator, NamedTuple
+from typing import IO, TYPE_CHECKING, Iterator, NamedTuple
 
 from .costmodel import CostParams, Policy, dispatches_per_cycle
-from .errors import ConfigError, NumericsError, check_int, record
-from .settings import DurationSampler, SimulationConfig
+from .errors import ConfigError, NumericsError, check_int, int_text, record
+from .settings import SimulationConfig
 from .stochastics import AuctionParams, _nondegenerate_success_pair
 
 if TYPE_CHECKING:
@@ -72,18 +66,14 @@ if TYPE_CHECKING:
 # write; a run asks only for what it still needs.
 _DRAW_BATCH = 1 << 12
 # Most windows per duration draw of an unlogged run (512 KiB of durations),
-# and the exponentials in interarrival_sum's one buffer (512 KiB): whole
-# runs took 8 to 17 ns per exponential used through it at n_required = 10
-# to 1e5 (Intel Xeon, numpy 2.4); drawing a batch of 4096 windows as one
-# array took 10 to 220 ns, and 6.4 MB at n_required = 195. At p_success =
-# 0.01 to 0.06, 4096 windows hold only 40 to 250 dispatches, and an
-# accounting pass per 4096 windows (about 35 numpy calls) cost about as
-# much as the gamma draws.
+# and most values per list that _fsum builds. At p_success = 0.01 to 0.06,
+# 4096 windows hold only 40 to 250 dispatches, and an accounting pass per
+# 4096 windows (about 35 numpy calls) cost about as much as the gamma draws
+# (Intel Xeon, numpy 2.4).
 _CHUNK_BUDGET = 1 << 16
-# Most units of work one simulate call may do: bidding windows, exponentials
-# under interarrival_sum, or dispatches on the dispatch sampler's table
-# route. Minutes, not years: whole runs took about 15 ns per exponential
-# (interarrival_sum), 80 to 110 ns per window (erlang) and 180 to 550 ns per
+# Most units of work one simulate call may do: bidding windows, or
+# dispatches on the dispatch sampler's table route. Minutes, not years:
+# whole runs took 80 to 110 ns per window (erlang) and 180 to 550 ns per
 # dispatch (dispatch sampler), on the machine above.
 _MAX_DRAWS = 10**9
 # Units charged per stream, when replications or sweep cells run several, for
@@ -160,69 +150,25 @@ def rng_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-def _draw_durations(
-    rng: np.random.Generator,
-    sampler: DurationSampler,
-    n_required: int,
-    arrival_rate: float,
-    size: int | None = None,
-) -> Generator[np.ndarray, int | None, None]:
-    """Every window's duration, in arrays of size windows (None: _DRAW_BATCH).
-
-    A size sent to the generator is the size of the next array. Under
-    interarrival_sum the exponentials pass through one buffer of
-    _CHUNK_BUDGET: max(1, _CHUNK_BUDGET // n_required) windows at a time,
-    and a longer window in slices of _CHUNK_BUDGET.
-    """
-    import numpy as np
-
-    if sampler != "interarrival_sum":
-        while True:
-            batch = rng.gamma(float(n_required), 1.0 / arrival_rate, size or _DRAW_BATCH)
-            size = yield batch
-    rows = max(1, _CHUNK_BUDGET // n_required)
-    width = min(n_required, _CHUNK_BUDGET)
-    buffer = np.empty(rows * width)
-    while True:
-        batch = np.zeros(size or _DRAW_BATCH)
-        for first in range(0, batch.size, rows):
-            block = batch[first : first + rows]
-            for start in range(0, n_required, width):
-                draws = buffer[: block.size * min(width, n_required - start)]
-                rng.standard_exponential(out=draws)
-                # Slice sums add in draw order (0 + x is x).
-                block += draws.reshape(block.size, -1).sum(axis=1)
-        batch /= arrival_rate
-        size = yield batch
-
-
 def _regroup(
-    rng: np.random.Generator,
-    sampler: DurationSampler,
-    auction: AuctionParams,
-    p: float,
-    total: int,
-    logged: bool,
+    rng: np.random.Generator, auction: AuctionParams, p: float, total: int, logged: bool
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every dispatch's failed windows F and closing window S, from _draw_durations.
+    """Every dispatch's failed windows F and closing window S, from erlang windows.
 
-    Yields one batch per duration batch that holds a dispatch. With r of
-    the run's total dispatches still to come, a duration batch has
-    ceil(min(cap, min(_DRAW_BATCH, r) / p)) windows, where cap is
+    Each window's duration is one gamma variate of shape n_required and
+    rate arrival_rate. Yields one batch per window batch that holds a
+    dispatch. With r of the run's total dispatches still to come, a window
+    batch has ceil(min(cap, min(_DRAW_BATCH, r) / p)) windows, where cap is
     _DRAW_BATCH for a logged run and _CHUNK_BUDGET otherwise. The failed
     windows after a batch's last dispatch carry over into the next F.
     """
     import numpy as np
 
     cap = _DRAW_BATCH if logged else _CHUNK_BUDGET
-
-    def windows() -> int:
-        return math.ceil(min(cap, min(_DRAW_BATCH, total) / p))
-
-    durations = _draw_durations(rng, sampler, auction.n_required, auction.arrival_rate, windows())
-    duration = next(durations)
+    shape, scale = float(auction.n_required), 1.0 / auction.arrival_rate
     carried = 0
     while True:
+        duration = rng.gamma(shape, scale, math.ceil(min(cap, min(_DRAW_BATCH, total) / p)))
         dispatched = np.flatnonzero(duration < auction.max_time)
         if dispatched.size:
             # Float, as the dispatch sampler's F: int64 times an int max_time wraps.
@@ -232,7 +178,6 @@ def _regroup(
             yield failures, duration[dispatched]
         else:
             carried += duration.size
-        duration = durations.send(windows())
 
 
 def _table_length(auction: AuctionParams, p: float) -> int:
@@ -431,11 +376,7 @@ def _plan(
         dispatches = -(-config.num_cycles * numerator // (denominator * n_required))
         formula = "ceil(cycles * quantity / n_required)"
     p = _nondegenerate_success_pair(auction)[0]
-    sampler = config.duration_sampler
-    if sampler == "interarrival_sum":
-        work = _as_float(dispatches * n_required) / p
-        unit = f"exponentials ({formula} * n_required / p_success)"
-    elif sampler == "dispatch" and _table_length(auction, p) and not logged:
+    if config.duration_sampler == "dispatch" and _table_length(auction, p) and not logged:
         work = _as_float(dispatches)
         unit = f"dispatches ({formula})"
     else:
@@ -469,14 +410,13 @@ def simulate(
     D dispatches in the run, num_cycles * ceil(Q / n_required) under
     "reset_to_q" and ceil(num_cycles * Q / n_required) under
     "carry_shortfall", the estimate is D on the dispatch sampler's table
-    route, D / p_success bidding windows under "erlang", on the rejection
-    route and for any logged run, and D * n_required / p_success
-    exponentials under "interarrival_sum". It also raises
-    NumericsError when the clock overflows double precision; the clock is
-    checked before a batch is logged, so the log never holds a non-finite
-    time. Every sampler's draws are accounted as each dispatch's failed
-    windows F and closing window S: dispatch k closes at (the previous
-    dispatch + F * max_time) + S. When event_log is given (path or open
+    route, and D / p_success bidding windows under "erlang", on the
+    rejection route and for any logged run. It also raises NumericsError
+    when the clock overflows double precision; the clock is checked before
+    a batch is logged, so the log never holds a non-finite time. Both
+    samplers' draws are accounted as each dispatch's failed windows F and
+    closing window S: dispatch k closes at (the previous dispatch +
+    F * max_time) + S. When event_log is given (path or open
     text file), one JSON line is written per bidding window with keys
     auction, start, duration, outcome and level_after; level_after is the
     stock after any dispatch and replenishment triggered by that window.
@@ -501,7 +441,7 @@ def _check_budget(work: float, unit: str, streams: int, config: SimulationConfig
     total = count * work + count * _STREAM_UNITS if streams > 1 else work
     if total > _MAX_DRAWS and streams > 1:
         raise NumericsError(
-            f"{streams} simulations of about {work:.3g} {unit} each, plus "
+            f"{int_text(streams)} simulations of about {work:.3g} {unit} each, plus "
             f"{_STREAM_UNITS} per simulation for its fixed cost, {total:.3g} in all, are over "
             f"the budget of {_MAX_DRAWS:.0e}; use fewer simulations, fewer cycles or a smaller "
             "quantity"
@@ -575,9 +515,7 @@ def _run(
             table = _excess_table(auction, plan.p)
             draws = _draw_dispatches(rng, auction, plan.p, table, plan.dispatches)
         else:
-            draws = _regroup(
-                rng, config.duration_sampler, auction, plan.p, plan.dispatches, log is not None
-            )
+            draws = _regroup(rng, auction, plan.p, plan.dispatches, log is not None)
         for failures, closes in draws:
             count = failures.size
             level = level_before(dispatches + np.arange(count))

@@ -372,7 +372,7 @@ class TestValidate:
         # dispatch stream has no failed window in its five dispatches, which
         # fails the other two z checks too.)
         assert main(["validate", config_file, "--cycles", "1", "--seed", "3",
-                     "--duration-sampler", "interarrival_sum"]) == 1
+                     "--duration-sampler", "erlang"]) == 1
         out = capsys.readouterr().out
         assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == [
             "[FAIL] simulated cost rate vs consistent/exact analytic: z=n/a (|z| <= 4)"
@@ -480,6 +480,23 @@ class TestConfigParsing:
         assert captured.out == ""
         assert captured.err.startswith("config error: ")
         assert "usage:" not in captured.err
+
+    @pytest.mark.parametrize("source", ["flag", "config-key"])
+    def test_deleted_sampler_is_config_error(self, tmp_path, capsys, source):
+        cfg = tmp_path / "sampler.cfg"
+        if source == "flag":
+            cfg.write_text(BASE_CONFIG, encoding="utf-8")
+            flags = ["--duration-sampler", "interarrival_sum"]
+        else:
+            cfg.write_text(BASE_CONFIG + "duration_sampler = interarrival_sum\n", encoding="utf-8")
+            flags = []
+        assert main(["simulate", str(cfg), "--quantity", "434", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: duration_sampler: must be one of ('erlang', 'dispatch'), "
+            "got 'interarrival_sum'\n"
+        )
 
     def test_repeated_key_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "repeated.cfg"
@@ -725,20 +742,20 @@ class TestSubprocessEntry:
         )
 
     def test_simulated_sweep_over_the_work_budget_is_numeric_error(self, config_file):
-        # 6.9e8 and 4.8e8 exponentials: each cell fits the budget alone, and
-        # the two together took about 15 s before the sweep's budget.
+        # 8.9e8 and 5.0e8 windows: each cell fits the budget and the cycle
+        # bound alone, not the two together.
         result = subprocess.run(
             [sys.executable, "-m", "groupbuy_inventory.cli", "sweep", config_file,
-             "--n-values", "100", "--t-values", "7,8", "--lambda-values", "14",
-             "--include-simulation", "true", "--cycles", "600000",
-             "--duration-sampler", "interarrival_sum"],
+             "--n-values", "100", "--t-values", "5.5,5.8", "--lambda-values", "14",
+             "--include-simulation", "true", "--cycles", "6000000",
+             "--duration-sampler", "erlang"],
             capture_output=True, text=True, timeout=20,
         )
         assert result.returncode == 3
         assert result.stdout == ""
         assert result.stderr == (
-            "numeric domain error: 2 simulations of about 5.84e+08 units each, plus 10000 per "
-            "simulation for its fixed cost, 1.17e+09 in all, are over the budget of 1e+09; "
+            "numeric domain error: 2 simulations of about 6.96e+08 units each, plus 10000 per "
+            "simulation for its fixed cost, 1.39e+09 in all, are over the budget of 1e+09; "
             "use fewer simulations, fewer cycles or a smaller quantity\n"
         )
 
@@ -822,16 +839,11 @@ class TestSubprocessEntry:
     @pytest.mark.parametrize(
         "argv,code,stderr",
         [
-            # interarrival_sum would draw 1e10 exponentials: refused at once.
-            (FOUND + ["--duration-sampler", "interarrival_sum"], 3,
-             "numeric domain error: simulation would draw about 1e+10 exponentials "
-             "(cycles * ceil(quantity / n_required) * n_required / p_success), over the "
-             "budget of 1e+09; use fewer cycles or a smaller quantity\n"),
             (FOUND, 0, ""),
             # p = 5.7e-11: 2e4 dispatches under the default sampler, not 3.5e14 windows.
             (["validate", "--n-required", "150", "--max-time", "6"], 0, ""),
         ],
-        ids=["interarrival-sum-over-budget", "dispatch", "validate-low-p"],
+        ids=["dispatch", "validate-low-p"],
     )
     def test_budget_counts_the_sampler_draws(self, config_file, argv, code, stderr):
         command, *flags = argv

@@ -36,14 +36,18 @@ from groupbuy_inventory.simulator import SimulationCounts, SimulationResult
 def _reference_windows(auction, policy, config, rng):
     """Every window's duration, one float at a time, as the sampler draws them.
 
-    The per-window samplers' raw durations; the dispatch sampler's (F, S)
-    replayed as F failed windows of max_time, then the closing window S.
+    Under erlang, one gamma variate per window, drawn here in batches of
+    1000 (numpy fills gamma draws sequentially, whatever the batch); the
+    dispatch sampler's (F, S) replayed as F failed windows of max_time,
+    then the closing window S.
     """
-    if config.duration_sampler != "dispatch":
-        batches = simulator._draw_durations(
-            rng, config.duration_sampler, auction.n_required, auction.arrival_rate
+    if config.duration_sampler == "erlang":
+        scale = 1.0 / auction.arrival_rate
+        return (
+            window
+            for _ in itertools.count()
+            for window in rng.gamma(auction.n_required, scale, 1000).tolist()
         )
-        return itertools.chain.from_iterable(batch.tolist() for batch in batches)
     plan = simulator._plan(auction, policy, config, False)
     return (
         window
@@ -277,6 +281,13 @@ class TestReplicate:
         with pytest.raises(NumericsError, match=message):
             replicate(base_auction, base_costs, Policy(434.0), _config(num_cycles=cycles), replications)
 
+    def test_replications_past_the_int_to_str_limit_are_shown_in_e_notation(
+        self, base_auction, base_costs
+    ):
+        # str(10**5000) raises ValueError past Python's 4,300-digit limit.
+        with pytest.raises(NumericsError, match=r"^1\.00e\+5000 simulations of about 115 bidding"):
+            replicate(base_auction, base_costs, Policy(434.0), _config(num_cycles=10), 10**5000)
+
     def test_replications_within_the_budget_run(self, monkeypatch, base_auction, base_costs):
         # Two streams of 115.4 windows and 10,000 fixed units: 20,231 in all.
         monkeypatch.setattr(simulator, "_MAX_DRAWS", 20_231)
@@ -332,11 +343,11 @@ class TestResultContracts:
 
 
 class TestDrawBatches:
-    @pytest.mark.parametrize("sampler", ["interarrival_sum", "erlang", "dispatch"])
+    @pytest.mark.parametrize("sampler", ["erlang", "dispatch"])
     def test_result_does_not_depend_on_batch_size(
         self, monkeypatch, base_auction, base_costs, base_policy, sampler
     ):
-        # Numpy fills exponential and gamma draws sequentially, so many small
+        # Numpy fills uniform, gamma and beta draws sequentially, so many small
         # batches yield the same duration sequence as one large batch.
         config = _config(num_cycles=300, duration_sampler=sampler)
         default = simulate(base_auction, base_costs, base_policy, config)
@@ -344,15 +355,11 @@ class TestDrawBatches:
         assert simulate(base_auction, base_costs, base_policy, config) == default
 
     @pytest.mark.parametrize("batch", [7, simulator._DRAW_BATCH], ids=["batch-7", "batch-default"])
-    @pytest.mark.parametrize("sampler", ["interarrival_sum", "erlang"])
-    def test_result_does_not_depend_on_the_window_cap(
-        self, monkeypatch, base_costs, sampler, batch
-    ):
+    def test_result_does_not_depend_on_the_window_cap(self, monkeypatch, base_costs, batch):
         # 100 cycles of ceil(130 / 40) = 4 dispatches at p = 0.019: about
-        # 21k windows, so a cap of 64 binds on every draw. n_required stays
-        # below it: interarrival_sum's slice width is min(n_required, cap).
+        # 21k windows, so a cap of 64 binds on every draw.
         auction = AuctionParams(n_required=40, max_time=2.0, arrival_rate=14.0)
-        config = _config(num_cycles=100, duration_sampler=sampler)
+        config = _config(num_cycles=100, duration_sampler="erlang")
         default = simulate(auction, base_costs, Policy(130.0), config)
         monkeypatch.setattr(simulator, "_CHUNK_BUDGET", 64)
         monkeypatch.setattr(simulator, "_DRAW_BATCH", batch)
@@ -364,16 +371,19 @@ class TestDrawBatches:
         # Unlogged, they come in one draw, or two when the first falls
         # short; a logged run draws at most _DRAW_BATCH windows at a time.
         sizes = []
-        draw = simulator._draw_durations
+        stream = simulator.rng_stream
 
-        def counting(*args):
-            durations = draw(*args)
-            batch = next(durations)
-            while True:
-                sizes.append(batch.size)
-                batch = durations.send((yield batch))
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
 
-        monkeypatch.setattr(simulator, "_draw_durations", counting)
+            def gamma(self, shape, scale, size):
+                sizes.append(size)
+                return self.rng.gamma(shape, scale, size)
+
+        monkeypatch.setattr(
+            simulator, "rng_stream", lambda seed, index: Recording(stream(seed, index))
+        )
         config = _config(num_cycles=500, duration_sampler="erlang")
         log = io.StringIO() if logged else None
         auction = AuctionParams(120, 7.0, 14.0)
@@ -384,11 +394,9 @@ class TestDrawBatches:
         else:
             assert len(sizes) <= 2
 
-    # A window of 2**23 exponentials is drawn in slices of 2**16 (512 KiB).
-    @pytest.mark.parametrize("n_required,bound", [(1, 2 * 2**20), (2**23, 20 * 2**20)])
-    def test_one_auction_run_draws_a_small_batch(self, base_costs, n_required, bound):
-        auction = AuctionParams(n_required=n_required, max_time=float(n_required), arrival_rate=5.0)
-        config = _config(num_cycles=1, duration_sampler="interarrival_sum")
+    def test_one_auction_run_draws_a_small_batch(self, base_costs):
+        auction = AuctionParams(n_required=1, max_time=1.0, arrival_rate=5.0)
+        config = _config(num_cycles=1, duration_sampler="erlang")
         # The first run loads numpy's generator machinery; trace the second.
         simulate(auction, base_costs, Policy(1.0), config)
         tracemalloc.start()
@@ -398,23 +406,7 @@ class TestDrawBatches:
         finally:
             tracemalloc.stop()
         assert result.counts.cycles == 1
-        assert peak < bound
-
-    def test_interarrival_sum_draws_through_one_small_buffer(self, base_costs):
-        # p is about 1/2, so 2,500 dispatches take two batches of windows of
-        # 200 exponentials each: 6.25 MiB for a batch drawn at once.
-        auction = AuctionParams(n_required=200, max_time=40.0, arrival_rate=5.0)
-        config = _config(num_cycles=1, duration_sampler="interarrival_sum")
-        # The first run loads numpy's generator machinery; trace the second.
-        simulate(auction, base_costs, Policy(200 * 2500), config)
-        tracemalloc.start()
-        try:
-            result = simulate(auction, base_costs, Policy(200 * 2500), config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert result.counts.auctions > simulator._DRAW_BATCH
-        assert peak < 2**20
+        assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("batch", [7, simulator._DRAW_BATCH], ids=["batch-7", "batch-default"])
     def test_dispatch_run_draws_exactly_its_dispatches(self, monkeypatch, base_costs, batch):
@@ -428,15 +420,11 @@ class TestDrawBatches:
         assert result.counts.dispatches == 10
         assert counts == {"random": 20, "beta": 10}
 
-    @pytest.mark.parametrize("sampler", ["interarrival_sum", "erlang"])
-    def test_per_window_run_draws_no_padded_batch(self, monkeypatch, base_costs, sampler):
+    def test_per_window_run_draws_no_padded_batch(self, monkeypatch, base_costs):
         counts = _count_draws(monkeypatch)
-        config = _config(num_cycles=3, duration_sampler=sampler)
+        config = _config(num_cycles=3, duration_sampler="erlang")
         result = simulate(BASE, base_costs, Policy(Q_STAR), config)
-        if sampler == "erlang":
-            windows = counts.pop("gamma")
-        else:
-            windows = counts.pop("standard_exponential") / BASE.n_required
+        windows = counts.pop("gamma")
         assert not counts
         # 15 dispatches at p = 0.43: about 35 windows, where a full batch is 4096.
         assert result.counts.auctions <= windows < 2 * result.counts.auctions
@@ -520,8 +508,11 @@ class TestReferenceEquivalence:
         "non-integer-window": (AuctionParams(100, 6.3, 14.0), 150, "reset_to_q", 300),
     }
 
-    @pytest.mark.parametrize("batch", [7, simulator._DRAW_BATCH], ids=["batch-7", "batch-default"])
-    @pytest.mark.parametrize("sampler", ["interarrival_sum", "erlang", "dispatch"])
+    # A batch of 1 puts a batch boundary after every window or dispatch.
+    @pytest.mark.parametrize(
+        "batch", [1, 7, simulator._DRAW_BATCH], ids=["batch-1", "batch-7", "batch-default"]
+    )
+    @pytest.mark.parametrize("sampler", ["erlang", "dispatch"])
     @pytest.mark.parametrize("design", list(DESIGNS))
     def test_matches_step_by_step_reference(self, monkeypatch, base_costs, design, sampler, batch):
         auction, quantity, rule, cycles = self.DESIGNS[design]
@@ -553,8 +544,7 @@ class TestReferenceEquivalence:
         monkeypatch.setattr(simulator, "_DRAW_BATCH", 7)
         assert simulate(auction, base_costs, Policy(1e4), config) == default
 
-    @pytest.mark.parametrize("sampler", ["interarrival_sum", "erlang"])
-    def test_event_log_is_written_once_per_batch(self, base_costs, sampler):
+    def test_event_log_is_written_once_per_batch(self, base_costs):
         class CountingLog(io.StringIO):
             writes = 0
 
@@ -564,7 +554,7 @@ class TestReferenceEquivalence:
 
         log = CountingLog()
         result = simulate(
-            BASE, base_costs, Policy(Q_STAR), _config(num_cycles=2000, duration_sampler=sampler),
+            BASE, base_costs, Policy(Q_STAR), _config(num_cycles=2000, duration_sampler="erlang"),
             event_log=log,
         )
         assert log.getvalue().count("\n") == result.counts.auctions
@@ -710,7 +700,6 @@ class TestDispatchSampler:
             ("dispatch", False, "10 dispatches (cycles * ceil(quantity / n_required))"),
             ("dispatch", True, "7.83e+04 bidding windows"),
             ("erlang", False, "7.83e+04 bidding windows"),
-            ("interarrival_sum", False, "9.4e+06 exponentials"),
         ],
     )
     def test_work_budget_counts_each_samplers_draws(
@@ -761,16 +750,16 @@ class TestAgreementWithAnalytics:
         assert abs(z) <= 4.0
 
     def test_two_samplers_agree(self, base_auction, base_costs, base_policy):
-        gaps = simulate(
-            base_auction, base_costs, base_policy,
-            _config(num_cycles=10000, duration_sampler="interarrival_sum"),
-        )
         erlang = simulate(
             base_auction, base_costs, base_policy,
             _config(num_cycles=10000, duration_sampler="erlang"),
         )
-        se = math.hypot(gaps.long_run_cost_se, erlang.long_run_cost_se)
-        z = (gaps.long_run_cost - erlang.long_run_cost) / se
+        dispatch = simulate(
+            base_auction, base_costs, base_policy,
+            _config(num_cycles=10000, duration_sampler="dispatch"),
+        )
+        se = math.hypot(erlang.long_run_cost_se, dispatch.long_run_cost_se)
+        z = (erlang.long_run_cost - dispatch.long_run_cost) / se
         assert abs(z) <= 4.0
 
     def test_halfwidth_shrinks_like_sqrt_n(self, base_auction, base_costs, base_policy):
@@ -820,16 +809,25 @@ class TestShortfallRules:
 
     def test_event_log_bytes_are_pinned(self, base_auction, base_costs):
         buffer = io.StringIO()
-        config = _config(num_cycles=3, seed=1, duration_sampler="interarrival_sum")
+        config = _config(num_cycles=3, seed=1, duration_sampler="erlang")
         simulate(base_auction, base_costs, Policy(150.0), config, event_log=buffer)
-        assert buffer.getvalue().splitlines(keepends=True)[:4] == [
-            '{"auction":1,"start":0.0,"duration":7.0,"outcome":"failure","level_after":150.0}\n',
-            '{"auction":2,"start":7.0,"duration":6.914693396026527,"outcome":"success",'
+        assert buffer.getvalue().splitlines(keepends=True) == [
+            '{"auction":1,"start":0.0,"duration":6.672132682870467,"outcome":"success",'
             '"level_after":50.0}\n',
-            '{"auction":3,"start":13.914693396026527,"duration":6.704398633804365,'
+            '{"auction":2,"start":6.672132682870467,"duration":6.8423570231715685,'
             '"outcome":"success","level_after":150.0}\n',
-            '{"auction":4,"start":20.61909202983089,"duration":7.0,"outcome":"failure",'
+            '{"auction":3,"start":13.514489706042035,"duration":5.378116844886666,'
+            '"outcome":"success","level_after":50.0}\n',
+            '{"auction":4,"start":18.8926065509287,"duration":6.9064473172140115,'
+            '"outcome":"success","level_after":150.0}\n',
+            '{"auction":5,"start":25.799053868142714,"duration":7.0,"outcome":"failure",'
             '"level_after":150.0}\n',
+            '{"auction":6,"start":32.799053868142714,"duration":6.741189747857115,'
+            '"outcome":"success","level_after":50.0}\n',
+            '{"auction":7,"start":39.54024361599983,"duration":7.0,"outcome":"failure",'
+            '"level_after":50.0}\n',
+            '{"auction":8,"start":46.54024361599983,"duration":6.587360638544309,'
+            '"outcome":"success","level_after":150.0}\n',
         ]
 
     @pytest.mark.parametrize(
@@ -853,7 +851,7 @@ class TestShortfallRules:
         # ... and those values equal a run with Python floats.
         assert parsed == [json.loads(line) for line in records(150.0, 7.0)]
 
-    @pytest.mark.parametrize("sampler", ["interarrival_sum", "erlang", "dispatch"])
+    @pytest.mark.parametrize("sampler", ["erlang", "dispatch"])
     def test_int_window_whose_failed_windows_pass_2_to_63(self, base_costs, sampler):
         # p = 0.11 at max_time = 10**18: F * max_time passes 2**63, where
         # int64 arithmetic would wrap. The clock and the log's failed-window
@@ -949,9 +947,9 @@ class TestValidation:
         # About 1e13 dispatches at p = 0.88: without the estimate this run
         # never ends and its per-dispatch arrays grow without limit.
         def no_draws(*args):
-            raise AssertionError("windows were drawn")
+            raise AssertionError("dispatches were drawn")
 
-        monkeypatch.setattr(simulator, "_draw_durations", no_draws)
+        monkeypatch.setattr(simulator, "_draw_dispatches", no_draws)
         auction = AuctionParams(n_required=100, max_time=8.0, arrival_rate=14.0)
         log = io.StringIO()
         with pytest.raises(NumericsError, match=r"about 1\.13e\+13 bidding windows"):
@@ -1014,3 +1012,14 @@ class TestValidation:
         base.update(kwargs)
         with pytest.raises(ParameterError):
             SimulationConfig(**base)
+
+    def test_seed_past_the_int_to_str_limit_is_a_parameter_error(self):
+        # str(10**5000) raises ValueError past Python's 4,300-digit limit.
+        message = r"^seed must satisfy 0 <= seed < 2\*\*64, got 1\.00e\+5000$"
+        with pytest.raises(ParameterError, match=message):
+            SimulationConfig(10, seed=10**5000)
+
+    def test_interarrival_sum_is_not_a_sampler(self):
+        message = r"^duration_sampler must be one of \('erlang', 'dispatch'\), got 'interarrival_sum'$"
+        with pytest.raises(ParameterError, match=message):
+            SimulationConfig(10, duration_sampler="interarrival_sum")

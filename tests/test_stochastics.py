@@ -24,6 +24,7 @@ from groupbuy_inventory import (
     success_probability,
     success_probability_poisson_tail,
 )
+from groupbuy_inventory.errors import int_text
 from reference_values import (
     BASE_CONDITIONAL,
     BASE_FAILURES,
@@ -563,3 +564,25 @@ class TestParamsValidation:
     def test_infinite_window_is_legal(self):
         params = AuctionParams(n_required=2, max_time=math.inf, arrival_rate=1.0)
         assert params.unbounded
+
+    def test_n_required_past_the_int_to_str_limit_is_a_parameter_error(self):
+        # str(-10**5000) raises ValueError past Python's 4,300-digit limit.
+        with pytest.raises(ParameterError, match=r"^n_required must be >= 1, got -1\.00e\+5000$"):
+            AuctionParams(-10**5000, 7.0, 14.0)
+
+    @pytest.mark.parametrize(
+        "value,text",
+        [
+            (0, "0"),
+            (-7, "-7"),
+            (10**4299, "1" + "0" * 4299),
+            (-(10**4299), "-1" + "0" * 4299),
+            (10**4300, "1.00e+4300"),
+            (-(2**20000), "-3.98e+6020"),
+            (10**6000 - 1, "9.99e+5999"),
+        ],
+        ids=["zero", "negative", "4300-digits", "negative-4300-digits", "4301-digits",
+             "power-of-two", "truncated"],
+    )
+    def test_int_text_is_str_up_to_the_digit_limit(self, value, text):
+        assert int_text(value) == text

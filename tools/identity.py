@@ -11,9 +11,9 @@ both started at once, runs three suites and prints one JSON line per case:
   runs longer than TIMEOUT_S seconds is stopped and counts as a difference.
 - simulate: the designs of the benchmark's simulate workload
   (``perfbench/workloads.py`` next to this script) for each seed in SEEDS,
-  under every duration sampler and shortfall rule, without and with an
-  event log; each SimulationResult's repr (or the error raised) and the
-  SHA-256 of the event log's UTF-8 bytes.
+  under each duration sampler of SAMPLERS and every shortfall rule, without
+  and with an event log; each SimulationResult's repr (or the error raised)
+  and the SHA-256 of the event log's UTF-8 bytes.
 - report: the grids of the benchmark's closed-form workload for each seed,
   then RANDOM_GRIDS seeded random grids (error cells, unbounded and
   negative windows, tiny success probabilities, extreme and zero costs,
@@ -44,6 +44,8 @@ from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SEEDS = (1, 3)
+# Fixed, not the package's DURATION_SAMPLERS, so that both trees build the same cases.
+SAMPLERS = ("erlang", "dispatch")
 RANDOM_GRIDS = 3000
 SIMULATED_EVERY = 25
 NAN_TAG = "[NaN/-inf]"
@@ -155,10 +157,11 @@ COMMANDS = [
     # 2e5 dispatches: pins the dispatch-interval estimate and its se.
     ["simulate", "--n-required", "1", "--max-time", "1000", "--arrival-rate", "1",
      "--quantity", "1000", "--cycles", "200", "--duration-sampler", "erlang"],
-    # One window of 1e10 arrivals: interarrival_sum would draw 1e10 exponentials
-    # and exits 3 at once; the default sampler draws one dispatch.
-    ["simulate", "--n-required", "10000000000", "--max-time", "785714285.7142857",
-     "--quantity", "10000000000", "--cycles", "1", "--duration-sampler", "interarrival_sum"],
+    # 2e5 one-dispatch cycles at p = 1.28e-4: erlang would draw 1.57e9 windows
+    # and exits 3 at once; the default sampler draws their 2e5 dispatches.
+    ["simulate", "--n-required", "120", "--max-time", "6", "--quantity", "9",
+     "--cycles", "200000", "--duration-sampler", "erlang"],
+    # One window of 1e10 arrivals: the default sampler draws one dispatch.
     ["simulate", "--n-required", "10000000000", "--max-time", "785714285.7142857",
      "--quantity", "10000000000", "--cycles", "1"],
     # Failed cells without simulation: one stderr line names each reason.
@@ -184,19 +187,20 @@ COMMANDS = [
     OVER_CELL_BUDGET,
     # 11.5 windows per stream, but each of the 1e7 streams has a fixed cost: exit 3 at once.
     ["simulate", "--quantity", "434", "--cycles", "1", "--replications", "10000000"],
-    # Per-window samplers at a window that is not an integer, where F * max_time
+    # Both samplers at a window that is not an integer, where F * max_time
     # and F additions of max_time round differently.
     ["simulate", "--quantity", "150", "--max-time", "6.3", "--cycles", "300", "--seed", "7",
      "--duration-sampler", "erlang"],
-    ["simulate", "--quantity", "150", "--max-time", "6.3", "--cycles", "300", "--seed", "7",
-     "--duration-sampler", "interarrival_sum"],
-    # Two simulated cells that each fit the work budget, 1.17e9 units together: exit 3
-    # before the first simulation.
-    ["sweep", "--n-values", "100", "--t-values", "7,8", "--lambda-values", "14",
-     "--include-simulation", "true", "--cycles", "600000", "--duration-sampler", "interarrival_sum"],
-    # Windows of 1e5 exponentials at p near 1/2, each summed in slices of 2**16.
+    ["simulate", "--quantity", "150", "--max-time", "6.3", "--cycles", "300", "--seed", "7"],
+    # Two simulated cells of 8.9e8 and 5.0e8 windows, each within the work budget and
+    # the cycle bound, 1.39e9 units together: exit 3 before the first simulation.
+    ["sweep", "--n-values", "100", "--t-values", "5.5,5.8", "--lambda-values", "14",
+     "--include-simulation", "true", "--cycles", "6000000", "--duration-sampler", "erlang"],
+    # Windows of 1e5 arrivals at p near 1/2, each one gamma variate.
     ["simulate", "--n-required", "100000", "--max-time", "7142.857142857143",
-     "--quantity", "100000", "--cycles", "5", "--seed", "7", "--duration-sampler", "interarrival_sum"],
+     "--quantity", "100000", "--cycles", "5", "--seed", "7", "--duration-sampler", "erlang"],
+    # interarrival_sum is not a sampler: exit 2 with one config error line.
+    ["simulate", "--quantity", "434", "--cycles", "300", "--duration-sampler", "interarrival_sum"],
     # A short run at a fractional quantity: ceil(7 * 250.5 / 100) = 18 dispatches.
     ["simulate", "--quantity", "250.5", "--shortfall-rule", "carry_shortfall", "--cycles", "7",
      "--seed", "3"],
@@ -210,8 +214,8 @@ COMMANDS = [
     ["simulate", "--quantity", "-434", "--cycles", "300"],
     # One simulated cell of 1.04e9 units: over the budget as a single stream, which
     # pays no fixed cost: exit 3 before the simulation.
-    ["sweep", "--n-values", "100", "--t-values", "7", "--lambda-values", "14",
-     "--include-simulation", "true", "--cycles", "900000", "--duration-sampler", "interarrival_sum"],
+    ["sweep", "--n-values", "100", "--t-values", "5.5", "--lambda-values", "14",
+     "--include-simulation", "true", "--cycles", "7000000", "--duration-sampler", "erlang"],
     # 1e9 one-dispatch cycles fit the work budget, but not the 1e7-cycle bound: exit 3
     # at once, naming the bytes each cycle keeps.
     ["simulate", "--n-required", "120", "--max-time", "6", "--quantity", "9",
@@ -272,7 +276,7 @@ def simulate_cases(gb):
         for op in Simulate(seed, Path(os.devnull), Path(gb.__file__)).ops:
             design = f"seed={seed} stream={op.stream} {op.auction} Q={op.quantity}"
             for sampler, rule, logged in itertools.product(
-                gb.DURATION_SAMPLERS, gb.SHORTFALL_RULES, (False, True)
+                SAMPLERS, gb.SHORTFALL_RULES, (False, True)
             ):
                 config = dataclasses.replace(op.config, shortfall_rule=rule, duration_sampler=sampler)
                 log = _Digest() if logged else None
