@@ -4,7 +4,9 @@ The package splits into closed-form statistics of the auction mechanism
 (stochastics), the renewal cost model and its optimal order quantity
 (costmodel), a discrete-event Monte Carlo cross-check (simulator),
 parameter sweeps with deterministic reports (sweep), the settings they
-share (settings) and a command-line front end (cli).
+share (settings) and a command-line front end (cli, with its run
+configuration in runconfig and the simulate and validate reports in
+simulation_report and validation).
 
 Importing the package loads none of them: each public name below, and
 each submodule, is imported on first access (PEP 562) and then kept as a
@@ -79,7 +81,7 @@ _EXPORTS = {
     ),
     **dict.fromkeys(("CSV_COLUMNS", "SweepRow", "SweepSpec", "emit_report", "run_sweep"), "sweep"),
 }
-_SUBMODULES = frozenset(_EXPORTS.values()) | {"cli"}
+_SUBMODULES = frozenset(_EXPORTS.values()) | {"cli", "runconfig", "simulation_report", "validation"}
 
 __all__ = sorted(_EXPORTS)
 

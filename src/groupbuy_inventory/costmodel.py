@@ -26,7 +26,7 @@ import math
 from dataclasses import fields
 from typing import Literal, get_args
 
-from .errors import NumericsError, ParameterError, check_choice, check_int, record
+from .errors import NumericsError, ParameterError, check_choice, check_float, check_int, record
 from .stochastics import AuctionStatistics, TdMode, select_dispatch_time
 
 AMode = Literal["exact", "approx"]
@@ -59,7 +59,12 @@ class CostParams:
         for name in ("dispatch_cost", "unit_transport_cost", "holding_rate",
                      "failure_penalty", "reorder_cost"):
             value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:
+                check_float(name, value)
+                raise
+            if not finite or value < 0.0:
                 raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
 
 
@@ -70,7 +75,12 @@ class Policy:
     quantity: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.quantity) or self.quantity <= 0.0:
+        try:
+            finite = math.isfinite(self.quantity)
+        except OverflowError:
+            check_float("quantity", self.quantity)
+            raise
+        if not finite or self.quantity <= 0.0:
             raise ParameterError(f"quantity must be finite and > 0, got {self.quantity!r}")
 
 
@@ -356,6 +366,7 @@ def eoq_limit(costs: CostParams, arrival_rate: float) -> float:
     out of the square root. Requires holding_rate > 0 and reorder_cost > 0;
     raises NumericsError when the quantity overflows to infinity.
     """
+    check_float("arrival_rate", arrival_rate)
     if not math.isfinite(arrival_rate) or arrival_rate <= 0.0:
         raise ParameterError(f"arrival_rate must be finite and > 0, got {arrival_rate!r}")
     check_optimizable(costs, "eoq_limit")

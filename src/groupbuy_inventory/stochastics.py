@@ -32,7 +32,7 @@ import sys
 from typing import Literal, get_args
 
 from .errors import DegenerateAuctionError, DomainError, NumericsError, ParameterError
-from .errors import check_choice, check_int, record
+from .errors import check_choice, check_float, check_int, record
 
 TdMode = Literal["paper", "consistent"]
 
@@ -65,10 +65,16 @@ class AuctionParams:
     def __post_init__(self) -> None:
         # Every formula takes n_required as a float.
         check_int("n_required", self.n_required, 1, sys.float_info.max)
-        if math.isnan(self.max_time) or self.max_time <= 0.0:
-            raise ParameterError(f"max_time must be > 0 (math.inf allowed), got {self.max_time}")
-        if not math.isfinite(self.arrival_rate) or self.arrival_rate <= 0.0:
-            raise ParameterError(f"arrival_rate must be finite and > 0, got {self.arrival_rate}")
+        # An int past the float range is caught, not checked first (see check_float).
+        try:
+            if math.isnan(self.max_time) or self.max_time <= 0.0:
+                raise ParameterError(f"max_time must be > 0 (math.inf allowed), got {self.max_time}")
+            if not math.isfinite(self.arrival_rate) or self.arrival_rate <= 0.0:
+                raise ParameterError(f"arrival_rate must be finite and > 0, got {self.arrival_rate}")
+        except OverflowError:
+            check_float("max_time", self.max_time)
+            check_float("arrival_rate", self.arrival_rate)
+            raise
 
     @property
     def unbounded(self) -> bool:
@@ -394,10 +400,16 @@ def regularized_lower_gamma(s: float, x: float) -> float:
     for s in [20, 100) and 1.1e-16 in each decade from 1e2 to 1e16. No
     finite input overflows.
     """
-    if math.isnan(s) or not 0.0 < s or math.isinf(s):
-        raise DomainError(f"shape s must be finite and > 0, got {s!r}")
-    if math.isnan(x) or x < 0.0:
-        raise DomainError(f"argument x must be >= 0, got {x!r}")
+    # An int past the float range is caught, not checked first (see check_float).
+    try:
+        if math.isnan(s) or not 0.0 < s or math.isinf(s):
+            raise DomainError(f"shape s must be finite and > 0, got {s!r}")
+        if math.isnan(x) or x < 0.0:
+            raise DomainError(f"argument x must be >= 0, got {x!r}")
+    except OverflowError:
+        check_float("shape s", s, DomainError)
+        check_float("argument x", x, DomainError)
+        raise
     if x == 0.0:
         return 0.0
     if math.isinf(x):
@@ -477,6 +489,7 @@ def erlang_pdf(t: float, params: AuctionParams) -> float:
     rate * e^(-rate*t) * (rate*t)^(n-1) / (n-1)!. Evaluated in log space;
     at t = 0 the density is arrival_rate for n_required = 1 and 0 otherwise.
     """
+    check_float("t", t, DomainError)
     if math.isnan(t) or t < 0.0:
         raise DomainError(f"t must be >= 0, got {t!r}")
     if math.isinf(t):

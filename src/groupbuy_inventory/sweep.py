@@ -28,7 +28,15 @@ from .costmodel import (  # noqa: F401
     optimal_cost,
     optimal_quantity,
 )
-from .errors import GroupBuyError, NumericsError, ParameterError, check_choice, check_int, record
+from .errors import (
+    GroupBuyError,
+    NumericsError,
+    ParameterError,
+    check_choice,
+    check_float,
+    check_int,
+    record,
+)
 from .settings import REPORT_FORMATS, SimulationConfig
 from .stochastics import TD_MODES, AuctionParams, TdMode, auction_statistics
 
@@ -127,7 +135,12 @@ def _simulation_failed(row: SweepRow, exc: GroupBuyError) -> SweepRow:
 
 
 def _float_axis(name: str, values: Sequence[float]) -> list[float]:
-    axis = list(map(float, sorted(set(values))))
+    try:
+        axis = list(map(float, sorted(set(values))))
+    except OverflowError:
+        for value in sorted(set(values)):
+            check_float(f"{name} entry", value)
+        raise
     # NaN has no place in a sorted axis, and no JSON spelling.
     if any(map(math.isnan, axis)):
         raise ParameterError(f"{name} entry must not be NaN")
@@ -141,7 +154,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     a deterministic function of the axis sets. Always returns one row per
     cell; failed cells carry an error marker instead of numbers. Raises
     ParameterError before the first cell for an n_values entry that is not
-    an integer or a t_values or lambda_values entry that is NaN, and
+    an integer or a t_values or lambda_values entry that is NaN or an int
+    past the float range, and
     NumericsError before the first cell when the grid holds more than
     _MAX_CELLS cells, and before the first simulation when the
     simulator's _check_budget refuses the cells' simulations together.

@@ -19,7 +19,7 @@ from groupbuy_inventory import (
     regularized_lower_gamma,
     simulate,
 )
-from groupbuy_inventory import cli
+from groupbuy_inventory import cli, validation
 from groupbuy_inventory.cli import RunConfig, main
 
 BASE_CONFIG = """\
@@ -59,6 +59,10 @@ def closed_form_argv(command, keys):
 SUBMODULES = sorted(
     path.stem for path in Path(cli.__file__).parent.glob("*.py") if path.stem != "__init__"
 )
+
+
+# The modules of the simulate and validate reports, which optimize and sweep never load.
+COMMAND_MODULES = ["groupbuy_inventory.simulation_report", "groupbuy_inventory.validation"]
 
 
 def cli_script(command, *flags):
@@ -380,10 +384,10 @@ class TestValidate:
         assert "summary: 13 passed, 1 failed, 3 informational\n" in out
 
     def test_reference_grid_mismatch_fails(self, config_file, capsys, monkeypatch):
-        grid = dict(cli._REFERENCE_GRID)
+        grid = dict(validation._REFERENCE_GRID)
         p, td, _, cost = grid[100, 7.0]
         grid[100, 7.0] = (p, td, 433, cost)
-        monkeypatch.setattr(cli, "_REFERENCE_GRID", grid)
+        monkeypatch.setattr(validation, "_REFERENCE_GRID", grid)
         assert main(["validate", config_file, "--cycles", "2000", "--seed", "7"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] grid integer quantity mismatches: n=100 t=7: 434 vs 433\n" in out
@@ -393,11 +397,11 @@ class TestValidate:
     def test_work_counts(self, config_file, capsys, monkeypatch):
         calls = Counter()
         for name in ("_optimum", "best_integer_quantity", "optimal_quantity"):
-            def counting(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            def counting(*args, _name=name, _original=getattr(validation, name), **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(cli, name, counting)
+            monkeypatch.setattr(validation, name, counting)
         assert main(["validate", config_file, "--cycles", "2000", "--seed", "7"]) == 0
         # One cost-model pass for the base scenario and one per grid cell; one
         # integer optimum for the simulated policy and one Q* for the long window.
@@ -885,11 +889,12 @@ class TestSubprocessEntry:
             ("import groupbuy_inventory",
              ["numpy", *(f"groupbuy_inventory.{m}" for m in SUBMODULES)]),
             (cli_script("optimize"),
-             ["argparse", "numpy", "groupbuy_inventory.simulator", "groupbuy_inventory.sweep"]),
+             ["argparse", "numpy", "groupbuy_inventory.simulator", "groupbuy_inventory.sweep",
+              *COMMAND_MODULES]),
             (cli_script("sweep", "--n-values", "100", "--t-values", "7", "--lambda-values", "14"),
-             ["argparse", "numpy", "groupbuy_inventory.simulator"]),
+             ["argparse", "numpy", "groupbuy_inventory.simulator", *COMMAND_MODULES]),
             (cli_script("simulate", "--quantity", "434", "--cycles", "200"),
-             ["argparse", "groupbuy_inventory.sweep"]),
+             ["argparse", "groupbuy_inventory.sweep", "groupbuy_inventory.validation"]),
             (cli_script("validate", "--cycles", "200"), ["argparse", "groupbuy_inventory.sweep"]),
         ],
         ids=["import", "cli-optimize", "cli-sweep", "cli-simulate", "cli-validate"],
@@ -901,6 +906,26 @@ class TestSubprocessEntry:
         )
         result = subprocess.run(
             [sys.executable, "-c", script + check, config_file], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("optimize", []),
+            ("sweep", ["--n-values", "100", "--t-values", "7", "--lambda-values", "14"]),
+            ("simulate", ["--quantity", "434", "--cycles", "200"]),
+            ("validate", ["--cycles", "200"]),
+        ],
+    )
+    def test_run_as_main_compiles_cli_once(self, config_file, command, flags):
+        # Run as __main__, cli is not groupbuy_inventory.cli: a module that
+        # imported the latter would compile and run cli.py a second time.
+        script = cli_script(command, *flags) + (
+            "\nassert 'groupbuy_inventory.cli' not in sys.modules, 'cli imported as a module'"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, config_file], capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
 

@@ -1,5 +1,6 @@
 """The package's frozen records: each behaves as a frozen dataclass, whatever
-builds its __init__."""
+builds its __init__ and its ==, hash and repr. Their float fields, and the
+other float arguments the library checks, refuse an int past the float range."""
 
 import dataclasses
 import math
@@ -12,13 +13,20 @@ from groupbuy_inventory import (
     AuctionParams,
     AuctionStatistics,
     CostParams,
+    DomainError,
     ParameterError,
     Policy,
     SimulationConfig,
     SweepRow,
     SweepSpec,
+    dispatches_per_cycle,
+    eoq_limit,
+    erlang_pdf,
+    regularized_lower_gamma,
+    run_sweep,
 )
 from groupbuy_inventory.costmodel import CostBreakdown
+from groupbuy_inventory.errors import int_text
 from groupbuy_inventory.simulator import SimulationCounts, SimulationResult
 
 REQUIRED = dataclasses.MISSING
@@ -117,6 +125,30 @@ class TestRecordSemantics:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(copy, name, args[0])
 
+    def test_hash_is_the_hash_of_the_field_tuple(self, cls, fields, args):
+        obj = cls(*args)
+        assert hash(obj) == hash(tuple(getattr(obj, f.name) for f in dataclasses.fields(obj)))
+
+    def test_equal_values_of_another_class_are_not_implemented(self, cls, fields, args):
+        # A frozen dataclass of the same name and fields: dataclass's own ==,
+        # hash and repr on the same values.
+        twin = dataclasses.make_dataclass(cls.__name__, [name for name, _ in fields], frozen=True)
+        obj, other = cls(*args), twin(*args)
+        assert obj.__eq__(other) is NotImplemented
+        assert obj != other
+        assert (hash(obj), repr(obj)) == (hash(other), repr(other))
+
+    def test_dataclass_params_are_frozen(self, cls, fields, args):
+        assert type(cls(*args)).__dataclass_params__.frozen
+
+    def test_frozen_errors_name_the_field(self, cls, fields, args):
+        obj = cls(*args)
+        name = fields[-1][0]
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+            setattr(obj, name, args[-1])
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+            delattr(obj, name)
+
     def test_missing_argument_is_type_error(self, cls, fields, args):
         names = [repr(name) for name, default in fields if default is REQUIRED]
         listed = names[0] if len(names) == 1 else (
@@ -147,3 +179,34 @@ class TestRecordSemantics:
 def test_post_init_checks_keep_their_messages(build, message):
     with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
         build()
+
+
+HUGE = 10**400
+BASE = AuctionParams(100, 7.0, 14.0)
+
+
+@pytest.mark.parametrize(
+    "call,error,name,value",
+    [
+        (lambda: AuctionParams(100, 7.0, HUGE), ParameterError, "arrival_rate", HUGE),
+        (lambda: AuctionParams(100, -HUGE, 14.0), ParameterError, "max_time", -HUGE),
+        (lambda: Policy(HUGE), ParameterError, "quantity", HUGE),
+        (lambda: dispatches_per_cycle(HUGE, 100), ParameterError, "quantity", HUGE),
+        (lambda: CostParams(HUGE, 4.0, 0.02, 10.0, 300.0), ParameterError, "dispatch_cost", HUGE),
+        (lambda: run_sweep(SweepSpec((100,), (7.0, HUGE), (14.0,), COSTS)), ParameterError,
+         "t_values entry", HUGE),
+        (lambda: run_sweep(SweepSpec((100,), (7.0,), (HUGE, 14.0), COSTS)), ParameterError,
+         "lambda_values entry", HUGE),
+        (lambda: eoq_limit(COSTS, HUGE), ParameterError, "arrival_rate", HUGE),
+        (lambda: regularized_lower_gamma(HUGE, 1.0), DomainError, "shape s", HUGE),
+        (lambda: regularized_lower_gamma(5.0, HUGE), DomainError, "argument x", HUGE),
+        (lambda: erlang_pdf(HUGE, BASE), DomainError, "t", HUGE),
+    ],
+    ids=["AuctionParams.arrival_rate", "AuctionParams.max_time", "Policy", "dispatches_per_cycle",
+         "CostParams", "run_sweep.t_values", "run_sweep.lambda_values", "eoq_limit",
+         "regularized_lower_gamma.s", "regularized_lower_gamma.x", "erlang_pdf"],
+)
+def test_int_past_the_float_range_is_the_sites_own_error(call, error, name, value):
+    message = f"{name} must be within the float range, got {int_text(value)}"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -150,6 +150,32 @@ class TestKernel:
                     expected = float(1 - mpmath.gammainc(s, x, mpmath.inf, regularized=True))
             assert regularized_lower_gamma(s, x) == pytest.approx(expected, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "n,x,bound",
+        [
+            # p in [1e-12, 0.3]: the point Baseline named, and the worst of 18,000 random points.
+            (88, 39.03, 1.5e-13),
+            (119, 59.2763133127087, 1.5e-13),
+            # p near 1e-270, and the worst of 4,500 random points there.
+            (150, 0.9, 8.2e-12),
+            (1000, 256.33, 8.2e-12),
+            (3206, 1600.8972904931259, 8.2e-12),
+        ],
+    )
+    def test_smaller_tail_relative_error_at_integer_shape(self, n, x, bound):
+        # README's relative error of the smaller tail, against the exact
+        # Poisson sum P(n, x) = sum_{k >= n} e^-x x^k / k! at 40 digits. Here
+        # x < n, so the terms fall at least geometrically.
+        with mpmath.workdps(40):
+            term = mpmath.exp(-mpmath.mpf(x)) * mpmath.mpf(x) ** n / mpmath.factorial(n)
+            exact, k = mpmath.mpf(0), n
+            while term > exact * mpmath.mpf(10) ** -45:
+                exact += term
+                k += 1
+                term *= mpmath.mpf(x) / k
+            error = abs(regularized_lower_gamma(float(n), x) - exact) / exact
+        assert error <= bound
+
     @pytest.mark.parametrize("s", [1e9, 1e12, 1e15])
     def test_huge_shape_accuracy_near_the_mode(self, s):
         # Within 8 sqrt(s) of the mode the uniform expansion was at most
