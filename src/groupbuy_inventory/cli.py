@@ -12,12 +12,8 @@ compiles only what it runs. No module imports this one: run as
 ``python -m groupbuy_inventory.cli`` it is ``__main__``, and an import
 would compile and run it a second time.
 
-The command line ``COMMAND [CONFIG] (--KEY VALUE)*``, with exact flag
-names, each key once and no CONFIG or VALUE that starts with '-', is read
-without argparse, whose import (with gettext and locale) and set-up cost
-several milliseconds of every launch. argparse reads everything else
-(``--help``, usage errors, a flag given twice, ``--key=value``,
-abbreviated flags, values such as ``-1``), so those keep its behaviour.
+_read_command_line reads every command line. Help is a report like any
+other: main writes it to stdout.
 
 Exit codes: 0 success, 1 validation checks failed, 2 configuration
 error (including a usage error, a config file that cannot be read and a
@@ -28,9 +24,9 @@ with failed cells.
 from __future__ import annotations
 
 import os
+import re
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .costmodel import (
     Policy,
@@ -51,9 +47,6 @@ from .runconfig import (
     load_run_config,
 )
 from .stochastics import auction_statistics
-
-if TYPE_CHECKING:
-    import argparse
 
 
 def _stat_line(label: str, value: float) -> str:
@@ -149,8 +142,20 @@ _COMMANDS = {
 }
 
 
-# Every config-key flag and its key, in the order build_parser registers them:
-# the keys' own flags, then --cycles and --out.
+# --help's note on each command, on CONFIG and on the flags that have one.
+_NOTES = {
+    "optimize": "closed-form statistics, optimal quantity and cost breakdown",
+    "simulate": "Monte Carlo run with analytic side-by-side comparison",
+    "sweep": "evaluate a parameter grid and emit csv/json/markdown",
+    "validate": "fidelity suite against frozen reference values",
+    "CONFIG": "path to a flat key = value config file; a flag wins over it",
+    "-h, --help": "show this help message and exit",
+    "--cycles V": "alias for --num-cycles",
+    "--out FILE": "write the report to FILE instead of stdout",
+}
+
+# Every config-key flag and its key, in the order --help lists them and
+# prefixes are matched: the keys' own flags, then --cycles and --out.
 _FLAGS = {
     **{f"--{key.replace('_', '-')}": key for key in _PARSERS if key != "path"},
     "--cycles": "num_cycles",
@@ -158,114 +163,83 @@ _FLAGS = {
 }
 
 
-def _read_command_line(argv: list[str]) -> tuple[str, str | None, dict[str, str]] | None:
-    """(command, config, overrides) of ``COMMAND [CONFIG] (--KEY VALUE)*``, or None.
+def _help() -> str:
+    """--help's text: the commands, then CONFIG and the flags, which every command takes."""
+    flags = (f"{flag} {'FILE' if flag == '--out' else 'V'}" for flag in _FLAGS)
+    return "\n".join([
+        "usage: groupbuy-inventory COMMAND [CONFIG] [--FLAG VALUE ...]",
+        "",
+        "Replenishment analytics for inventory feeding group-buying auctions.",
+        "",
+        *(f"  {entry:<29}{_NOTES.get(entry, '')}".rstrip()
+          for entry in [*_COMMANDS, "CONFIG", "-h, --help", *flags]),
+    ]) + "\n"
 
-    Accepts only exact flags of _FLAGS, each key at most once (--cycles and
-    --num-cycles are one key), and no CONFIG or value that starts with '-';
-    the overrides follow _PARSERS' order, as argparse's namespace does.
-    None leaves the line to build_parser, which reads every other form.
+
+def _read_command_line(argv: list[str]) -> tuple[str | None, str | None, dict[str, str]]:
+    """(command, config, overrides) of a command line; (None, None, {}) asks for help.
+
+    The line is ``COMMAND (CONFIG | --FLAG VALUE | --FLAG=VALUE | --)*``,
+    with -h or --help anywhere for help. A flag is one of _FLAGS or the one
+    it is a prefix of, and each key is given once. A VALUE is the next
+    token, verbatim, unless it starts with '--'. COMMAND and CONFIG are the
+    tokens that do not start with '-' (or are '-' or a negative number) or
+    follow ``--``. The overrides follow _PARSERS' order, the config's order.
     """
-    if not argv or argv[0] not in _COMMANDS:
-        return None
-    command, *rest = argv
-    config = None
-    if rest and not rest[0].startswith("-"):
-        config, *rest = rest
-    if len(rest) % 2:
-        return None
-    given: dict[str, str] = {}
-    for flag, value in zip(rest[::2], rest[1::2]):
-        key = _FLAGS.get(flag)
-        if key is None or key in given or value.startswith("-"):
-            return None
-        given[key] = value
-    return command, config, {key: given[key] for key in _PARSERS if key in given}
-
-
-def build_parser(command: str) -> argparse.ArgumentParser:
-    """The CLI's parser, with every command and the config-key flags of one.
-
-    Only the subparser named ``command`` gets the config file and flags:
-    the others need only exist, for the command list in ``--help`` and the
-    "invalid choice" error. argparse is imported here, so only a command
-    line that _read_command_line leaves to it loads argparse.
-    """
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        """Usage errors (unknown flag, missing value, unknown command) exit 2."""
-
-        def error(self, message):
-            raise ConfigError(message)
-
-    class StoreOnce(argparse.Action):
-        """Store a flag's value; a second flag for the same key is a ConfigError.
-
-        Covers a repeated flag and a flag given with its alias (--cycles and
-        --num-cycles), which argparse would otherwise resolve last-wins.
-        """
-
-        def __call__(self, parser, namespace, values, option_string=None):
-            first_flag = vars(namespace).setdefault("_first_flag", {})
-            if self.dest in first_flag:
-                raise ConfigError(
-                    f"{self.dest} given twice ({first_flag[self.dest]}, then {option_string})"
-                )
-            first_flag[self.dest] = option_string
-            setattr(namespace, self.dest, values)
-
-    parser = Parser(
-        prog="groupbuy-inventory",
-        description="Replenishment analytics for inventory feeding group-buying auctions.",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    flag_help = {
-        "--cycles": "alias for --num-cycles",
-        "--out": "write the report to FILE instead of stdout",
-    }
-    descriptions = {
-        "optimize": "closed-form statistics, optimal quantity and cost breakdown",
-        "simulate": "Monte Carlo run with analytic side-by-side comparison",
-        "sweep": "evaluate a parameter grid and emit csv/json/markdown",
-        "validate": "fidelity suite against frozen reference values",
-    }
-    for name, help_text in descriptions.items():
-        sub = subparsers.add_parser(name, help=help_text)
-        if name != command:
-            continue
-        sub.add_argument("config", nargs="?", default=None,
-                         help="path to a flat key = value config file")
-        for flag, key in _FLAGS.items():
-            sub.add_argument(flag, dest=key, default=None,
-                             metavar="FILE" if key == "path" else "V",
-                             action=StoreOnce, help=flag_help.get(flag))
-    return parser
+    flags = ["-h", "--help", *_FLAGS]
+    positionals: list[str] = []
+    options_ended = False
+    given: dict[str, tuple[str, str]] = {}
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--" and not options_ended:
+            options_ended = True
+        elif options_ended or token[:1] != "-" or re.fullmatch(r"-(\d*\.?\d+)?", token):
+            if not positionals and token not in _COMMANDS:
+                choices = ", ".join(map(repr, _COMMANDS))
+                raise ConfigError(f"argument command: invalid choice: {token!r} (choose from {choices})")
+            if len(positionals) == 2:
+                raise ConfigError(f"unrecognized arguments: {token}")
+            positionals.append(token)
+        else:
+            name, equals, value = token.partition("=")
+            matches = [name] if name in flags else [flag for flag in flags if flag.startswith(name)]
+            if len(matches) != 1:
+                ambiguous = f"ambiguous option: {token} could match {', '.join(matches)}"
+                raise ConfigError(ambiguous if matches else f"unrecognized arguments: {token}")
+            flag = matches[0]
+            if flag in ("-h", "--help"):
+                return None, None, {}
+            value = value if equals else next(tokens, "--")
+            if value.startswith("--") and not equals:
+                raise ConfigError(f"argument {flag}: expected one argument")
+            key = _FLAGS[flag]
+            if key in given:
+                raise ConfigError(f"{key} given twice ({given[key][0]}, then {flag})")
+            given[key] = flag, value
+    if not positionals:
+        raise ConfigError("the following arguments are required: command")
+    command, config = [*positionals, None][:2]
+    return command, config, {key: given[key][1] for key in _PARSERS if key in given}
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        argv = sys.argv[1:] if argv is None else argv
-        line = _read_command_line(argv)
-        if line is None:
-            args = build_parser(argv[0] if argv else "").parse_args(argv)
-            overrides = {
-                key: value
-                for key, value in vars(args).items()
-                if key in _PARSERS and value is not None
-            }
-            line = args.command, args.config, overrides
-        command, config_path, overrides = line
-        cfg = load_run_config(config_path, overrides)
-        text, code = _COMMANDS[command](cfg)
+        command, config_path, overrides = _read_command_line(sys.argv[1:] if argv is None else argv)
+        if command is None:
+            text, code, path = _help(), 0, None
+        else:
+            cfg = load_run_config(config_path, overrides)
+            text, code = _COMMANDS[command](cfg)
+            path = cfg.path
         try:
-            if cfg.path is None:
+            if path is None:
                 sys.stdout.write(text)
                 sys.stdout.flush()
             else:
-                Path(cfg.path).write_text(text, encoding="utf-8")
+                Path(path).write_text(text, encoding="utf-8")
         except OSError as exc:
-            target = cfg.path
+            target = path
             if target is None:
                 target = "stdout"
                 # The buffer that failed would be flushed again at shutdown.

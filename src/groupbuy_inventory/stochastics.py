@@ -474,6 +474,11 @@ def success_probability_poisson_tail(params: AuctionParams) -> float:
     if params.unbounded:
         return 1.0
     mu = params.arrival_rate * params.max_time
+    # mu underflows to 0.0 or overflows to inf: no log of either.
+    if mu == 0.0:
+        return 0.0
+    if math.isinf(mu):
+        return 1.0
     log_mu = math.log(mu)
     terms = []
     for k in range(params.n_required):
@@ -487,18 +492,21 @@ def erlang_pdf(t: float, params: AuctionParams) -> float:
 
     The n-th arrival of a Poisson(rate) process has the Erlang density
     rate * e^(-rate*t) * (rate*t)^(n-1) / (n-1)!. Evaluated in log space;
-    at t = 0 the density is arrival_rate for n_required = 1 and 0 otherwise.
+    where rate*t is 0.0 the density is arrival_rate for n_required = 1 and
+    0 otherwise, and where it is inf the density is 0.
     """
     check_float("t", t, DomainError)
     if math.isnan(t) or t < 0.0:
         raise DomainError(f"t must be >= 0, got {t!r}")
-    if math.isinf(t):
-        return 0.0
     lam = params.arrival_rate
     n = params.n_required
-    if t == 0.0:
+    x = lam * t
+    # x underflows to 0.0 (the density at t = 0) or is inf (0.0): no log of either.
+    if x == 0.0:
         return lam if n == 1 else 0.0
-    log_density = math.log(lam) - lam * t + (n - 1.0) * math.log(lam * t) - math.lgamma(float(n))
+    if math.isinf(x):
+        return 0.0
+    log_density = math.log(lam) - x + (n - 1.0) * math.log(x) - math.lgamma(float(n))
     if log_density < _LOG_UNDERFLOW:
         return 0.0
     return math.exp(log_density)

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import os
 import re
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from groupbuy_inventory import (
 )
 from groupbuy_inventory import cli, validation
 from groupbuy_inventory.cli import RunConfig, main
+from groupbuy_inventory.errors import ConfigError
 
 BASE_CONFIG = """\
 # base scenario
@@ -65,16 +67,16 @@ SUBMODULES = sorted(
 COMMAND_MODULES = ["groupbuy_inventory.simulation_report", "groupbuy_inventory.validation"]
 
 
-def cli_script(command, *flags):
+def cli_script(command, *flags, code=0):
     """What `python -m groupbuy_inventory.cli COMMAND CONFIG FLAGS` runs, CONFIG
-    being the script's first argument; the command must exit 0."""
+    being the script's first argument; the command must exit with code."""
     return (
         "import runpy, sys\n"
         f"sys.argv = ['groupbuy-inventory', {command!r}, sys.argv[1], *{list(flags)!r}]\n"
         "try:\n"
         "    runpy.run_module('groupbuy_inventory.cli', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
-        "    assert exc.code == 0, exc.code"
+        f"    assert exc.code == {code}, exc.code"
     )
 
 
@@ -591,8 +593,8 @@ class TestSchema:
 
 
 # Pieces of command lines: the commands and one bogus command; every flag and
-# argparse-only spellings (an unknown key, an abbreviation, key=value, help,
-# the end of options); values, some of which start with '-' or name a command.
+# other spellings (an unknown key, an abbreviation, key=value, help, the end of
+# options); values, some of which start with '-' or name a command.
 LINE_COMMANDS = [*cli._COMMANDS, "frobnicate"]
 LINE_FLAGS = [
     *(f"--{key.replace('_', '-')}" for key in SCHEMA_KEYS if key != "path"),
@@ -600,15 +602,21 @@ LINE_FLAGS = [
 ]
 LINE_VALUES = ["5", "base.cfg", "-1", "", "a=b", "optimize"]
 LINE_PIECES = st.sampled_from(LINE_COMMANDS + LINE_FLAGS + LINE_VALUES)
+# The key each flag of LINE_FLAGS names, its one abbreviation included.
+LINE_KEYS = {**cli._FLAGS, "--cyc": "num_cycles"}
+HELP = (None, None, {})
+INVALID_CHOICE = (
+    "argument command: invalid choice: {!r} (choose from 'optimize', 'simulate', 'sweep', "
+    "'validate')"
+)
 
 
-def argparse_line(argv):
-    """(command, config, overrides) as main read it from argparse's namespace alone."""
-    args = cli.build_parser(argv[0]).parse_args(argv)
-    overrides = {
-        key: value for key, value in vars(args).items() if key in cli._PARSERS and value is not None
-    }
-    return args.command, args.config, list(overrides.items())
+def read_line(argv):
+    """What _read_command_line makes of argv: its triple or its ConfigError's message."""
+    try:
+        return cli._read_command_line(argv)
+    except ConfigError as exc:
+        return str(exc)
 
 
 class TestCommandLine:
@@ -629,40 +637,93 @@ class TestCommandLine:
     )
     @example(argv=["simulate", "base.cfg", "--quantity", "434", "--cycles", "5", "--out", "a=b"])
     @example(argv=["optimize", "", "--seed", "", "--n-values", "optimize"])
+    @example(argv=["validate", "--seed=3", "--cyc", "-h", "--", "-1"])
     @example(argv=["validate"])
-    def test_recognized_line_is_argparses(self, argv):
-        line = cli._read_command_line(argv)
-        if line is not None:
+    def test_every_line_is_read_or_is_a_config_error(self, argv):
+        line = read_line(argv)
+        if line == HELP:
+            assert "-h" in argv
+        elif not isinstance(line, str):
             command, config, overrides = line
-            assert argparse_line(argv) == (command, config, list(overrides.items()))
+            assert command == argv[0]
+            assert config is None or config in argv[1:]
+            assert list(overrides) == [key for key in cli._PARSERS if key in overrides]
+            spelled = [*zip(argv, argv[1:]), *(token.split("=", 1) for token in argv if "=" in token)]
+            for key, value in overrides.items():
+                assert any(LINE_KEYS.get(flag) == key and given == value for flag, given in spelled)
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,outcome",
         [
-            [],
-            ["optimize", "-h"],
-            ["optimize", "--help"],
-            ["frobnicate"],
-            ["optimize", "base.cfg", "base.cfg"],
-            ["optimize", "--seed", "3", "base.cfg"],
-            ["optimize", "--seed"],
-            ["optimize", "--seed", "-1"],
-            ["optimize", "--seed=3"],
-            ["optimize", "--cyc", "3"],
-            ["optimize", "--path", "report.txt"],
-            ["optimize", "--seed", "1", "--seed", "2"],
-            ["optimize", "--cycles", "1", "--num-cycles", "2"],
-            ["optimize", "--", "base.cfg"],
-            ["--seed", "3", "optimize"],
+            ([], "the following arguments are required: command"),
+            (["optimize", "-h"], HELP),
+            (["optimize", "--help"], HELP),
+            (["optimize", "--he"], HELP),
+            (["--help", "frobnicate"], HELP),
+            (["optimize", "--seed", "3", "--help"], HELP),
+            (["optimize", "--help=3"], HELP),
+            (["frobnicate"], INVALID_CHOICE.format("frobnicate")),
+            (["optimize", "base.cfg", "base.cfg"], "unrecognized arguments: base.cfg"),
+            (["optimize", "--seed", "3", "base.cfg"], ("optimize", "base.cfg", {"seed": "3"})),
+            (["optimize", "--seed"], "argument --seed: expected one argument"),
+            (["optimize", "--seed", "--n-values", "5"], "argument --seed: expected one argument"),
+            (["optimize", "--seed", "-1"], ("optimize", None, {"seed": "-1"})),
+            (["optimize", "--t-values", "-1,7"], ("optimize", None, {"t_values": "-1,7"})),
+            (["optimize", "--seed=3"], ("optimize", None, {"seed": "3"})),
+            (["optimize", "--cyc", "3"], ("optimize", None, {"num_cycles": "3"})),
+            (["optimize", "--n", "5"],
+             "ambiguous option: --n could match --n-required, --num-cycles, --n-values"),
+            (["optimize", "--path", "report.txt"], "unrecognized arguments: --path"),
+            (["optimize", "--bogus", "1"], "unrecognized arguments: --bogus"),
+            (["optimize", "--bogus=1", "-x"], "unrecognized arguments: --bogus=1"),
+            (["optimize", "--seed", "1", "--seed", "2"], "seed given twice (--seed, then --seed)"),
+            (["optimize", "--cycles", "1", "--num-cycles", "2"],
+             "num_cycles given twice (--cycles, then --num-cycles)"),
+            (["optimize", "-1"], ("optimize", "-1", {})),
+            (["optimize", "--", "base.cfg"], ("optimize", "base.cfg", {})),
+            (["optimize", "--", "--seed", "3"], "unrecognized arguments: 3"),
+            (["--seed", "3", "optimize"], ("optimize", None, {"seed": "3"})),
+            (["--seed", "3"], "the following arguments are required: command"),
+            (["-1"], INVALID_CHOICE.format("-1")),
+            (["simulate", "--quant", "434", "--out", "a", "--cycles", "5", "b.cfg"],
+             ("simulate", "b.cfg", {"num_cycles": "5", "quantity": "434", "path": "a"})),
         ],
         ids=[
-            "empty", "-h", "--help", "unknown-command", "two-configs", "config-after-a-flag",
-            "missing-value", "negative-value", "key=value", "abbreviation", "path-flag",
-            "repeated-flag", "alias-and-flag", "end-of-options", "flag-first",
+            "empty", "-h", "--help", "help-prefix", "help-first", "help-after-flags",
+            "help-with-value", "unknown-command", "two-configs", "config-after-a-flag",
+            "missing-value", "flag-for-a-value", "negative-value", "dash-value", "key=value",
+            "abbreviation", "ambiguous-abbreviation", "path-flag", "unknown-flag",
+            "unknown-flags", "repeated-flag", "alias-and-flag", "negative-config",
+            "end-of-options", "flags-after-the-end", "flag-first", "flag-alone",
+            "negative-command", "parsers-order",
         ],
     )
-    def test_other_lines_are_left_to_argparse(self, argv):
-        assert cli._read_command_line(argv) is None
+    def test_outcome(self, argv, outcome):
+        assert read_line(argv) == outcome
+
+    def test_main_returns_0_after_help(self, capsys):
+        assert main(["--help"]) == 0
+        assert main(["sweep", "-h"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == 2 * cli._help()
+        assert captured.err == ""
+
+    def test_help_bytes_do_not_follow_the_terminal(self):
+        def run(columns, *argv):
+            return subprocess.run(
+                [sys.executable, "-m", "groupbuy_inventory.cli", *argv],
+                capture_output=True, text=True, timeout=60, env={**os.environ, "COLUMNS": columns},
+            )
+
+        for argv in (["--help"], ["simulate", "--help"]):
+            narrow, wide = run("40", *argv), run("200", *argv)
+            assert narrow.returncode == wide.returncode == 0
+            assert narrow.stdout == wide.stdout
+        lines = run("80", "--help").stdout.splitlines()
+        for command in cli._COMMANDS:
+            assert any(command in line and cli._NOTES[command] in line for line in lines)
+        flags = run("80", "simulate", "--help").stdout
+        assert all(flag in flags for flag in cli._FLAGS)
 
 
 class TestSubprocessEntry:
@@ -797,10 +858,11 @@ class TestSubprocessEntry:
         assert (result.returncode, result.stderr) == (code, stderr)
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
-    def test_report_that_cannot_reach_stdout_is_config_error(self, config_file):
+    @pytest.mark.parametrize("argv", [["optimize"], ["--help"]], ids=["report", "help"])
+    def test_report_that_cannot_reach_stdout_is_config_error(self, config_file, argv):
         with open("/dev/full", "w") as full:
             result = subprocess.run(
-                [sys.executable, "-m", "groupbuy_inventory.cli", "optimize", config_file],
+                [sys.executable, "-m", "groupbuy_inventory.cli", *argv, config_file],
                 stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
             )
         assert result.returncode == 2
@@ -896,8 +958,14 @@ class TestSubprocessEntry:
             (cli_script("simulate", "--quantity", "434", "--cycles", "200"),
              ["argparse", "groupbuy_inventory.sweep", "groupbuy_inventory.validation"]),
             (cli_script("validate", "--cycles", "200"), ["argparse", "groupbuy_inventory.sweep"]),
+            (cli_script("--help"), ["argparse", "groupbuy_inventory.sweep", *COMMAND_MODULES]),
+            (cli_script("optimize", "--quantity=434"), ["argparse"]),
+            (cli_script("optimize", "--quant", "434"), ["argparse"]),
+            (cli_script("optimize", "--seed", "-1", code=2), ["argparse"]),
+            (cli_script("optimize", "--bogus", "1", code=2), ["argparse"]),
         ],
-        ids=["import", "cli-optimize", "cli-sweep", "cli-simulate", "cli-validate"],
+        ids=["import", "cli-optimize", "cli-sweep", "cli-simulate", "cli-validate", "cli-help",
+             "cli-key=value", "cli-abbreviation", "cli-negative-value", "cli-unknown-flag"],
     )
     def test_entry_points_load_only_what_they_run(self, config_file, script, unloaded):
         check = (

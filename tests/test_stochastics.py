@@ -292,6 +292,14 @@ class TestSuccessProbability:
         assert success_probability(params) == 1.0
         assert success_probability_poisson_tail(params) == 1.0
 
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_poisson_tail_at_an_empty_and_a_full_window(self, n):
+        # rate * T underflows to 0.0 or overflows to inf: the kernel's values, no log of either.
+        for rate, expected in ((1e-200, 0.0), (1e200, 1.0)):
+            params = AuctionParams(n_required=n, max_time=rate, arrival_rate=rate)
+            assert success_probability_poisson_tail(params) == success_probability(params)
+            assert success_probability(params) == expected
+
     def test_strictly_monotone_in_design(self):
         base = dict(n_required=20, max_time=1.5, arrival_rate=10.0)
         by_t = [
@@ -385,6 +393,14 @@ class TestErlangPdf:
         with pytest.raises(DomainError):
             erlang_pdf(math.nan, params)
         assert erlang_pdf(math.inf, params) == 0.0
+
+    def test_rate_times_t_at_zero_and_infinity(self):
+        # rate * t underflows to 0.0 (the density at t = 0) or overflows to inf.
+        for n, at_zero in ((1, 1e-200), (5, 0.0)):
+            tiny = AuctionParams(n_required=n, max_time=1e-200, arrival_rate=1e-200)
+            assert erlang_pdf(1e-300, tiny) == erlang_pdf(0.0, tiny) == at_zero
+            huge = AuctionParams(n_required=n, max_time=1e200, arrival_rate=1e200)
+            assert erlang_pdf(1e300, huge) == 0.0
 
 
 class TestDurations:

@@ -175,7 +175,7 @@ COMMANDS = [
     REFERENCE_GRID + ["--td-mode", "consistent", "--format", "json"],
     # The budget counts every replication: about 2.3e12 windows in all, exit 3 at once.
     ["simulate", "--quantity", "434", "--replications", "10000000", "--cycles", "20000"],
-    # Help and usage errors name every command, whichever command's flags are built.
+    # Help and usage errors name every command.
     ["--help"],
     ["simulate", "--help"],
     ["frobnicate"],
@@ -207,11 +207,21 @@ COMMANDS = [
     # About 29k windows at p = 0.017, drawn at once by an unlogged per-window run.
     ["simulate", "--n-required", "120", "--max-time", "7", "--quantity", "94", "--cycles", "500",
      "--duration-sampler", "erlang"],
-    # Spellings that only argparse reads: key=value, abbreviated flags and a value
-    # that starts with '-' (as "--seed -1" above).
+    # Spellings past COMMAND CONFIG --FLAG VALUE: key=value, abbreviated flags and a
+    # value that starts with '-' (as "--seed -1" above).
     ["simulate", "--quantity=434", "--cycles", "300", "--seed", "7"],
     ["simulate", "--quant", "434", "--cyc", "300", "--seed", "7"],
     ["simulate", "--quantity", "-434", "--cycles", "300"],
+    # The grammar's edges: an ambiguous prefix, a missing value, an unknown flag, a
+    # value that starts with '-' and is not a number, a second CONFIG, help given a
+    # value, and a key given by its prefix and then by its alias.
+    ["optimize", "--n", "5"],
+    ["optimize", "--seed"],
+    ["optimize", "--bogus", "1"],
+    ["optimize", "--t-values", "-1,7"],
+    ["optimize", "other.cfg"],
+    ["optimize", "--help=3"],
+    ["simulate", "--cyc", "300", "--cycles", "300", "--quantity", "434"],
     # One simulated cell of 1.04e9 units: over the budget as a single stream, which
     # pays no fixed cost: exit 3 before the simulation.
     ["sweep", "--n-values", "100", "--t-values", "5.5", "--lambda-values", "14",
