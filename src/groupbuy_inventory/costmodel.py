@@ -59,12 +59,7 @@ class CostParams:
         for name in ("dispatch_cost", "unit_transport_cost", "holding_rate",
                      "failure_penalty", "reorder_cost"):
             value = getattr(self, name)
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:
-                check_float(name, value)
-                raise
-            if not finite or value < 0.0:
+            if not math.isfinite(value) or value < 0.0:
                 raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
 
 
@@ -75,12 +70,7 @@ class Policy:
     quantity: float
 
     def __post_init__(self) -> None:
-        try:
-            finite = math.isfinite(self.quantity)
-        except OverflowError:
-            check_float("quantity", self.quantity)
-            raise
-        if not finite or self.quantity <= 0.0:
+        if not math.isfinite(self.quantity) or self.quantity <= 0.0:
             raise ParameterError(f"quantity must be finite and > 0, got {self.quantity!r}")
 
 

@@ -5,7 +5,8 @@ can catch one base class; the leaf classes also subclass the closest
 builtin (ValueError or ArithmeticError). check_choice, check_int and
 check_float hold the one check of a mode argument, of an integer argument
 and of an int passed as a float, int_text is the one way a message shows a
-caller's integer, and record is the one way to declare a frozen record.
+caller's integer, and record is the one way to declare a frozen record,
+RunConfig included.
 """
 
 import math
@@ -101,20 +102,11 @@ def _repr(self) -> str:
     return f"{self.__class__.__qualname__}({pairs})"
 
 
-def with_value_methods(cls: type) -> type:
-    """Give dataclass cls the == and repr that dataclass would build.
-
-    The functions are shared by every class, and record adds the shared
-    hash; each reads the fields' values as one tuple through the class's
-    attrgetter. == compares those tuples and returns NotImplemented for
-    another class, hash is the tuple's hash and repr is
-    ``QualName(f=v!r, ...)``.
-    """
-    cls._names = names = tuple(field.name for field in fields(cls))
-    values = attrgetter(*names)
-    cls._values = staticmethod(values if len(names) > 1 else lambda obj: (values(obj),))
-    cls.__eq__, cls.__repr__ = _eq, _repr
-    return cls
+def _name_the_overflow(self) -> None:
+    # __post_init__ raised OverflowError: math met an int past the float range.
+    for name, value in zip(self._names, self._values(self)):
+        if isinstance(value, int):
+            check_float(name, value)
 
 
 def record(cls: type) -> type:
@@ -126,18 +118,25 @@ def record(cls: type) -> type:
     (stores into the key-sharing dict would halve their speed), at about 340
     bytes more per 12-field record. The __init__ takes the same parameters,
     order and plain defaults, then calls __post_init__ when the class has one.
+    An OverflowError from it, math meeting an int past the float range,
+    becomes check_float's error for the first such int field.
 
     fields, replace, pickling and the frozen __setattr__ and __delattr__
-    (FrozenInstanceError) are dataclass's. ==, hash and repr are the shared
-    functions of with_value_methods and _hash, not three more functions that
-    dataclass would compile with exec for every class: a 12-field record
-    builds in 0.42 ms, against 0.70 ms with dataclass's own, and a
-    25-field RunConfig in 0.52 ms against 0.87 ms (Python 3.11, 2-vCPU
-    Xeon; best of 50 builds).
+    (FrozenInstanceError) are dataclass's. ==, hash and repr are three
+    functions shared by every class, not three more functions that dataclass
+    would compile with exec for every class; each reads the fields' values
+    as one tuple through the class's attrgetter. == compares those tuples
+    and returns NotImplemented for another class, hash is the tuple's hash
+    and repr is ``QualName(f=v!r, ...)``. A 12-field record builds in 0.42
+    ms, against 0.70 ms with dataclass's own (Python 3.11, 2-vCPU Xeon; best
+    of 50 builds).
     """
-    cls = with_value_methods(dataclass(frozen=True, init=False, repr=False, eq=False)(cls))
-    cls.__hash__ = _hash
-    namespace: dict = {}
+    cls = dataclass(frozen=True, init=False, repr=False, eq=False)(cls)
+    cls._names = names = tuple(field.name for field in fields(cls))
+    values = attrgetter(*names)
+    cls._values = staticmethod(values if len(names) > 1 else lambda obj: (values(obj),))
+    cls.__eq__, cls.__hash__, cls.__repr__ = _eq, _hash, _repr
+    namespace: dict = {"_name_the_overflow": _name_the_overflow}
     params = []
     for field in fields(cls):
         if field.default is MISSING:
@@ -145,8 +144,12 @@ def record(cls: type) -> type:
         else:
             namespace[f"_default_{field.name}"] = field.default
             params.append(f"{field.name}=_default_{field.name}")
-    items = ", ".join(f"{field.name!r}: {field.name}" for field in fields(cls))
-    post_init = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    items = ", ".join(f"{name!r}: {name}" for name in names)
+    post_init = (
+        "\n    try:\n        self.__post_init__()\n    except OverflowError:\n"
+        "        _name_the_overflow(self)\n        raise"
+        if hasattr(cls, "__post_init__") else ""
+    )
     exec(f"def __init__(self, {', '.join(params)}):\n"
          f"    self.__dict__.update({{{items}}}){post_init}\n", namespace)
     cls.__init__ = namespace["__init__"]

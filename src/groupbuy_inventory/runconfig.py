@@ -9,11 +9,13 @@ the file. RunConfig holds the parsed keys and the records built from them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+import re
+import sys
+from dataclasses import field, fields, replace
 from pathlib import Path
 
 from .costmodel import A_MODES, CostParams, Policy, check_optimizable
-from .errors import ConfigError, ParameterError, with_value_methods
+from .errors import ConfigError, ParameterError, record
 from .settings import DURATION_SAMPLERS, REPORT_FORMATS, SHORTFALL_RULES, SimulationConfig
 from .stochastics import TD_MODES, AuctionParams
 
@@ -31,6 +33,13 @@ def _int(key: str, raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
+        # A well-formed integer fails only past the int-to-str digit limit.
+        if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", raw):
+            digits = sum(map(str.isdecimal, raw))
+            raise ConfigError(
+                f"{key}: the value has {digits} digits, more than "
+                f"sys.get_int_max_str_digits() allows ({sys.get_int_max_str_digits()})"
+            ) from None
         raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
 
 
@@ -94,18 +103,14 @@ def _key(parse, default=None):
     return field(default=default, metadata={"parse": parse})
 
 
-@with_value_methods
-@dataclass(eq=False, repr=False)
+@record
 class RunConfig:
     """Fully parsed run configuration; None means the key was not given.
 
     Every field made by _key is a config key and has a same-named flag,
-    registered in field order; ``path``'s flag is ``--out``. == and repr
-    are the records' shared ones, and a RunConfig, being mutable, has no
-    hash.
+    registered in field order; ``path``'s flag is ``--out``. A frozen,
+    hashable record, as every other.
     """
-
-    __hash__ = None
 
     n_required: int | None = _key(_POSITIVE_INT)
     num_cycles: int = _key(_int, 20000)
@@ -170,8 +175,8 @@ def parse_config_text(text: str) -> dict[str, str]:
 def load_run_config(config_path: str | None, overrides: dict[str, str]) -> RunConfig:
     """Merge a config file with flag overrides into a validated RunConfig.
 
-    Builds cfg.costs, cfg.simulation and, when quantity is given,
-    cfg.policy; a value those constructors reject is a ConfigError.
+    Its costs, simulation and, when quantity is given, policy are built
+    from the keys; a value those constructors reject is a ConfigError.
     """
     raw: dict[str, str] = {}
     if config_path is not None:
@@ -179,29 +184,29 @@ def load_run_config(config_path: str | None, overrides: dict[str, str]) -> RunCo
         if not path.is_file():
             raise ConfigError(f"config file not found: {config_path}")
         try:
-            text = path.read_text(encoding="utf-8")
+            # utf-8-sig: a file saved with a byte-order mark reads as one without.
+            text = path.read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {config_path}: {exc}") from None
         raw.update(parse_config_text(text))
     raw.update(overrides)
-    cfg = RunConfig()
-    for key, value in raw.items():
-        setattr(cfg, key, _PARSERS[key](key, value))
+    cfg = RunConfig(**{key: _PARSERS[key](key, value) for key, value in raw.items()})
     _require(cfg, *_COST_FIELDS)
     try:
-        cfg.costs = CostParams(**{name: getattr(cfg, key) for key, name in _COST_FIELDS.items()})
-        cfg.simulation = SimulationConfig(
-            cfg.num_cycles, cfg.seed, cfg.shortfall_rule, cfg.duration_sampler
+        return replace(
+            cfg,
+            costs=CostParams(**{name: getattr(cfg, key) for key, name in _COST_FIELDS.items()}),
+            simulation=SimulationConfig(
+                cfg.num_cycles, cfg.seed, cfg.shortfall_rule, cfg.duration_sampler
+            ),
+            policy=None if cfg.quantity is None else Policy(cfg.quantity),
         )
-        if cfg.quantity is not None:
-            cfg.policy = Policy(cfg.quantity)
     except ParameterError as exc:
         # Name the config key, not the CostParams field, in the message.
         message = str(exc)
         for key, name in _COST_FIELDS.items():
             message = message.replace(name, key)
         raise ConfigError(message) from None
-    return cfg
 
 
 def _require(cfg: RunConfig, *keys: str) -> None:

@@ -43,7 +43,8 @@ class SimulationConfig:
         in one gamma variate and regroups the windows into each dispatch's
         F and S, so both share one accounting path and one clock rule. It
         is kept as the reference for the dispatch sampler: the same system,
-        other draws. simulate documents the work each of them is charged.
+        other draws. Writing an event log changes no draw of either
+        sampler. simulate documents the work each of them is charged.
     """
 
     num_cycles: int

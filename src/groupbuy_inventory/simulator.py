@@ -25,9 +25,9 @@ run's dispatch total D is known before the first draw. Every draw is
 sized to it: with r = min(_DRAW_BATCH, D - dispatches so far), a
 dispatch batch holds r dispatches and an erlang batch
 ceil(min(_CHUNK_BUDGET, r / p_success)) windows, so one accounting pass
-covers about r dispatches even at a small p_success. A run that writes an
-event log caps its windows at _DRAW_BATCH instead, which bounds what one
-log write holds.
+covers about r dispatches even at a small p_success. Writing an event log
+changes no draw size: the log is written in chunks of at most
+2 * _DRAW_BATCH windows, whatever the batch holds.
 
 Determinism contract: results are a pure function of (auction, costs,
 policy, config, stream). Random numbers come from
@@ -61,12 +61,11 @@ if TYPE_CHECKING:
     # paths (optimize, sweeps without simulation) never load it.
     import numpy as np
 
-# Most dispatches per dispatch draw and per accounting pass, most windows
-# per duration draw of a logged run, and half the windows per event-log
-# write; a run asks only for what it still needs.
+# Most dispatches per dispatch draw and per accounting pass, and half the
+# windows per event-log write; a run asks only for what it still needs.
 _DRAW_BATCH = 1 << 12
-# Most windows per duration draw of an unlogged run (512 KiB of durations),
-# and most values per list that _fsum builds. At p_success = 0.01 to 0.06,
+# Most windows per duration draw (512 KiB of durations), logged or not, and
+# most values per list that _fsum builds. At p_success = 0.01 to 0.06,
 # 4096 windows hold only 40 to 250 dispatches, and an accounting pass per
 # 4096 windows (about 35 numpy calls) cost about as much as the gamma draws
 # (Intel Xeon, numpy 2.4).
@@ -151,24 +150,22 @@ def rng_stream(seed: int, index: int) -> np.random.Generator:
 
 
 def _regroup(
-    rng: np.random.Generator, auction: AuctionParams, p: float, total: int, logged: bool
+    rng: np.random.Generator, auction: AuctionParams, p: float, total: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every dispatch's failed windows F and closing window S, from erlang windows.
 
     Each window's duration is one gamma variate of shape n_required and
     rate arrival_rate. Yields one batch per window batch that holds a
     dispatch. With r of the run's total dispatches still to come, a window
-    batch has ceil(min(cap, min(_DRAW_BATCH, r) / p)) windows, where cap is
-    _DRAW_BATCH for a logged run and _CHUNK_BUDGET otherwise. The failed
-    windows after a batch's last dispatch carry over into the next F.
+    batch has ceil(min(_CHUNK_BUDGET, min(_DRAW_BATCH, r) / p)) windows. The
+    failed windows after a batch's last dispatch carry over into the next F.
     """
     import numpy as np
 
-    cap = _DRAW_BATCH if logged else _CHUNK_BUDGET
     shape, scale = float(auction.n_required), 1.0 / auction.arrival_rate
     carried = 0
     while True:
-        duration = rng.gamma(shape, scale, math.ceil(min(cap, min(_DRAW_BATCH, total) / p)))
+        duration = rng.gamma(shape, scale, math.ceil(min(_CHUNK_BUDGET, min(_DRAW_BATCH, total) / p)))
         dispatched = np.flatnonzero(duration < auction.max_time)
         if dispatched.size:
             # Float, as the dispatch sampler's F: int64 times an int max_time wraps.
@@ -515,7 +512,7 @@ def _run(
             table = _excess_table(auction, plan.p)
             draws = _draw_dispatches(rng, auction, plan.p, table, plan.dispatches)
         else:
-            draws = _regroup(rng, auction, plan.p, plan.dispatches, log is not None)
+            draws = _regroup(rng, auction, plan.p, plan.dispatches)
         for failures, closes in draws:
             count = failures.size
             level = level_before(dispatches + np.arange(count))

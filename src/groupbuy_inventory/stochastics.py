@@ -65,16 +65,10 @@ class AuctionParams:
     def __post_init__(self) -> None:
         # Every formula takes n_required as a float.
         check_int("n_required", self.n_required, 1, sys.float_info.max)
-        # An int past the float range is caught, not checked first (see check_float).
-        try:
-            if math.isnan(self.max_time) or self.max_time <= 0.0:
-                raise ParameterError(f"max_time must be > 0 (math.inf allowed), got {self.max_time}")
-            if not math.isfinite(self.arrival_rate) or self.arrival_rate <= 0.0:
-                raise ParameterError(f"arrival_rate must be finite and > 0, got {self.arrival_rate}")
-        except OverflowError:
-            check_float("max_time", self.max_time)
-            check_float("arrival_rate", self.arrival_rate)
-            raise
+        if math.isnan(self.max_time) or self.max_time <= 0.0:
+            raise ParameterError(f"max_time must be > 0 (math.inf allowed), got {self.max_time}")
+        if not math.isfinite(self.arrival_rate) or self.arrival_rate <= 0.0:
+            raise ParameterError(f"arrival_rate must be finite and > 0, got {self.arrival_rate}")
 
     @property
     def unbounded(self) -> bool:
@@ -506,7 +500,8 @@ def erlang_pdf(t: float, params: AuctionParams) -> float:
         return lam if n == 1 else 0.0
     if math.isinf(x):
         return 0.0
-    log_density = math.log(lam) - x + (n - 1.0) * math.log(x) - math.lgamma(float(n))
+    # rate * x^(n-1) e^-x / Gamma(n), from the kernel's x^n e^-x / Gamma(n).
+    log_density = math.log(lam) + _log_prefactor(float(n), x) - math.log(x)
     if log_density < _LOG_UNDERFLOW:
         return 0.0
     return math.exp(log_density)

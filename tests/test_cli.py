@@ -532,6 +532,28 @@ class TestConfigParsing:
         assert main(["optimize", str(cfg)]) == 2
         assert "key = value" in capsys.readouterr().err
 
+    def test_byte_order_mark_is_read_past(self, config_file, tmp_path, capsys):
+        marked = tmp_path / "marked.cfg"
+        marked.write_text("\ufeff" + BASE_CONFIG, encoding="utf-8")
+        assert main(["optimize", config_file]) == 0
+        plain = capsys.readouterr()
+        assert main(["optimize", str(marked)]) == 0
+        assert capsys.readouterr() == plain
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_integer_past_the_digit_limit_is_named_not_echoed(self, tmp_path, capsys, source):
+        limit = sys.get_int_max_str_digits()
+        digits = "9" * (limit + 1)
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(BASE_CONFIG + (f"seed = {digits}\n" if source == "file" else ""),
+                       encoding="utf-8")
+        flags = ["--seed", digits] if source == "flag" else []
+        assert main(["optimize", str(cfg), *flags]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: seed: the value has {limit + 1} digits, more than "
+            f"sys.get_int_max_str_digits() allows ({limit})\n"
+        )
+
 
 # One valid value per config key, unlike both its default and the base
 # scenario; a key the schema gains without a value here fails the test below.

@@ -27,6 +27,7 @@ from groupbuy_inventory import (
 )
 from groupbuy_inventory.costmodel import CostBreakdown
 from groupbuy_inventory.errors import int_text
+from groupbuy_inventory.runconfig import RunConfig
 from groupbuy_inventory.simulator import SimulationCounts, SimulationResult
 
 REQUIRED = dataclasses.MISSING
@@ -79,6 +80,18 @@ RECORDS = [
       ("optimal_cost", None), ("sim_cost", None), ("sim_halfwidth", None), ("delta", None),
       ("error", None)],
      (100, 7.0, 14.0, 0.43, 15.9, 433.9, 434, 38.1, 38.4, 0.6, 0.3, "simulation: x")),
+    (RunConfig,
+     [("n_required", None), ("num_cycles", 20000), ("replications", 1), ("seed", 0),
+      ("max_time", None), ("arrival_rate", None), ("dispatch_cost", None),
+      ("transport_cost_per_unit", None), ("holding_rate", None), ("penalty_cost", None),
+      ("reorder_cost", None), ("quantity", None), ("td_mode", "paper"), ("a_mode", "approx"),
+      ("shortfall_rule", "reset_to_q"), ("duration_sampler", "dispatch"),
+      ("format", "markdown"), ("n_values", None), ("t_values", None), ("lambda_values", None),
+      ("include_simulation", False), ("path", None), ("costs", None), ("simulation", None),
+      ("policy", None)],
+     (100, 200, 2, 7, 7.0, 14.0, 40.0, 4.0, 0.02, 10.0, 300.0, 434.0, "consistent", "exact",
+      "carry_shortfall", "erlang", "csv", (80, 100), (6.0, 7.0), (14.0,), True, "out.csv",
+      COSTS, SimulationConfig(200, 7, "carry_shortfall", "erlang"), Policy(434.0))),
 ]
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
 
@@ -151,6 +164,10 @@ class TestRecordSemantics:
 
     def test_missing_argument_is_type_error(self, cls, fields, args):
         names = [repr(name) for name, default in fields if default is REQUIRED]
+        if not names:
+            # RunConfig: every key may be left out, and then holds its default.
+            assert cls() == cls(*(default for _, default in fields))
+            return
         listed = names[0] if len(names) == 1 else (
             f"{', '.join(names[:-1])}{',' if len(names) > 2 else ''} and {names[-1]}"
         )

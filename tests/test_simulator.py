@@ -369,7 +369,7 @@ class TestDrawBatches:
     def test_per_window_draw_sizes(self, monkeypatch, base_costs, logged):
         # (120, 7) at Q = 94: 500 dispatches at p = 0.017, about 29k windows.
         # Unlogged, they come in one draw, or two when the first falls
-        # short; a logged run draws at most _DRAW_BATCH windows at a time.
+        # short; a logged run makes the same draws.
         sizes = []
         stream = simulator.rng_stream
 
@@ -385,14 +385,18 @@ class TestDrawBatches:
             simulator, "rng_stream", lambda seed, index: Recording(stream(seed, index))
         )
         config = _config(num_cycles=500, duration_sampler="erlang")
-        log = io.StringIO() if logged else None
         auction = AuctionParams(120, 7.0, 14.0)
-        result = simulate(auction, base_costs, Policy(94.0), config, event_log=log)
-        assert result.counts.auctions <= sum(sizes)
+
+        def run(log):
+            sizes.clear()
+            result = simulate(auction, base_costs, Policy(94.0), config, event_log=log)
+            assert result.counts.auctions <= sum(sizes)
+            return list(sizes)
+
         if logged:
-            assert max(sizes) <= simulator._DRAW_BATCH
+            assert run(io.StringIO()) == run(None)
         else:
-            assert len(sizes) <= 2
+            assert len(run(None)) <= 2
 
     def test_one_auction_run_draws_a_small_batch(self, base_costs):
         auction = AuctionParams(n_required=1, max_time=1.0, arrival_rate=5.0)

@@ -1,4 +1,5 @@
 import math
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -401,6 +402,23 @@ class TestErlangPdf:
             assert erlang_pdf(1e-300, tiny) == erlang_pdf(0.0, tiny) == at_zero
             huge = AuctionParams(n_required=n, max_time=1e200, arrival_rate=1e200)
             assert erlang_pdf(1e300, huge) == 0.0
+
+    @pytest.mark.parametrize("n", [3_000, 10**5, 10**7])
+    def test_relative_error_near_the_mode(self, n):
+        # The density shares the kernel's x^n e^-x / Gamma(n); within 6 sqrt(n)
+        # of the mode its error is that of rounding rate * t, |n - rate t| eps.
+        rng = random.Random(n)
+        worst = 0.0
+        for _ in range(700):
+            rate = 10.0 ** rng.uniform(-2.0, 2.0)
+            t = (n - 1 + rng.uniform(-6.0, 6.0) * math.sqrt(n)) / rate
+            params = AuctionParams(n_required=n, max_time=1.0, arrival_rate=rate)
+            with mpmath.workdps(40):
+                lam = mpmath.mpf(rate)
+                x = lam * mpmath.mpf(t)
+                exact = lam * mpmath.exp((n - 1) * mpmath.log(x) - x - mpmath.loggamma(n))
+                worst = max(worst, float(abs(erlang_pdf(t, params) / exact - 1)))
+        assert worst < 1e-11
 
 
 class TestDurations:

@@ -236,6 +236,8 @@ COMMANDS = [
     ["simulate", "--quantity", "434", "--cycles", BIG],
     ["simulate", "--quantity", "434", "--cycles", "10", "--replications", BIG],
     ["sweep", "--n-values", BIG, "--t-values", "7", "--lambda-values", "14"],
+    # An integer past the int-to-str digit limit: exit 2, naming the key and not the digits.
+    ["optimize", "--seed", "9" * (sys.get_int_max_str_digits() + 1)],
 ]
 
 
