@@ -50,6 +50,9 @@ def _float(key: str, raw: str) -> float:
         raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
     if math.isnan(value):
         raise ConfigError(f"{key}: must not be NaN")
+    # A finite literal past the float range reads as inf; only "inf" spells inf.
+    if math.isinf(value) and "inf" not in raw.lower():
+        raise ConfigError(f"{key}: must be within the float range, got {raw!r}")
     return value
 
 

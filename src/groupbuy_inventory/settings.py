@@ -33,18 +33,17 @@ class SimulationConfig:
         replenishment); "carry_shortfall" subtracts the oversold units
         from the next cycle's starting stock and requires
         quantity >= n_required so the restart level stays positive.
-    duration_sampler: "dispatch" (the default) draws per dispatch: the
-        failed windows before it, F = Geometric(p) - 1, and its closing
-        window S given S < T. Below a success probability of 0.25, S comes
-        from an inverse-CDF table of the arrivals N(T) given N(T) >=
-        n_required and a beta variate; from 0.25 up (or when n_required
-        exceeds about 6.9e8), from gamma variates below T. Its work grows
-        with dispatches, not windows. "erlang" draws every window's length
-        in one gamma variate and regroups the windows into each dispatch's
-        F and S, so both share one accounting path and one clock rule. It
-        is kept as the reference for the dispatch sampler: the same system,
-        other draws. Writing an event log changes no draw of either
-        sampler. simulate documents the work each of them is charged.
+    duration_sampler: "erlang" draws every window's length in one gamma
+        variate and regroups the windows into each dispatch's failed
+        windows F and closing window S. "dispatch" (the default) reads a
+        table where one exists: below a success probability of 0.25 (and
+        for n_required up to about 6.9e8) it draws per dispatch, F =
+        Geometric(p) - 1 and S given S < T from an inverse-CDF table of
+        the arrivals N(T) given N(T) >= n_required and a beta variate, so
+        its work grows with dispatches, not windows. Everywhere else it
+        makes erlang's draws. Both share one accounting path and one clock
+        rule. Writing an event log changes no draw of either sampler.
+        simulate documents the work each of them is charged.
     """
 
     num_cycles: int

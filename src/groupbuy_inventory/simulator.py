@@ -14,16 +14,19 @@ The accounting runs per batch of dispatches, in numpy array operations:
 the level only changes at dispatches, so a cycle's cost is a sum over
 its dispatches of holding (level times the time since the previous
 dispatch), the penalties of the failed windows before the dispatch and
-the dispatch charge. Both samplers feed it each dispatch's failed
-windows F and closing window S. The "dispatch" sampler draws them, so
-its work grows with dispatches; the "erlang" sampler draws every window
-and regroups each batch into (F, S). For both the clock adds each
-F * max_time and then each S, and the event log is rebuilt from (F, S).
+the dispatch charge. One of two routes, which _plan picks once per run,
+feeds it each dispatch's failed windows F and closing window S. The
+table route draws them per dispatch, so its work grows with dispatches;
+the window route draws every window and regroups each batch into (F, S).
+The "dispatch" sampler reads the table where one exists and erlang's
+windows everywhere else; the "erlang" sampler always reads the windows.
+On both routes the clock adds each F * max_time and then each S, and the
+event log is rebuilt from (F, S).
 
 The stock before each dispatch is a closed form of its index, so the
 run's dispatch total D is known before the first draw. Every draw is
 sized to it: with r = min(_DRAW_BATCH, D - dispatches so far), a
-dispatch batch holds r dispatches and an erlang batch
+table batch holds r dispatches and a window batch
 ceil(min(_CHUNK_BUDGET, r / p_success)) windows, so one accounting pass
 covers about r dispatches even at a small p_success. Writing an event log
 changes no draw size: the log is written in chunks of at most
@@ -31,14 +34,15 @@ changes no draw size: the log is written in chunks of at most
 
 Determinism contract: results are a pure function of (auction, costs,
 policy, config, stream). Random numbers come from
-numpy.random.default_rng(SeedSequence(seed, spawn_key=(stream,))), and
-the dispatch sampler draws each quantity from its own child of that
-generator. Draws are made in batches, but the sequence of draws does not
-depend on the batch size or on the size asked for, because numpy fills
-uniform, gamma and beta draws sequentially; so repeated runs consume
-identical draw sequences. Each cycle's cost is summed over all its terms
-at once, wherever batches split it, so results do not depend on the
-batch size either. Writing an event log does not change the results.
+numpy.random.default_rng(SeedSequence(seed, spawn_key=(stream,))). The
+window route draws from that generator, and the table route draws each
+quantity from its own child of it. Draws are made in batches, but the
+sequence of draws does not depend on the batch size or on the size
+asked for, because numpy fills uniform, gamma and beta draws
+sequentially; so repeated runs consume identical draw sequences. Each
+cycle's cost is summed over all its terms at once, wherever batches
+split it, so results do not depend on the batch size either. Writing an
+event log does not change the results.
 """
 
 from __future__ import annotations
@@ -72,8 +76,8 @@ _DRAW_BATCH = 1 << 12
 _CHUNK_BUDGET = 1 << 16
 # Most units of work one simulate call may do: bidding windows, or
 # dispatches on the dispatch sampler's table route. Minutes, not years:
-# whole runs took 80 to 110 ns per window (erlang) and 180 to 550 ns per
-# dispatch (dispatch sampler), on the machine above.
+# whole runs took 80 to 110 ns per window (window route) and 180 to 550
+# ns per dispatch (table route), on the machine above.
 _MAX_DRAWS = 10**9
 # Units charged per stream, when replications or sweep cells run several, for
 # its fixed cost (its generator, result and report line): about 1 ms and 2 kB
@@ -88,13 +92,13 @@ _STREAM_UNITS = 10_000
 # so 1e7 cycles are about 0.5 GB, whatever the work budget admits.
 _MAX_CYCLES = 10**7
 _CYCLE_BYTES = 48
-# The dispatch sampler draws the closing window by rejection from this
-# success probability up, and by its inverse-CDF table below it. Rejection
-# costs about 45/p ns per dispatch and the table 130 to 210 ns (measured at
-# n_required = 10 to 1e4), so they cross near p = 0.3.
+# The dispatch sampler reads its inverse-CDF table below this success
+# probability, and erlang's windows from it up. Drawing one dispatch's
+# windows cost 22/p to 38/p ns and the table 90 to 140 ns (draws alone, at
+# n_required = 10 to 1e4 and p = 0.05 to 0.5), so they cross near p = 0.25.
 _TABLE_MAX_P = 0.25
 # Longest table, 10 * sqrt(n_required) + 100 entries: n_required up to
-# about 6.9e8. Beyond it the rejection route serves every p.
+# about 6.9e8. Beyond it erlang's windows serve every p.
 _MAX_TABLE = 1 << 18
 # Two-sided 95% normal quantile.
 _Z_95 = 1.959963984540054
@@ -168,7 +172,7 @@ def _regroup(
         duration = rng.gamma(shape, scale, math.ceil(min(_CHUNK_BUDGET, min(_DRAW_BATCH, total) / p)))
         dispatched = np.flatnonzero(duration < auction.max_time)
         if dispatched.size:
-            # Float, as the dispatch sampler's F: int64 times an int max_time wraps.
+            # Float, as the table route's F: int64 times an int max_time wraps.
             failures = np.diff(dispatched, prepend=-1.0 - carried) - 1.0
             carried = duration.size - 1 - int(dispatched[-1])
             total -= dispatched.size
@@ -178,25 +182,23 @@ def _regroup(
 
 
 def _table_length(auction: AuctionParams, p: float) -> int:
-    """The dispatch sampler's table length, or 0 on its rejection route."""
+    """The dispatch sampler's table length, or 0 where it takes the window route."""
     length = 10 * math.isqrt(auction.n_required) + 100
     return length if p < _TABLE_MAX_P and length <= _MAX_TABLE else 0
 
 
 @functools.lru_cache(maxsize=1)
-def _excess_table(auction: AuctionParams, p: float) -> np.ndarray | None:
+def _excess_table(auction: AuctionParams, p: float) -> np.ndarray:
     """Cumulative weights of N(T) - n_required given N(T) >= n_required.
 
-    N(T) is the Poisson(rate * T) count of arrivals in a window; None on
-    the rejection route. The last table is kept, read-only: replicate's
-    streams share it, and a sweep holds one table at a time.
+    N(T) is the Poisson(rate * T) count of arrivals in a window; built
+    only on the table route, which _plan picks. The last table is kept,
+    read-only: replicate's streams share it, and a sweep holds one table
+    at a time.
     """
-    length = _table_length(auction, p)
-    if not length:
-        return None
     import numpy as np
 
-    n = auction.n_required
+    n, length = auction.n_required, _table_length(auction, p)
     # log P(N = n + k) - log P(N = n) sums log(rate * T / (n + j)) over
     # j = 1..k. Below _TABLE_MAX_P, rate * T < n + 1, so the weights fall
     # from 1, and the last is under e^-56 (scanned for n_required = 1 to
@@ -211,10 +213,10 @@ def _draw_dispatches(
     rng: np.random.Generator,
     auction: AuctionParams,
     p: float,
-    table: np.ndarray | None,
+    table: np.ndarray,
     total: float = math.inf,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every dispatch's failed windows F and closing window S, in batches.
+    """Every dispatch's failed windows F and closing window S on the table route.
 
     Yields arrays of at most _DRAW_BATCH dispatches, total in all (no end
     by default). F = Geometric(p) - 1 is the float
@@ -222,11 +224,9 @@ def _draw_dispatches(
     Non-Uniform Random Variate Generation, 1986, X.2). S given S < T is
     T * Beta(n, m - n + 1), with m = N(T) given N(T) >= n drawn from the
     table, since given N(T) = m the arrival times are uniform order
-    statistics (Ross, Stochastic Processes, 2.3); without a table it is
-    the gamma draws below T, in draw order. F, the table's uniforms and
-    the beta or gamma variates each have their own child stream, and
-    accepted gamma draws carry over to the next batch, so the sequences do
-    not depend on the batch size.
+    statistics (Ross, Stochastic Processes, 2.3). F, the table's uniforms
+    and the beta variates each have their own child stream, so the
+    sequences do not depend on the batch size.
     """
     import numpy as np
 
@@ -234,21 +234,14 @@ def _draw_dispatches(
     n, max_time = auction.n_required, auction.max_time
     log_miss = math.log1p(-p) if p < 1.0 else -math.inf
     below_max = np.nextafter(max_time, 0.0)
-    accepted = np.empty(0)
     while total > 0:
         size = min(_DRAW_BATCH, total)
         total -= size
         # log1p(-U) is log(1 - U), finite for U in [0, 1).
         failures = np.floor(np.log1p(-failure_rng.random(size)) / log_miss)
-        if table is not None:
-            excess = np.searchsorted(table, closing_rng.random(size) * table[-1], side="right")
-            # T * Beta rounds to T itself now and then at a large n_required.
-            closes = np.minimum(max_time * beta_rng.beta(n, excess + 1.0), below_max)
-        else:
-            while accepted.size < size:
-                draws = closing_rng.gamma(float(n), 1.0 / auction.arrival_rate, size)
-                accepted = np.concatenate((accepted, draws[draws < max_time]))
-            closes, accepted = accepted[:size], accepted[size:]
+        excess = np.searchsorted(table, closing_rng.random(size) * table[-1], side="right")
+        # T * Beta rounds to T itself now and then at a large n_required.
+        closes = np.minimum(max_time * beta_rng.beta(n, excess + 1.0), below_max)
         yield failures, closes
 
 
@@ -345,12 +338,13 @@ class _Plan(NamedTuple):
     dispatches: int  # the run's dispatch total D
     work: float  # the work estimate, in unit
     unit: str
+    table: bool  # the dispatch sampler's table route, or else erlang windows
 
 
 def _plan(
     auction: AuctionParams, policy: Policy, config: SimulationConfig, logged: bool
 ) -> _Plan:
-    """Check that one stream can run, and count its dispatches and work.
+    """Check that one stream can run, pick its draw route, and count its work.
 
     The work estimate and its unit are as simulate documents them.
     """
@@ -373,13 +367,14 @@ def _plan(
         dispatches = -(-config.num_cycles * numerator // (denominator * n_required))
         formula = "ceil(cycles * quantity / n_required)"
     p = _nondegenerate_success_pair(auction)[0]
-    if config.duration_sampler == "dispatch" and _table_length(auction, p) and not logged:
+    table = config.duration_sampler == "dispatch" and _table_length(auction, p) > 0
+    if table and not logged:
         work = _as_float(dispatches)
         unit = f"dispatches ({formula})"
     else:
         work = _as_float(dispatches) / p
         unit = f"bidding windows ({formula} / p_success)"
-    return _Plan(p, per_cycle, dispatches, work, unit)
+    return _Plan(p, per_cycle, dispatches, work, unit, table)
 
 
 def _as_float(count: int) -> float:
@@ -407,18 +402,19 @@ def simulate(
     D dispatches in the run, num_cycles * ceil(Q / n_required) under
     "reset_to_q" and ceil(num_cycles * Q / n_required) under
     "carry_shortfall", the estimate is D on the dispatch sampler's table
-    route, and D / p_success bidding windows under "erlang", on the
-    rejection route and for any logged run. It also raises NumericsError
-    when the clock overflows double precision; the clock is checked before
-    a batch is logged, so the log never holds a non-finite time. Both
-    samplers' draws are accounted as each dispatch's failed windows F and
-    closing window S: dispatch k closes at (the previous dispatch +
-    F * max_time) + S. When event_log is given (path or open
-    text file), one JSON line is written per bidding window with keys
-    auction, start, duration, outcome and level_after; level_after is the
-    stock after any dispatch and replenishment triggered by that window.
-    Per dispatch the log holds F failure lines, the i-th starting
-    i * max_time after the previous dispatch, then the success line.
+    route, and D / p_success bidding windows on the window route (every
+    "erlang" run, and a "dispatch" run without a table) and for any logged
+    run. It also raises NumericsError when the clock overflows double
+    precision; the clock is checked before a batch is logged, so the log
+    never holds a non-finite time. Both routes' draws are accounted as
+    each dispatch's failed windows F and closing window S: dispatch k
+    closes at (the previous dispatch + F * max_time) + S. When event_log
+    is given (path or open text file), one JSON line is written per
+    bidding window with keys auction, start, duration, outcome and
+    level_after; level_after is the stock after any dispatch and
+    replenishment triggered by that window. Per dispatch the log holds F
+    failure lines, the i-th starting i * max_time after the previous
+    dispatch, then the success line.
     """
     plan = _plan(auction, policy, config, event_log is not None)
     _check_budget(plan.work, plan.unit, 1, config)
@@ -508,7 +504,7 @@ def _run(
             log = event_log
         else:
             log = stack.enter_context(open(event_log, "w", encoding="utf-8"))
-        if config.duration_sampler == "dispatch":
+        if plan.table:
             table = _excess_table(auction, plan.p)
             draws = _draw_dispatches(rng, auction, plan.p, table, plan.dispatches)
         else:

@@ -554,6 +554,31 @@ class TestConfigParsing:
             f"sys.get_int_max_str_digits() allows ({limit})\n"
         )
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize(
+        "command,key,value",
+        [("optimize", "max_time", "1e400"), ("optimize", "arrival_rate", "-1e400"),
+         ("sweep", "t_values", "7, 1e400")],
+    )
+    def test_literal_past_the_float_range_is_config_error(
+        self, tmp_path, capsys, source, command, key, value
+    ):
+        # float() reads it as inf, which max_time and t_values take as the unbounded window.
+        lines = [line for line in BASE_CONFIG.splitlines() if not line.startswith(f"{key} =")]
+        if source == "file":
+            lines.append(f"{key} = {value}")
+            flags = []
+        else:
+            flags = [f"--{key.replace('_', '-')}", value]
+        if command == "sweep":
+            flags += ["--n-values", "100", "--lambda-values", "14"]
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main([command, str(cfg), *flags]) == 2
+        assert capsys.readouterr() == (
+            "", f"config error: {key}: must be within the float range, got {value.split()[-1]!r}\n"
+        )
+
 
 # One valid value per config key, unlike both its default and the base
 # scenario; a key the schema gains without a value here fails the test below.

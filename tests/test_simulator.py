@@ -36,19 +36,19 @@ from groupbuy_inventory.simulator import SimulationCounts, SimulationResult
 def _reference_windows(auction, policy, config, rng):
     """Every window's duration, one float at a time, as the sampler draws them.
 
-    Under erlang, one gamma variate per window, drawn here in batches of
-    1000 (numpy fills gamma draws sequentially, whatever the batch); the
-    dispatch sampler's (F, S) replayed as F failed windows of max_time,
-    then the closing window S.
+    Off the dispatch sampler's table route, one gamma variate per window,
+    drawn here in batches of 1000 (numpy fills gamma draws sequentially,
+    whatever the batch); on it, the sampler's (F, S) replayed as F failed
+    windows of max_time, then the closing window S.
     """
-    if config.duration_sampler == "erlang":
+    plan = simulator._plan(auction, policy, config, False)
+    if not plan.table:
         scale = 1.0 / auction.arrival_rate
         return (
             window
             for _ in itertools.count()
             for window in rng.gamma(auction.n_required, scale, 1000).tolist()
         )
-    plan = simulator._plan(auction, policy, config, False)
     return (
         window
         for failures, closes in simulator._draw_dispatches(
@@ -229,7 +229,7 @@ class TestReplicate:
         assert replicate(auction, base_costs, policy, config, 5) == expected
         # One plan, and one table built, then reused by the other four streams.
         assert len(plans) == 1 and simulator._excess_table.cache_info()[:2] == (4, 1)
-        assert simulator._excess_table(auction, plans[0].p) is not None
+        assert plans[0].table
 
     def test_prefix_stability(self, base_auction, base_costs, base_policy):
         config = _config(num_cycles=300)
@@ -461,14 +461,19 @@ class TestDrawBatches:
         auction = AuctionParams(n_required, n_required + 10.0 * math.sqrt(n_required) + 10.0, 1.0)
         costs = CostParams(40.0, 4.0, 0.02, 10.0, 300.0)
         totals = []
-        draw = simulator._draw_dispatches
+        draw, regroup = simulator._draw_dispatches, simulator._regroup
 
         def recording(rng, auction, p, table, total):
             totals.append(total)
             return draw(rng, auction, p, table, total)
 
+        def regrouping(rng, auction, p, total):
+            totals.append(total)
+            return regroup(rng, auction, p, total)
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(simulator, "_draw_dispatches", recording)
+            patch.setattr(simulator, "_regroup", regrouping)
             config = _config(num_cycles=cycles, shortfall_rule=rule)
             result = simulate(auction, costs, Policy(quantity), config)
         assert result.counts.cycles == cycles
@@ -567,28 +572,32 @@ class TestReferenceEquivalence:
 
 class TestDispatchSampler:
     # The two routes to the closing window: the table below p = 0.25,
-    # rejection from there up.
+    # erlang windows from there up.
     ROUTES = {
         "table-p1e-4": AuctionParams(120, 6.0, 14.0),
         "table-p0.05": AuctionParams(100, 6.0, 14.0),
-        "rejection-p0.43": BASE,
-        "rejection-p1": AuctionParams(80, 8.0, 14.0),
+        "windows-p0.43": BASE,
+        "windows-p1": AuctionParams(80, 8.0, 14.0),
     }
 
     @staticmethod
     def draws(auction, p, batches):
-        table = simulator._excess_table(auction, auction_statistics(auction).p_success)
-        batches = itertools.islice(
-            simulator._draw_dispatches(rng_stream(11, 0), auction, p, table), batches
-        )
-        failures, closes = zip(*batches)
-        return table, np.concatenate(failures), np.concatenate(closes)
+        rng = rng_stream(11, 0)
+        p_success = auction_statistics(auction).p_success
+        if simulator._table_length(auction, p_success):
+            table = simulator._excess_table(auction, p_success)
+            draws = simulator._draw_dispatches(rng, auction, p, table)
+        else:
+            draws = simulator._regroup(rng, auction, p, math.inf)
+        failures, closes = zip(*itertools.islice(draws, batches))
+        return np.concatenate(failures), np.concatenate(closes)
 
     @pytest.mark.parametrize("design", list(ROUTES))
     def test_closing_window_is_a_gamma_below_max_time(self, design):
         auction = self.ROUTES[design]
-        table, _, closes = self.draws(auction, auction_statistics(auction).p_success, 5)
-        assert (table is None) == design.startswith("rejection")
+        p = auction_statistics(auction).p_success
+        assert bool(simulator._table_length(auction, p)) == design.startswith("table")
+        _, closes = self.draws(auction, p, 5)
         assert closes.max() < auction.max_time
         gamma = stats.gamma(auction.n_required, scale=1.0 / auction.arrival_rate)
         below_max_time = gamma.cdf(auction.max_time)
@@ -611,14 +620,14 @@ class TestDispatchSampler:
 
     @pytest.mark.parametrize("p", [1e-12, 1e-4, 0.3, 0.9])
     def test_failures_have_the_geometric_mean(self, p):
-        _, failures, _ = self.draws(BASE, p, 20)
+        failures, _ = self.draws(self.ROUTES["table-p0.05"], p, 20)
         assert np.array_equal(failures, np.floor(failures)) and failures.min() >= 0.0
         # F = Geometric(p) - 1 has mean (1 - p) / p and variance (1 - p) / p**2.
         se = math.sqrt((1.0 - p) / failures.size) / p
         assert abs(failures.mean() - (1.0 - p) / p) <= 4.0 * se
 
     def test_certain_success_has_no_failures(self):
-        _, failures, _ = self.draws(BASE, 1.0, 2)
+        failures, _ = self.draws(self.ROUTES["table-p0.05"], 1.0, 2)
         assert not failures.any()
 
     @pytest.mark.parametrize(
@@ -660,7 +669,7 @@ class TestDispatchSampler:
         assert float(seconds) < 1.0 and cycles == "20000"
 
     @pytest.mark.parametrize(
-        "design,quantity,cycles", [("table-p1e-4", 9.0, 5), ("rejection-p0.43", Q_STAR, 100)]
+        "design,quantity,cycles", [("table-p1e-4", 9.0, 5), ("windows-p0.43", Q_STAR, 100)]
     )
     def test_result_and_log_do_not_depend_on_batch_size(
         self, monkeypatch, base_costs, design, quantity, cycles
@@ -675,6 +684,24 @@ class TestDispatchSampler:
         default = run()
         monkeypatch.setattr(simulator, "_DRAW_BATCH", 7)
         assert run() == default
+
+    # n_required = 7e8 asks for a table past _MAX_TABLE, so p = 0.16 reads windows too.
+    @pytest.mark.parametrize(
+        "auction,quantity",
+        [(BASE, Q_STAR), (ROUTES["windows-p1"], 300.0), (AuctionParams(1, 1.0, 5.0), 37.25),
+         (AuctionParams(7 * 10**8, 7e8 - 26458.0, 1.0), 1.5e9)],
+        ids=["windows-p0.43", "windows-p1", "n1-p0.99", "n7e8-p0.16"],
+    )
+    @pytest.mark.parametrize("rule", ["reset_to_q", "carry_shortfall"])
+    def test_window_route_is_the_erlang_run(self, base_costs, auction, quantity, rule):
+        assert not simulator._table_length(auction, auction_statistics(auction).p_success)
+        runs = []
+        for sampler in ("dispatch", "erlang"):
+            log = io.StringIO()
+            config = _config(num_cycles=40, shortfall_rule=rule, duration_sampler=sampler)
+            result = simulate(auction, base_costs, Policy(quantity), config, stream=3, event_log=log)
+            runs.append((result, log.getvalue()))
+        assert runs[0] == runs[1]
 
     def test_log_rebuilds_each_dispatchs_windows(self, base_costs):
         log = io.StringIO()

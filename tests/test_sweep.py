@@ -206,7 +206,7 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("refused", [True, False])
     def test_sweep_builds_each_table_as_its_cell_runs(self, monkeypatch, base_costs, refused):
-        # Six table-route cells (p from 2e-6 to 0.017): their plans hold no
+        # Six table-route cells (p from 2e-6 to 0.017): planning builds no
         # table, so a refused sweep builds none, and a run one builds each
         # cell's table in that cell's run.
         if refused:
@@ -240,8 +240,8 @@ class TestRunSweep:
         # The unbounded window's plan raises; the other two cells run from theirs.
         assert plan.call_count == 3
         assert [(row.sim_cost, row.sim_halfwidth, row.delta, row.error) for row in rows] == [
-            (39.49566950057518, 9.095876929606801, 1.390202753782475, None),
-            (66.98967901336366, 6.68704006289431, -0.21122205596923038, None),
+            (32.22782224210053, 7.021542095254209, -5.877644504692178, None),
+            (59.86054450448775, 6.974191955091459, -7.340356564845138, None),
             (None, None, None, "simulation: ConfigError: max_time: must be finite for simulation"),
         ]
 

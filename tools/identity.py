@@ -238,6 +238,8 @@ COMMANDS = [
     ["sweep", "--n-values", BIG, "--t-values", "7", "--lambda-values", "14"],
     # An integer past the int-to-str digit limit: exit 2, naming the key and not the digits.
     ["optimize", "--seed", "9" * (sys.get_int_max_str_digits() + 1)],
+    # A float literal past the float range is not the unbounded window: exit 2.
+    ["optimize", "--max-time", "1e400"],
 ]
 
 
