@@ -49,6 +49,11 @@ from .runconfig import (
 from .stochastics import auction_statistics
 
 
+# optimize's labels of the AuctionStatistics fields, in field order.
+_STAT_LABELS = ("success probability", "truncated mean duration", "conditional mean duration",
+                "expected failures", "dispatch time (paper)", "dispatch time (consistent)")
+
+
 def _stat_line(label: str, value: float) -> str:
     return f"  {label:<28} {value:>12.4f}   ({value!r})"
 
@@ -69,14 +74,7 @@ def cmd_optimize(cfg: RunConfig) -> tuple[str, int]:
     lines = ["replenishment optimization report"]
     lines += _scenario_lines(auction, costs)
     lines.append(f"  modes: td_mode={cfg.td_mode} a_mode={cfg.a_mode}")
-    lines.append("")
-    lines.append("auction statistics")
-    lines.append(_stat_line("success probability", stats.p_success))
-    lines.append(_stat_line("truncated mean duration", stats.e_min_duration))
-    lines.append(_stat_line("conditional mean duration", stats.e_cond_duration))
-    lines.append(_stat_line("expected failures", stats.expected_failures))
-    lines.append(_stat_line("dispatch time (paper)", stats.dispatch_time_paper))
-    lines.append(_stat_line("dispatch time (consistent)", stats.dispatch_time_consistent))
+    lines += ["", "auction statistics", *map(_stat_line, _STAT_LABELS, vars(stats).values())]
     lines.append("")
     lines.append(f"optimal policy (td_mode={cfg.td_mode})")
     lines.append(_stat_line("optimal quantity", q_star))
@@ -84,19 +82,14 @@ def cmd_optimize(cfg: RunConfig) -> tuple[str, int]:
     lines.append(_stat_line("optimal cost rate", cost_star))
     lines.append(_stat_line("cost rate at best integer", cost_int))
     lines.append(_stat_line("eoq limit (window -> inf)", eoq_limit(costs, auction.arrival_rate)))
-    lines.append("")
-    lines.append("cost rate terms at the optimum (per time unit, approx dispatches)")
-    for name, value in terms.items():
-        lines.append(f"  {name:<20} {value:>14.6f}")
-    lines.append("")
-    lines.append(f"cycle view at the optimum (a_mode={cfg.a_mode})")
-    lines.append(f"  {'cycle length':<20} {breakdown.cycle_length:>14.6f}")
-    lines.append(f"  {'cycle cost':<20} {breakdown.cycle_total:>14.6f}")
-    lines.append(f"  {'holding':<20} {breakdown.holding:>14.6f}")
-    lines.append(f"  {'dispatching':<20} {breakdown.dispatching:>14.6f}")
-    lines.append(f"  {'transport':<20} {breakdown.transport:>14.6f}")
-    lines.append(f"  {'penalty':<20} {breakdown.penalty:>14.6f}")
-    lines.append(f"  {'reorder':<20} {breakdown.reorder:>14.6f}")
+    cycle = {"cycle length": breakdown.cycle_length, "cycle cost": breakdown.cycle_total}
+    # holding, dispatching, transport, penalty and reorder: the first five fields.
+    cycle.update(list(vars(breakdown).items())[:5])
+    for title, block in (
+        ("cost rate terms at the optimum (per time unit, approx dispatches)", terms),
+        (f"cycle view at the optimum (a_mode={cfg.a_mode})", cycle),
+    ):
+        lines += ["", title, *(f"  {label:<20} {value:>14.6f}" for label, value in block.items())]
     return "\n".join(lines) + "\n", 0
 
 

@@ -124,18 +124,24 @@ def _divide(numerator: float, denominator: float, what: str) -> float:
     return numerator / denominator
 
 
+def _ceil_batches(quantity: float, n_required: int, cycles: int = 1) -> int:
+    # ceil(cycles * Q / n_required) from Q's integer ratio: the float Q / n rounds, even to 0.
+    numerator, denominator = quantity.as_integer_ratio()
+    return -(-cycles * numerator // (denominator * n_required))
+
+
 def dispatches_per_cycle(quantity: float, n_required: int, mode: AMode = "approx") -> float:
     """Number of dispatches one cycle supports.
 
-    "exact" rounds Q / n_required up to the integer number of batches the
-    stock actually covers (the final batch may oversell the remainder);
+    "exact" rounds Q / n_required up, exactly, to the batches the stock
+    covers, one at least for any Q > 0 (the last may oversell the rest);
     "approx" returns the real ratio used by the closed-form cost rate.
     """
     check_int("n_required", n_required, 1)
     check_choice("a_mode", mode, A_MODES)
     Policy(quantity)
     if mode == "exact":
-        return float(math.ceil(quantity / n_required))
+        return float(_ceil_batches(quantity, n_required))
     return quantity / n_required
 
 

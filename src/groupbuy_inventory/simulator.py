@@ -53,9 +53,9 @@ import itertools
 import math
 import sys
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterator, NamedTuple
+from typing import IO, TYPE_CHECKING, Callable, Iterator, NamedTuple
 
-from .costmodel import CostParams, Policy, dispatches_per_cycle
+from .costmodel import CostParams, Policy, _ceil_batches
 from .errors import ConfigError, NumericsError, check_int, int_text, record
 from .settings import SimulationConfig
 from .stochastics import AuctionParams, _nondegenerate_success_pair
@@ -159,16 +159,16 @@ def _regroup(
     """Every dispatch's failed windows F and closing window S, from erlang windows.
 
     Each window's duration is one gamma variate of shape n_required and
-    rate arrival_rate. Yields one batch per window batch that holds a
-    dispatch. With r of the run's total dispatches still to come, a window
-    batch has ceil(min(_CHUNK_BUDGET, min(_DRAW_BATCH, r) / p)) windows. The
-    failed windows after a batch's last dispatch carry over into the next F.
+    rate arrival_rate. Until total dispatches are drawn, yields one batch
+    per window batch that holds a dispatch: with r of them to come,
+    ceil(min(_CHUNK_BUDGET, min(_DRAW_BATCH, r) / p)) windows. The failed
+    windows after a batch's last dispatch carry over into the next F.
     """
     import numpy as np
 
     shape, scale = float(auction.n_required), 1.0 / auction.arrival_rate
     carried = 0
-    while True:
+    while total > 0:
         duration = rng.gamma(shape, scale, math.ceil(min(_CHUNK_BUDGET, min(_DRAW_BATCH, total) / p)))
         dispatched = np.flatnonzero(duration < auction.max_time)
         if dispatched.size:
@@ -331,10 +331,10 @@ def _ratio_se(costs_arr: "np.ndarray", lengths_arr: "np.ndarray", ratio: float) 
 
 
 class _Plan(NamedTuple):
-    """What one stream will do, found before it draws anything."""
+    """What one stream will do, found before it draws anything: _plan's decisions."""
 
     p: float  # success probability
-    per_cycle: int  # dispatches per cycle under reset_to_q
+    level_before: Callable[[np.ndarray], np.ndarray]  # the stock before dispatch m
     dispatches: int  # the run's dispatch total D
     work: float  # the work estimate, in unit
     unit: str
@@ -344,28 +344,38 @@ class _Plan(NamedTuple):
 def _plan(
     auction: AuctionParams, policy: Policy, config: SimulationConfig, logged: bool
 ) -> _Plan:
-    """Check that one stream can run, pick its draw route, and count its work.
+    """Check that one stream can run, pick its draw route and stock rule, and count its work.
 
-    The work estimate and its unit are as simulate documents them.
+    The one reader of config.shortfall_rule. level_before(m), the stock
+    before dispatch m (counted from 0 over the run) and after m - 1, is a
+    closed form of m, exact below 2**53 units: a step-by-step replay's
+    levels bit for bit, and ints for an int quantity. The work estimate and
+    its unit are as simulate documents them.
     """
     if auction.unbounded:
         raise ConfigError("max_time: must be finite for simulation")
     quantity, n_required = policy.quantity, auction.n_required
-    per_cycle = int(dispatches_per_cycle(quantity, n_required, "exact"))
     if config.shortfall_rule == "reset_to_q":
+        per_cycle = _ceil_batches(quantity, n_required)
         dispatches = config.num_cycles * per_cycle
         formula = "cycles * ceil(quantity / n_required)"
+
+        def level_before(m: np.ndarray) -> np.ndarray:
+            return quantity - (m % per_cycle) * n_required
+
     elif quantity < n_required:
         raise ConfigError(
             "carry_shortfall requires quantity >= n_required so the restart level stays positive"
         )
     else:
         # Cycle c closes at the first dispatch that brings the units
-        # dispatched to c * Q or more, so the run ends at ceil(num_cycles *
-        # Q / n), taken exactly from Q's integer ratio.
-        numerator, denominator = quantity.as_integer_ratio()
-        dispatches = -(-config.num_cycles * numerator // (denominator * n_required))
+        # dispatched to c * Q or more, so the run ends at ceil(num_cycles * Q / n).
+        dispatches = _ceil_batches(quantity, n_required, config.num_cycles)
         formula = "ceil(cycles * quantity / n_required)"
+
+        def level_before(m: np.ndarray) -> np.ndarray:
+            return quantity - m * n_required % quantity
+
     p = _nondegenerate_success_pair(auction)[0]
     table = config.duration_sampler == "dispatch" and _table_length(auction, p) > 0
     if table and not logged:
@@ -374,7 +384,7 @@ def _plan(
     else:
         work = _as_float(dispatches) / p
         unit = f"bidding windows ({formula} / p_success)"
-    return _Plan(p, per_cycle, dispatches, work, unit, table)
+    return _Plan(p, level_before, dispatches, work, unit, table)
 
 
 def _as_float(count: int) -> float:
@@ -394,31 +404,30 @@ def simulate(
     """Simulate ``config.num_cycles`` replenishment cycles on one stream.
 
     Requires a finite bidding window (an unbounded window never fails and
-    needs no simulation) and, under "carry_shortfall", a policy quantity
-    of at least n_required. Raises DegenerateAuctionError before drawing
-    anything when the success probability underflows, as such a run would
-    never end; NumericsError, also before drawing anything, when
-    _check_budget refuses the work estimate of _plan or num_cycles. With
-    D dispatches in the run, num_cycles * ceil(Q / n_required) under
-    "reset_to_q" and ceil(num_cycles * Q / n_required) under
-    "carry_shortfall", the estimate is D on the dispatch sampler's table
-    route, and D / p_success bidding windows on the window route (every
-    "erlang" run, and a "dispatch" run without a table) and for any logged
-    run. It also raises NumericsError when the clock overflows double
-    precision; the clock is checked before a batch is logged, so the log
-    never holds a non-finite time. Both routes' draws are accounted as
-    each dispatch's failed windows F and closing window S: dispatch k
-    closes at (the previous dispatch + F * max_time) + S. When event_log
-    is given (path or open text file), one JSON line is written per
-    bidding window with keys auction, start, duration, outcome and
-    level_after; level_after is the stock after any dispatch and
+    needs no simulation) and, under "carry_shortfall", a policy quantity of at
+    least n_required. Raises DegenerateAuctionError before drawing anything
+    when the success probability underflows, as such a run would never end;
+    NumericsError, also before drawing anything, when _check_budget refuses
+    the work estimate of _plan or num_cycles. With D dispatches in the run,
+    num_cycles * ceil(Q / n_required) under "reset_to_q" and ceil(num_cycles *
+    Q / n_required) under "carry_shortfall", the estimate is D on the dispatch
+    sampler's table route, and D / p_success bidding windows on the window
+    route (every "erlang" run, and a "dispatch" run without a table) and for
+    any logged run. It also raises NumericsError when the D dispatches leave a
+    cycle open, and when the clock overflows double precision; the clock is
+    checked before a batch is logged, so the log never holds a non-finite
+    time. Both routes' draws are accounted as each dispatch's failed windows F
+    and closing window S: dispatch k closes at (the previous dispatch + F *
+    max_time) + S. When event_log is given (path or open text file), one JSON
+    line is written per bidding window with keys auction, start, duration,
+    outcome and level_after; level_after is the stock after any dispatch and
     replenishment triggered by that window. Per dispatch the log holds F
-    failure lines, the i-th starting i * max_time after the previous
-    dispatch, then the success line.
+    failure lines, the i-th starting i * max_time after the previous dispatch,
+    then the success line.
     """
     plan = _plan(auction, policy, config, event_log is not None)
     _check_budget(plan.work, plan.unit, 1, config)
-    return _run(auction, costs, policy, config, plan, stream, event_log)
+    return _run(auction, costs, config, plan, stream, event_log)
 
 
 def _check_budget(work: float, unit: str, streams: int, config: SimulationConfig) -> None:
@@ -454,7 +463,6 @@ def _check_budget(work: float, unit: str, streams: int, config: SimulationConfig
 def _run(
     auction: AuctionParams,
     costs: CostParams,
-    policy: Policy,
     config: SimulationConfig,
     plan: _Plan,
     stream: int,
@@ -462,24 +470,11 @@ def _run(
 ) -> SimulationResult:
     """simulate's run of one stream, from a plan already checked."""
     n_required = auction.n_required
-    quantity = policy.quantity
     import numpy as np
 
     rng = rng_stream(config.seed, stream)
     max_time = auction.max_time
     dispatch_charge = costs.dispatch_cost + costs.unit_transport_cost * n_required
-
-    # The stock before dispatch number m (counted from 0 over the run) is a
-    # closed form of m; it is also the stock after dispatch m - 1. Below
-    # 2**53 units every subtraction is exact, so the levels equal those of a
-    # step-by-step replay bit for bit, and an int quantity keeps int levels.
-    if config.shortfall_rule == "reset_to_q":
-        def level_before(m: np.ndarray) -> np.ndarray:
-            return quantity - (m % plan.per_cycle) * n_required
-
-    else:
-        def level_before(m: np.ndarray) -> np.ndarray:
-            return quantity - np.fmod(m * n_required, quantity)
 
     # Per-batch arrays, joined at the end.
     cycle_costs: list[np.ndarray] = []
@@ -511,7 +506,7 @@ def _run(
             draws = _regroup(rng, auction, plan.p, plan.dispatches)
         for failures, closes in draws:
             count = failures.size
-            level = level_before(dispatches + np.arange(count))
+            level = plan.level_before(dispatches + np.arange(count))
             # Dispatch index of each cycle end.
             closing = np.flatnonzero(level <= n_required)
             if closing.size >= cycles_left:
@@ -560,7 +555,7 @@ def _run(
             gap_sum = float(np.cumsum(np.append(gap_sum, shifted))[-1])
             gap_square_sum = float(np.cumsum(np.append(gap_square_sum, shifted**2))[-1])
             if log is not None:
-                after = level_before(dispatches + 1 + np.arange(count))
+                after = plan.level_before(dispatches + 1 + np.arange(count))
                 _write_windows(log, auctions, marks, failures, closes, level, after, max_time)
             auctions += windows
             dispatches += count
@@ -568,6 +563,11 @@ def _run(
             cycles_left -= closing.size
             if not cycles_left:
                 break
+        else:
+            raise NumericsError(
+                f"simulation drew its planned {int_text(plan.dispatches)} dispatches and left "
+                f"{int_text(cycles_left)} of {int_text(config.num_cycles)} cycles open"
+            )
 
     costs_arr = np.concatenate(cycle_costs)
     lengths_arr = np.concatenate(cycle_lengths)
@@ -629,6 +629,6 @@ def replicate(
     plan = _plan(auction, policy, config, False)
     _check_budget(plan.work, plan.unit, num_replications, config)
     return [
-        _run(auction, costs, policy, config, plan, index, None)
+        _run(auction, costs, config, plan, index, None)
         for index in range(num_replications)
     ]

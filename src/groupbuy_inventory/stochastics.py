@@ -426,14 +426,12 @@ def _success_pair(params: AuctionParams) -> tuple[float, float]:
     # Poisson term x^n e^-x / n! = P(n, x) - P(n + 1, x) (DLMF 8.8.5). Below
     # x = n + 1 the term is added to P(n + 1, x); above it, where both values
     # exceed about 1/2, it is taken from P(n, x). Neither step cancels, and
-    # above the mode p is the kernel's own value. From n = 2**53 on, n and
-    # n + 1 are one float, and one call at float(n) gives both.
+    # above the mode p is the kernel's own value. From n = 2**53 on, where
+    # n + 1.0 rounds, the term comes off P(float(n), x) at every x: p >= 1e-300
+    # keeps x within 37 sqrt(n) of n, where the term is under 4e-7 of P(n, x).
     n = params.n_required
     x = params.arrival_rate * params.max_time
-    if n >= 2**53:
-        p = regularized_lower_gamma(float(n), x)
-        return p, p
-    upper = x >= n + 1.0
+    upper = x >= n + 1.0 or n >= 2**53
     kernel = regularized_lower_gamma(float(n) if upper else n + 1.0, x)
     # At x = 0 and x = inf the kernel's 0 and 1 are exact, and the log
     # prefactor undefined.
@@ -522,12 +520,14 @@ def auction_statistics(params: AuctionParams) -> AuctionStatistics:
     One kernel call for any n_required: p = P(n, rate*T) and P(n + 1, rate*T)
     differ by the Poisson term x^n e^-x / n! at x = rate*T (DLMF 8.8.5),
     added below x = n + 1 and subtracted above it, so neither cancels. From
-    n = 2**53 on, n and n + 1 are one float and share one value. The
-    truncated Erlang identity E[min(S, T)] = (n / rate) * P(n + 1, rate*T)
-    + T * (1 - p) was within 6.0e-16 relative of 50-digit references for
-    n_required in [10, 100) and 2.7e-16 in [100, 1e5), with rate*T within
-    4 sqrt(n) of n. For an unbounded window every duration field equals
-    n_required / arrival_rate, p_success is 1.0 and expected_failures 0.0.
+    n = 2**53 on it is subtracted at every x, and an odd n, which a float
+    does not hold, takes float(n)'s values. The truncated Erlang identity
+    E[min(S, T)] = (n / rate) * P(n + 1, rate*T) + T * (1 - p) was within
+    6.0e-16 relative of 50-digit references for n_required in [10, 100),
+    2.7e-16 in [100, 1e5) and 1.4e-16 at five n from 2**53 to 2**60, with
+    rate*T within 4 sqrt(n) of n (3 sqrt(n) from 2**53). For an unbounded
+    window every duration field equals n_required / arrival_rate,
+    p_success is 1.0 and expected_failures 0.0.
     Raises DegenerateAuctionError when the success probability underflows.
     """
     if params.unbounded:

@@ -188,16 +188,16 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             try:
                 auction = AuctionParams(row.n, row.t, row.arrival_rate)
                 policy = Policy(row.q_star_real)
-                planned[index] = auction, policy, _plan(auction, policy, config, False)
+                planned[index] = auction, _plan(auction, policy, config, False)
             except GroupBuyError as exc:
                 rows[index] = _simulation_failed(row, exc)
-    work = sum(plan.work for _, _, plan in planned.values())
+    work = sum(plan.work for _, plan in planned.values())
     _check_budget(work / len(planned) if planned else 0.0, "units", len(planned), config)
-    for index, (auction, policy, plan) in planned.items():
+    for index, (auction, plan) in planned.items():
         row = rows[index]
         try:
             # Stream 0 in every cell, as common random numbers: neighbouring deltas err alike.
-            result = _run(auction, spec.costs, policy, config, plan, 0, None)
+            result = _run(auction, spec.costs, config, plan, 0, None)
         except GroupBuyError as exc:
             rows[index] = _simulation_failed(row, exc)
             continue

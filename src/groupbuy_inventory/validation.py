@@ -28,7 +28,7 @@ from .stochastics import AuctionParams, auction_statistics
 # rate 14 with costs dispatch=40, transport/unit=4, holding=0.02,
 # penalty=10, reorder=300.
 _REFERENCE_RATE = 14.0
-_REFERENCE_AUCTION = AuctionParams(n_required=100, max_time=7.0, arrival_rate=_REFERENCE_RATE)
+_BASE_CELL = (100, 7.0)
 _REFERENCE_COSTS = CostParams(
     dispatch_cost=40.0,
     unit_transport_cost=4.0,
@@ -86,25 +86,7 @@ def cmd_validate(cfg: RunConfig) -> tuple[str, int]:
     def info(text: str) -> None:
         checks.append(("INFO", text))
 
-    ref_stats = auction_statistics(_REFERENCE_AUCTION)
-    ref_n = _REFERENCE_AUCTION.n_required
-    ref_p, _, ref_q_int, _ = _REFERENCE_GRID[ref_n, _REFERENCE_AUCTION.max_time]
-    _, base_q_star, base_q_int, _ = _optimum(ref_stats, _REFERENCE_COSTS, ref_n, "paper")
-    for label, computed, expected, tol in (
-        ("success probability", ref_stats.p_success, ref_p, 5e-5),
-        ("truncated mean duration", ref_stats.e_min_duration, 6.7829, 1e-3),
-        ("dispatch time", ref_stats.dispatch_time_paper, 15.9376, 1e-3),
-        ("optimal quantity", base_q_star, 433.8597, 1e-3),
-        ("integer quantity", base_q_int, ref_q_int, 0),
-    ):
-        check(
-            abs(computed - expected) <= tol,
-            f"base {label} {computed:.6f} vs {expected} (tol {tol:.0e})"
-            if tol
-            else f"base {label} {computed} vs {expected}",
-        )
-
-    # One pass over the reference grid, in the paper td mode of the references.
+    # One pass over the reference grid, base cell included, in the references' paper td mode.
     worst_p = worst_td = worst_consistency = 0.0
     td_ok = scan_ok = True
     mismatches: list[str] = []
@@ -123,6 +105,8 @@ def cmd_validate(cfg: RunConfig) -> tuple[str, int]:
         worst_td = max(worst_td, td_rel)
         td_ok = td_ok and td_rel <= (0.05 if cell == _SENSITIVE_CELL else 0.01)
         _, q_star, q_int, closed = _optimum(cell_stats, _REFERENCE_COSTS, n_cell, "paper")
+        if cell == _BASE_CELL:
+            base_stats, base_q_star, base_q_int = cell_stats, q_star, q_int
         if abs(q_int - q_ref) > (1 if cell == _SENSITIVE_CELL else 0):
             mismatches.append(f"n={n_cell} t={t_cell:g}: {q_int} vs {q_ref}")
         worst_consistency = max(worst_consistency, abs(closed - cost_at(q_star)) / closed)
@@ -132,6 +116,21 @@ def cmd_validate(cfg: RunConfig) -> tuple[str, int]:
             for candidate in range(max(1, q_int - 50), q_int + 51)
         )
         cost_deltas.append(f"n={n_cell} t={t_cell:g}: {closed - cost_ref:+.4f}")
+
+    base_p, _, base_q_ref, _ = _REFERENCE_GRID[_BASE_CELL]
+    for label, computed, expected, tol in (
+        ("success probability", base_stats.p_success, base_p, 5e-5),
+        ("truncated mean duration", base_stats.e_min_duration, 6.7829, 1e-3),
+        ("dispatch time", base_stats.dispatch_time_paper, 15.9376, 1e-3),
+        ("optimal quantity", base_q_star, 433.8597, 1e-3),
+        ("integer quantity", base_q_int, base_q_ref, 0),
+    ):
+        check(
+            abs(computed - expected) <= tol,
+            f"base {label} {computed:.6f} vs {expected} (tol {tol:.0e})"
+            if tol
+            else f"base {label} {computed} vs {expected}",
+        )
 
     check(worst_p <= 5e-5, f"grid success probability: max abs delta {worst_p:.2e} (tol 5e-05, 9 cells)")
     check(td_ok, f"grid dispatch time: max rel delta {worst_td:.2e} (tol 1e-02, loose cell 5e-02)")
@@ -152,8 +151,8 @@ def cmd_validate(cfg: RunConfig) -> tuple[str, int]:
     )
     check(scan_ok, "integer scan: no cheaper quantity within +/-50 of the optimum (9 cells)")
 
-    long_window = replace(_REFERENCE_AUCTION, max_time=1e5)
-    q_long = optimal_quantity(auction_statistics(long_window), _REFERENCE_COSTS, ref_n, "paper")
+    long_window = AuctionParams(_BASE_CELL[0], 1e5, _REFERENCE_RATE)
+    q_long = optimal_quantity(auction_statistics(long_window), _REFERENCE_COSTS, _BASE_CELL[0], "paper")
     eoq = eoq_limit(_REFERENCE_COSTS, _REFERENCE_RATE)
     eoq_rel = abs(q_long - eoq) / eoq
     check(eoq_rel <= 1e-3, f"eoq limit: rel delta {eoq_rel:.2e} at max_time=1e5 (tol 1e-03)")

@@ -405,9 +405,9 @@ class TestValidate:
 
             monkeypatch.setattr(validation, name, counting)
         assert main(["validate", config_file, "--cycles", "2000", "--seed", "7"]) == 0
-        # One cost-model pass for the base scenario and one per grid cell; one
+        # One cost-model pass per grid cell, the base scenario's cell included; one
         # integer optimum for the simulated policy and one Q* for the long window.
-        assert calls == {"_optimum": 10, "best_integer_quantity": 1, "optimal_quantity": 1}
+        assert calls == {"_optimum": 9, "best_integer_quantity": 1, "optimal_quantity": 1}
 
 
 class TestConfigParsing:
@@ -798,6 +798,23 @@ class TestSubprocessEntry:
         assert result.returncode == 3
         assert result.stdout == ""
         assert "degenerate" in result.stderr
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize(
+        "design", [[], ["--n-required", "120", "--max-time", "6"]], ids=["windows", "table"]
+    )
+    def test_tiny_quantity_is_numeric_error(self, config_file, command, design):
+        # ceil(5e-324 / n) is one dispatch per cycle, where the float ratio
+        # underflows to 0, which drew nothing, forever (a timeout here), or no
+        # batch at all (a traceback). The approx analytic cycle Q / n is 0.
+        argv = [
+            sys.executable, "-m", "groupbuy_inventory.cli", command, config_file,
+            "--quantity", "5e-324", "--cycles", "3", *design,
+        ]
+        result = subprocess.run(argv, capture_output=True, text=True, timeout=30)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            3, "", "numeric domain error: cycle length underflowed to zero\n"
+        )
 
     def test_overflowing_clock_simulate_is_numeric_error(self, config_file):
         # p is about 0.5, but the clock overflows after about 20 windows.

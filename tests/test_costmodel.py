@@ -1,11 +1,12 @@
 import dataclasses
 import math
 import random
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupbuy_inventory import (
@@ -399,6 +400,23 @@ class TestDispatchesPerCycle:
         assert dispatches_per_cycle(400.0, 100, "exact") == 4.0
         assert dispatches_per_cycle(100.0, 100, "exact") == 1.0
         assert dispatches_per_cycle(50.0, 100, "exact") == 1.0
+
+    def test_exact_counts_one_batch_for_any_positive_quantity(self):
+        # The float 5e-324 / 100 underflows to 0.0.
+        assert dispatches_per_cycle(5e-324, 100, "exact") == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        quantity=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        n_required=st.integers(min_value=1, max_value=10**18),
+    )
+    @example(quantity=5e-324, n_required=100)
+    @example(quantity=1e-300, n_required=10**18)
+    # The float ratio rounds to 7.773621576083538e16, one float below the ceiling.
+    @example(quantity=5.721385479997484e19, n_required=736)
+    def test_exact_is_the_exact_ceiling(self, quantity, n_required):
+        exact = math.ceil(Fraction(quantity) / n_required)
+        assert dispatches_per_cycle(quantity, n_required, "exact") == float(exact)
 
     def test_approx_is_ratio(self):
         assert dispatches_per_cycle(434.0, 100, "approx") == 4.34

@@ -1027,6 +1027,50 @@ class TestValidation:
         )
         assert (result.returncode, result.stdout) == (0, "degenerate\n"), result.stderr
 
+    def test_tiny_quantity_is_one_dispatch_per_cycle(self):
+        # ceil(5e-324 / 100) is 1, where the float ratio underflows to 0: a plan of
+        # no dispatches drew nothing, forever. The timeout turns a hang into a failure.
+        script = (
+            "import groupbuy_inventory as gb\n"
+            "auction = gb.AuctionParams(n_required=100, max_time=7.0, arrival_rate=14.0)\n"
+            "costs = gb.CostParams(40.0, 4.0, 0.02, 10.0, 300.0)\n"
+            "result = gb.simulate(auction, costs, gb.Policy(5e-324), gb.SimulationConfig(3))\n"
+            "print(result.counts.cycles, result.counts.dispatches)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        )
+        assert (result.returncode, result.stdout) == (0, "3 3\n"), result.stderr
+
+    @pytest.mark.parametrize(
+        "design,quantity,planned",
+        [((1, 1000.0, 1.0), 3.0, 8), ((120, 6.0, 14.0), 9.0, 2)],
+        ids=["windows-p1", "table-p1e-4"],
+    )
+    def test_draws_that_end_before_the_last_cycle_raise(self, design, quantity, planned):
+        # _plan plans one dispatch short. At p = 1 every window dispatches, so the
+        # window route draws exactly the planned total, as the table route does.
+        script = (
+            "import groupbuy_inventory as gb\n"
+            "from groupbuy_inventory import simulator\n"
+            "plan = simulator._plan\n"
+            "def short(*args):\n"
+            "    planned = plan(*args)\n"
+            "    return planned._replace(dispatches=planned.dispatches - 1)\n"
+            "simulator._plan = short\n"
+            f"auction = gb.AuctionParams(*{design!r})\n"
+            "costs = gb.CostParams(40.0, 4.0, 0.02, 10.0, 300.0)\n"
+            "try:\n"
+            f"    gb.simulate(auction, costs, gb.Policy({quantity!r}), gb.SimulationConfig(3))\n"
+            "except gb.NumericsError as exc:\n"
+            "    print(exc)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        )
+        expected = f"simulation drew its planned {planned} dispatches and left 1 of 3 cycles open\n"
+        assert (result.returncode, result.stdout) == (0, expected), result.stderr
+
     @pytest.mark.parametrize(
         "kwargs",
         [

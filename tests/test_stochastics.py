@@ -324,14 +324,41 @@ class TestSuccessPair:
     """p and P(n + 1, rate*T) from one kernel call and the Poisson term."""
 
     @pytest.mark.parametrize("n", [2**53, 2**53 + 2, 10**16])
-    def test_one_float_for_n_and_n_plus_one(self, n):
-        # n + 1.0 rounds to n or n + 2 here; one call at float(n) serves both.
+    def test_n_plus_one_is_one_poisson_term_less(self, n):
+        # n + 1.0 rounds to n or n + 2 here, yet P(n + 1, n) is P(n, n) less the
+        # term n^n e^-n / n! = (1 + O(1/n)) / sqrt(2 pi n), so E[min(S, T)] at
+        # rate 1 and T = n is n - sqrt(n / (2 pi)), not n.
         params = AuctionParams(n_required=n, max_time=float(n), arrival_rate=1.0)
         expected = regularized_lower_gamma(float(n), float(n))
         assert success_probability(params) == expected
         stats = auction_statistics(params)
         assert stats.p_success == expected
-        assert stats.e_min_duration == n * expected + float(n) * (1.0 - expected)
+        assert stats.e_min_duration == pytest.approx(n - math.sqrt(n / (2.0 * math.pi)), rel=1e-15)
+
+    @pytest.mark.parametrize("n", [2**53, 2**53 + 2, 10**16, 2**60, 3 * 2**58])
+    def test_matches_quadrature_past_two_to_the_53(self, n):
+        for k in (-3.0, 0.0, 3.0):
+            x = n + k * math.sqrt(n)
+            stats = auction_statistics(AuctionParams(n_required=n, max_time=x, arrival_rate=1.0))
+            # The int shapes n and n + 1, which one float does not tell apart.
+            p_ref, p_next_ref = quadrature_reference(n, x), quadrature_reference(n + 1, x)
+            with mpmath.workdps(60):
+                shape, window = mpmath.mpf(n), mpmath.mpf(x)
+                term = mpmath.exp(shape * mpmath.log(window) - window - mpmath.loggamma(shape + 1))
+                # The references are one Poisson term apart, to their rounding.
+                assert abs(p_ref - p_next_ref - term) <= 1e-4 * term
+                p, p_next = mpmath.mpf(p_ref), mpmath.mpf(p_next_ref)
+                e_min = shape * p_next + window * (1 - p)
+                window_failures = window * (1 - p) / p
+                # The dispatch times also carry the kernel's own error in p, which
+                # reaches 2e-15 relative at k = -3 (p = 1.35e-3).
+                td_bound = 1e-15 + 2 * abs(stats.p_success - p_ref) / p_ref
+                for computed, reference, bound in (
+                    (stats.e_min_duration, e_min, 1e-15),
+                    (stats.dispatch_time_paper, window_failures + e_min, td_bound),
+                    (stats.dispatch_time_consistent, window_failures + shape * p_next / p, td_bound),
+                ):
+                    assert abs(computed - reference) <= bound * reference
 
     @pytest.mark.parametrize("n", [10, 100, 1000, 10**4, 10**6, 10**9, 10**12, 10**15])
     def test_matches_quadrature_near_the_mode(self, n):

@@ -154,6 +154,9 @@ COMMANDS = [
      "--arrival-rate", "1"],
     ["optimize", "--n-required", "9007199254740994", "--max-time", "9007199254740994",
      "--arrival-rate", "1"],
+    # An odd n past 2**53, which a float does not hold: it takes float(n)'s values.
+    ["optimize", "--n-required", "9007199254740993", "--max-time", "9007199254740993",
+     "--arrival-rate", "1"],
     # 2e5 dispatches: pins the dispatch-interval estimate and its se.
     ["simulate", "--n-required", "1", "--max-time", "1000", "--arrival-rate", "1",
      "--quantity", "1000", "--cycles", "200", "--duration-sampler", "erlang"],
@@ -240,6 +243,12 @@ COMMANDS = [
     ["optimize", "--seed", "9" * (sys.get_int_max_str_digits() + 1)],
     # A float literal past the float range is not the unbounded window: exit 2.
     ["optimize", "--max-time", "1e400"],
+    # ceil(5e-324 / n) is one dispatch per cycle (the float ratio is 0): the runs
+    # end, and the approx analytic cycle length underflows: exit 3.
+    ["simulate", "--quantity", "5e-324", "--cycles", "3"],
+    ["simulate", "--quantity", "5e-324", "--cycles", "3", "--n-required", "120",
+     "--max-time", "6"],
+    ["validate", "--quantity", "5e-324", "--cycles", "3"],
 ]
 
 
