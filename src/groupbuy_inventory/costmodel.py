@@ -23,7 +23,6 @@ cost and the failure penalty: those terms do not depend on Q.
 from __future__ import annotations
 
 import math
-from dataclasses import fields
 from typing import Literal, get_args
 
 from .errors import NumericsError, ParameterError, check_choice, check_float, check_int, record
@@ -163,9 +162,9 @@ def _cycle_costs(
               cycle_total, _divide(cycle_total, cycle_length, "cycle length"))
     # A field that is not finite makes cycle_total, and so this sum, not finite.
     if not math.isfinite(cycle_total + cycle_length + values[-1]):
-        for field, value in zip(fields(CostBreakdown), values):
+        for name, value in zip(CostBreakdown._names, values):
             if not math.isfinite(value):
-                raise NumericsError(f"expected {field.name} is not finite: {value!r}")
+                raise NumericsError(f"expected {name} is not finite: {value!r}")
     return values
 
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import field, fields, replace
 from pathlib import Path
 
 from .costmodel import A_MODES, CostParams, Policy, check_optimizable
-from .errors import ConfigError, ParameterError, record
+from .errors import ConfigError, Meta, ParameterError, record, replace
 from .settings import DURATION_SAMPLERS, REPORT_FORMATS, SHORTFALL_RULES, SimulationConfig
 from .stochastics import TD_MODES, AuctionParams
 
@@ -103,7 +102,7 @@ _RATE, _RATES = _ruled(_float, lambda r: math.isfinite(r) and r > 0.0, "must be 
 
 def _key(parse, default=None):
     """A config key: a RunConfig field that carries its value parser."""
-    return field(default=default, metadata={"parse": parse})
+    return Meta(default, parse=parse)
 
 
 @record
@@ -144,7 +143,7 @@ class RunConfig:
 
 
 # Every config key and its parser, in flag order.
-_PARSERS = {f.name: f.metadata["parse"] for f in fields(RunConfig) if "parse" in f.metadata}
+_PARSERS = {name: metadata["parse"] for name, metadata in RunConfig._metadata.items()}
 
 
 def parse_config_text(text: str) -> dict[str, str]:

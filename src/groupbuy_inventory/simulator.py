@@ -348,9 +348,10 @@ def _plan(
 
     The one reader of config.shortfall_rule. level_before(m), the stock
     before dispatch m (counted from 0 over the run) and after m - 1, is a
-    closed form of m, exact below 2**53 units: a step-by-step replay's
-    levels bit for bit, and ints for an int quantity. The work estimate and
-    its unit are as simulate documents them.
+    closed form of m: a step-by-step replay's levels bit for bit, and ints
+    for an int quantity, while every product it forms is within 2**53 (exact
+    in float64, far from int64's wrap); a run past that is refused. The work
+    estimate and its unit are as simulate documents them.
     """
     if auction.unbounded:
         raise ConfigError("max_time: must be finite for simulation")
@@ -359,6 +360,8 @@ def _plan(
         per_cycle = _ceil_batches(quantity, n_required)
         dispatches = config.num_cycles * per_cycle
         formula = "cycles * ceil(quantity / n_required)"
+        # level_before's products (m % per_cycle) * n_required stay below quantity.
+        reach = max(n_required, quantity)
 
         def level_before(m: np.ndarray) -> np.ndarray:
             return quantity - (m % per_cycle) * n_required
@@ -372,10 +375,16 @@ def _plan(
         # dispatched to c * Q or more, so the run ends at ceil(num_cycles * Q / n).
         dispatches = _ceil_batches(quantity, n_required, config.num_cycles)
         formula = "ceil(cycles * quantity / n_required)"
+        reach = dispatches * n_required  # above every m * n_required of the run
 
         def level_before(m: np.ndarray) -> np.ndarray:
             return quantity - m * n_required % quantity
 
+    if reach > 2**53:
+        raise NumericsError(
+            f"simulated stock levels are exact up to 2**53 units, and this run reaches "
+            f"{_as_float(reach):.3g}; use a smaller n_required or quantity, or fewer cycles"
+        )
     p = _nondegenerate_success_pair(auction)[0]
     table = config.duration_sampler == "dispatch" and _table_length(auction, p) > 0
     if table and not logged:

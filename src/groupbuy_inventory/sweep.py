@@ -14,7 +14,6 @@ CSV report parsed back agrees with the JSON report exactly.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import operator
 from typing import Iterable, Sequence
@@ -36,6 +35,7 @@ from .errors import (
     check_float,
     check_int,
     record,
+    replace,
 )
 from .settings import REPORT_FORMATS, SimulationConfig
 from .stochastics import TD_MODES, AuctionParams, TdMode, auction_statistics
@@ -131,7 +131,7 @@ def _evaluate_cell(n: int, t: float, rate: float, spec: SweepSpec) -> SweepRow:
 
 def _simulation_failed(row: SweepRow, exc: GroupBuyError) -> SweepRow:
     # A failed simulation keeps the cell's closed-form numbers.
-    return dataclasses.replace(row, error=f"simulation: {type(exc).__name__}: {exc}")
+    return replace(row, error=f"simulation: {type(exc).__name__}: {exc}")
 
 
 def _float_axis(name: str, values: Sequence[float]) -> list[float]:
@@ -201,7 +201,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         except GroupBuyError as exc:
             rows[index] = _simulation_failed(row, exc)
             continue
-        rows[index] = dataclasses.replace(
+        rows[index] = replace(
             row,
             sim_cost=result.long_run_cost,
             sim_halfwidth=result.long_run_cost_halfwidth,
@@ -222,7 +222,7 @@ def _format_numbers(values: Iterable[float | int | None]) -> list[str]:
 
 
 # A row's report cells: every SweepRow field but the last one, error.
-_row_cells = operator.attrgetter(*(field.name for field in dataclasses.fields(SweepRow)[:-1]))
+_row_cells = operator.attrgetter(*SweepRow._names[:-1])
 _GRIDS = {"success probability": "p_success", "expected dispatch time": "dispatch_time",
           "optimal quantity (integer)": "q_star_integer", "optimal cost rate": "optimal_cost"}
 # A row's cells in the markdown grids, in _GRIDS order, and in its simulation table.

@@ -7,7 +7,6 @@ Imported by the CLI only when validate runs.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from .costmodel import (
     CostParams,
@@ -18,6 +17,7 @@ from .costmodel import (
     long_run_average_cost,
     optimal_quantity,
 )
+from .errors import replace
 from .runconfig import RunConfig, _auction_from, _require_optimizable, _scenario_lines
 from .simulation_report import _analytic_comparison, _fmt_z
 from .simulator import simulate

@@ -1131,6 +1131,12 @@ class TestSimulationProperty:
         cycles=st.integers(min_value=1, max_value=500),
         seed=st.integers(min_value=0, max_value=2**64 - 1),
     )
+    # Past the exact stock levels: an int64 OverflowError, a silent level
+    # wrap and two gamma-window hangs before the 2**53 bound.
+    @example(n_required=10**19, p=0.5, quantity=1e19, cycles=2, seed=0)
+    @example(n_required=2**40, p=0.5, quantity=2.0**64, cycles=2, seed=0)
+    @example(n_required=2**110, p=0.5, quantity=2.0**110, cycles=2, seed=0)
+    @example(n_required=10**300, p=0.5, quantity=1e300, cycles=2, seed=0)
     def test_simulate_and_validate_end_in_time(self, n_required, p, quantity, cycles, seed):
         # A run that hangs fails by the timeout; any answer is an exit code 0-4.
         keys = {**BASE_KEYS, "n_required": n_required, "max_time": repr(window_for(n_required, p))}
@@ -1144,3 +1150,35 @@ class TestSimulationProperty:
             )
             assert 0 <= result.returncode <= 4, result.stderr
             assert "Traceback" not in result.stderr, result.stderr
+
+    @settings(max_examples=4, deadline=None)
+    @given(
+        n_required=st.integers(min_value=2**53 + 1, max_value=10**300),
+        ratio=st.floats(min_value=1.0, max_value=4.0),
+        rule=st.sampled_from(["reset_to_q", "carry_shortfall"]),
+        cycles=st.integers(min_value=1, max_value=20000),
+    )
+    # The four faults past 2**53, at lambda = 1 and T = n (p about 0.5): an
+    # int64 OverflowError, silent level wraps from n * D and from Q, and a hang.
+    @example(n_required=10**19, ratio=1.0, rule="reset_to_q", cycles=2)
+    @example(n_required=2**50, ratio=1.5, rule="carry_shortfall", cycles=20000)
+    @example(n_required=2**40, ratio=2.0**24, rule="reset_to_q", cycles=2)
+    @example(n_required=2**110, ratio=1.0, rule="reset_to_q", cycles=2)
+    @example(n_required=10**300, ratio=1.0, rule="reset_to_q", cycles=2)
+    def test_simulate_past_the_exact_stock_levels_exits_3_at_once(
+        self, n_required, ratio, rule, cycles
+    ):
+        keys = {**BASE_KEYS, "n_required": n_required, "max_time": repr(float(n_required)),
+                "arrival_rate": 1}
+        argv = closed_form_argv("simulate", keys) + [
+            "--quantity", repr(ratio * n_required), "--shortfall-rule", rule,
+            "--cycles", str(cycles),
+        ]
+        result = subprocess.run(
+            [sys.executable, "-m", "groupbuy_inventory.cli", *argv],
+            capture_output=True, text=True, timeout=1,
+        )
+        assert result.returncode == 3, result.stderr
+        assert result.stderr.startswith(
+            "numeric domain error: simulated stock levels are exact up to 2**53 units"
+        ), result.stderr

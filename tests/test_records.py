@@ -6,6 +6,9 @@ import dataclasses
 import math
 import pickle
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -227,3 +230,89 @@ def test_int_past_the_float_range_is_the_sites_own_error(call, error, name, valu
     message = f"{name} must be within the float range, got {int_text(value)}"
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+# Run in a fresh interpreter, the tests directory its first argument and
+# RECORDS' (class, arguments) pairs pickled on stdin: the closed-form entry
+# points, then every record before and after the first read of its metadata.
+STARTUP_GUARD = r'''
+import contextlib, copy, io, pickle, sys
+from groupbuy_inventory import CostParams, SweepSpec, emit_report, run_sweep
+from groupbuy_inventory.cli import main
+
+COSTS = ["--dispatch-cost", "40", "--transport-cost-per-unit", "4", "--holding-rate", "0.02",
+         "--penalty-cost", "10", "--reorder-cost", "300"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["optimize", "--n-required", "100", "--max-time", "7", "--arrival-rate", "14",
+                 *COSTS]) == 0
+    assert main(["sweep", "--n-values", "80,100", "--t-values", "6,7", "--lambda-values", "14",
+                 *COSTS]) == 0
+emit_report(run_sweep(SweepSpec((80, 100), (6.0, 7.0), (14.0,), CostParams(40, 4, 0.02, 10, 300))),
+            "json")
+assert not {"dataclasses", "inspect"} & set(sys.modules), "dataclasses or inspect loaded"
+
+CASES = pickle.loads(sys.stdin.buffer.read())
+METHODS = ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__")
+
+
+def behaviour(cls, args):
+    obj = cls(*args)
+    twin = cls(*args)
+    assert obj == twin and hash(obj) == hash(twin) and obj.__eq__(args) is NotImplemented
+    text = ", ".join(f"{name}={value!r}" for name, value in zip(cls.__match_args__, args))
+    assert repr(obj) == f"{cls.__name__}({text})"
+    for clone in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+        assert clone == obj and type(clone) is cls
+    return obj, hash(obj), [vars(cls)[name] for name in METHODS]
+
+
+def refusals(obj):
+    name = type(obj).__match_args__[-1]
+    for action, verb in ((lambda: setattr(obj, name, 0), "assign to"),
+                         (lambda: delattr(obj, name), "delete")):
+        try:
+            action()
+        except Exception as exc:
+            assert type(exc).__name__ == "FrozenInstanceError", exc
+            assert str(exc) == f"cannot {verb} field {name!r}", exc
+        else:
+            raise AssertionError(f"{verb} {name} was allowed")
+
+
+before = [behaviour(cls, args) for cls, args in CASES]
+assert not {"dataclasses", "inspect"} & set(sys.modules), "a record loaded dataclasses"
+for obj, _, _ in before:
+    refusals(obj)
+for cls, _ in CASES:
+    assert not isinstance(vars(cls)["__dataclass_fields__"], dict), "metadata read early"
+
+import dataclasses
+sys.path.insert(0, sys.argv[1])
+from test_records import RECORDS
+from groupbuy_inventory.runconfig import _PARSERS, RunConfig
+
+for (cls, args), (obj, hashed, methods), (_, fields, _) in zip(CASES, before, RECORDS):
+    assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
+    assert [(f.name, f.default) for f in dataclasses.fields(cls)] == fields
+    # Every RunConfig field but the three records built from the keys is a key.
+    keys = [name for name, _ in fields[:-3]] if cls is RunConfig else []
+    assert [dict(f.metadata) for f in dataclasses.fields(cls)] == [
+        {"parse": _PARSERS[name]} if name in keys else {} for name, _ in fields
+    ]
+    assert dataclasses.replace(obj) == obj
+    assert dataclasses.asdict(obj) == dataclasses.asdict(cls(*args))
+    after = behaviour(cls, args)
+    assert after[0] == obj and after[1] == hashed and after[2] == methods
+    refusals(after[0])
+print("ok")
+'''
+
+
+def test_records_need_no_dataclasses_until_their_metadata_is_read():
+    cases = pickle.dumps([(cls, args) for cls, _, args in RECORDS])
+    result = subprocess.run(
+        [sys.executable, "-c", STARTUP_GUARD, str(Path(__file__).parent)],
+        input=cases, capture_output=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout == b"ok\n"

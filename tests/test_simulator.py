@@ -22,11 +22,13 @@ from groupbuy_inventory import (
     ParameterError,
     Policy,
     SimulationConfig,
+    SweepSpec,
     auction_statistics,
     best_integer_quantity,
     long_run_average_cost,
     replicate,
     rng_stream,
+    run_sweep,
     simulate,
 )
 from groupbuy_inventory import simulator
@@ -917,6 +919,67 @@ class TestShortfallRules:
                 base_auction, base_costs, Policy(50.0),
                 _config(shortfall_rule="carry_shortfall"),
             )
+
+
+# Designs past the exact stock levels, as (n_required, quantity, rule, cycles),
+# with max_time = n_required and arrival_rate 1 (p about 0.5): n past 2**63
+# (an int64 OverflowError), n * D past 2**53 under carry_shortfall and Q past
+# 2**63 (silent level wraps), and gamma windows that all last n (a hang).
+PAST_THE_EXACT_LEVELS = {
+    "n-1e19": (10**19, 1e19, "reset_to_q", 2),
+    "carry-n-2**50": (2**50, 1.5 * 2**50, "carry_shortfall", 20000),
+    "q-2**64": (2**40, 2.0**64, "reset_to_q", 2),
+    "n-2**110": (2**110, 2.0**110, "reset_to_q", 2),
+    "n-1e300": (10**300, 1e300, "reset_to_q", 2),
+}
+
+
+class TestExactStockLevels:
+    @pytest.mark.parametrize(
+        "n_required,quantity,rule,cycles", PAST_THE_EXACT_LEVELS.values(),
+        ids=PAST_THE_EXACT_LEVELS.keys(),
+    )
+    def test_runs_past_2_to_53_are_refused_before_drawing(
+        self, monkeypatch, base_costs, n_required, quantity, rule, cycles
+    ):
+        def no_draws(*args):
+            raise AssertionError("the run drew")
+
+        monkeypatch.setattr(simulator, "_draw_dispatches", no_draws)
+        monkeypatch.setattr(simulator, "_regroup", no_draws)
+        auction = AuctionParams(n_required, float(n_required), 1.0)
+        config = _config(num_cycles=cycles, shortfall_rule=rule)
+        with pytest.raises(NumericsError, match=r"^simulated stock levels are exact up to 2\*\*53"):
+            simulate(auction, base_costs, Policy(quantity), config)
+
+    def test_carry_shortfall_levels_at_the_bound_are_exact(self, base_costs):
+        # Q = 1.5n + 1 at n = 2**40: 5461 cycles are D = 8192 dispatches, so
+        # n * D is 2**53 exactly; one cycle more is refused.
+        n, quantity = 2**40, 3 * 2**39 + 1
+        auction = AuctionParams(n, float(n), 1.0)
+        config = _config(num_cycles=5461, shortfall_rule="carry_shortfall")
+        log = io.StringIO()
+        result = simulate(auction, base_costs, Policy(float(quantity)), config, event_log=log)
+        expected, level = [], quantity
+        for _ in range(result.counts.dispatches):
+            level -= n
+            level += quantity if level <= 0 else 0
+            expected.append(level)
+        lines = [json.loads(line) for line in log.getvalue().splitlines()]
+        assert [line["level_after"] for line in lines if line["outcome"] == "success"] == expected
+        assert result.counts.dispatches * n == 2**53
+        with pytest.raises(NumericsError, match=r"reaches 9\.01e\+15"):
+            simulate(auction, base_costs, Policy(float(quantity)), _config(
+                num_cycles=5462, shortfall_rule="carry_shortfall"))
+
+    def test_a_simulated_sweep_cell_past_the_bound_is_an_error_cell(self, base_costs):
+        n = 2**110
+        spec = SweepSpec((n,), (float(n),), (1.0,), base_costs, simulation=_config(num_cycles=2))
+        [row] = run_sweep(spec)
+        assert row.q_star_real is not None and row.sim_cost is None
+        assert row.error.startswith(
+            "simulation: NumericsError: simulated stock levels are exact up to 2**53 units"
+        )
 
 
 class TestDegenerateCosts:

@@ -10,7 +10,9 @@ alternates from round to round. Each launch is followed by the benchmark's
 reference launch, and its time is scaled to the reference's quiet time,
 as perfbench scales ``setup_s``. For each launch the script prints a
 markdown table row: both trees' median with its quartiles in ms, the
-change of the medians and the rounds in which NEW was faster.
+change of the medians and the rounds in which NEW was faster. It then
+launches each command once more per tree under ``-X importtime`` and prints,
+per launch, the modules that one tree loads and the other does not.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import statistics
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -55,6 +58,37 @@ def scaled_launch(argv: list[str], src: Path) -> float:
     return REFERENCE_LAUNCH_S * wall / timed_launch(REFERENCE_ARGV)[0]
 
 
+def importtime_modules(report: str) -> set[str]:
+    """The module names in a ``-X importtime`` report.
+
+    The report also lists an import that failed, such as ``copy``'s try of
+    ``org.python.core``, so such a name counts as loaded.
+    """
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in report.splitlines()
+        if line.startswith("import time:") and not line.endswith("| imported package")
+    }
+
+
+def imported_modules(argv: list[str], src: Path) -> set[str]:
+    """The modules argv loads, with src on PYTHONPATH."""
+    result = subprocess.run(
+        [argv[0], "-X", "importtime", *argv[1:]], capture_output=True, text=True, cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True,
+    )
+    return importtime_modules(result.stderr)
+
+
+def module_summary(modules: dict[str, tuple[set[str], set[str]]]) -> list[str]:
+    """A markdown table of the modules each launch loads from one tree only."""
+    lines = ["| launch | only OLD loads | only NEW loads |", "| --- | --- | --- |"]
+    for name, (old, new) in modules.items():
+        only = [", ".join(sorted(a - b)) or "-" for a, b in ((old, new), (new, old))]
+        lines.append(f"| {name} | {only[0]} | {only[1]} |")
+    return lines
+
+
 def summary(times: dict[str, tuple[list[float], list[float]]]) -> list[str]:
     """A markdown table of each launch's (OLD, NEW) times in s, one per round."""
     lines = [
@@ -89,7 +123,13 @@ def main(argv: list[str] | None = None) -> int:
                 for name, command in plans[side].items():
                     times[name][side].append(scaled_launch(command, trees[side]))
             print(f"round {index + 1}/{args.rounds}", file=sys.stderr)
+        modules = {
+            name: tuple(imported_modules(plans[side][name], trees[side]) for side in (0, 1))
+            for name in plans[1]
+        }
     print("\n".join(summary(times)))
+    print()
+    print("\n".join(module_summary(modules)))
     return 0
 
 
