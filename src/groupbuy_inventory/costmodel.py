@@ -55,9 +55,7 @@ class CostParams:
     reorder_cost: float
 
     def __post_init__(self) -> None:
-        for name in ("dispatch_cost", "unit_transport_cost", "holding_rate",
-                     "failure_penalty", "reorder_cost"):
-            value = getattr(self, name)
+        for name, value in zip(self._names, self._values(self)):
             if not math.isfinite(value) or value < 0.0:
                 raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
 

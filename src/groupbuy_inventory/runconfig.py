@@ -18,14 +18,10 @@ from .errors import ConfigError, Meta, ParameterError, record, replace
 from .settings import DURATION_SAMPLERS, REPORT_FORMATS, SHORTFALL_RULES, SimulationConfig
 from .stochastics import TD_MODES, AuctionParams
 
+# The two CostParams fields whose config key has another name, and that key.
+_RENAMED = {"unit_transport_cost": "transport_cost_per_unit", "failure_penalty": "penalty_cost"}
 # The cost keys every command requires, and the CostParams field each fills.
-_COST_FIELDS = {
-    "dispatch_cost": "dispatch_cost",
-    "transport_cost_per_unit": "unit_transport_cost",
-    "holding_rate": "holding_rate",
-    "penalty_cost": "failure_penalty",
-    "reorder_cost": "reorder_cost",
-}
+_COST_FIELDS = {_RENAMED.get(name, name): name for name in CostParams._names}
 
 
 def _int(key: str, raw: str) -> int:
@@ -117,7 +113,7 @@ class RunConfig:
     n_required: int | None = _key(_POSITIVE_INT)
     num_cycles: int = _key(_int, 20000)
     replications: int = _key(_POSITIVE_INT, 1)
-    seed: int = _key(_int, 0)
+    seed: int = _key(_int, SimulationConfig.seed)
     max_time: float | None = _key(_WINDOW)
     arrival_rate: float | None = _key(_RATE)
     dispatch_cost: float | None = _key(_float)
@@ -128,7 +124,7 @@ class RunConfig:
     quantity: float | None = _key(_float)
     td_mode: str = _key(_one_of(TD_MODES), "paper")
     a_mode: str = _key(_one_of(A_MODES), "approx")
-    shortfall_rule: str = _key(_one_of(SHORTFALL_RULES), "reset_to_q")
+    shortfall_rule: str = _key(_one_of(SHORTFALL_RULES), SimulationConfig.shortfall_rule)
     duration_sampler: str = _key(_one_of(DURATION_SAMPLERS), SimulationConfig.duration_sampler)
     format: str = _key(_one_of(REPORT_FORMATS), "markdown")
     n_values: tuple[int, ...] | None = _key(_POSITIVE_INTS)
@@ -194,19 +190,18 @@ def load_run_config(config_path: str | None, overrides: dict[str, str]) -> RunCo
     raw.update(overrides)
     cfg = RunConfig(**{key: _PARSERS[key](key, value) for key, value in raw.items()})
     _require(cfg, *_COST_FIELDS)
+    keys = vars(cfg)
     try:
         return replace(
             cfg,
-            costs=CostParams(**{name: getattr(cfg, key) for key, name in _COST_FIELDS.items()}),
-            simulation=SimulationConfig(
-                cfg.num_cycles, cfg.seed, cfg.shortfall_rule, cfg.duration_sampler
-            ),
+            costs=CostParams(**{name: keys[key] for key, name in _COST_FIELDS.items()}),
+            simulation=SimulationConfig(**{name: keys[name] for name in SimulationConfig._names}),
             policy=None if cfg.quantity is None else Policy(cfg.quantity),
         )
     except ParameterError as exc:
         # Name the config key, not the CostParams field, in the message.
         message = str(exc)
-        for key, name in _COST_FIELDS.items():
+        for name, key in _RENAMED.items():
             message = message.replace(name, key)
         raise ConfigError(message) from None
 
@@ -231,6 +226,10 @@ def _require_optimizable(costs: CostParams) -> None:
         check_optimizable(costs, "optimizing the quantity")
     except ParameterError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _fmt_z(z: float) -> str:
+    return f"{z:+.2f}" if math.isfinite(z) else "n/a"
 
 
 def _scenario_lines(auction: AuctionParams, costs: CostParams) -> list[str]:

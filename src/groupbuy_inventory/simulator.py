@@ -43,6 +43,10 @@ sequentially; so repeated runs consume identical draw sequences. Each
 cycle's cost is summed over all its terms at once, wherever batches
 split it, so results do not depend on the batch size either. Writing an
 event log does not change the results.
+
+The cross-check itself, _analytic_comparison, sets each estimate beside
+its closed-form value in standard errors: simulate's report prints it and
+validate judges it.
 """
 
 from __future__ import annotations
@@ -55,10 +59,11 @@ import sys
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterator, NamedTuple
 
-from .costmodel import CostParams, Policy, _ceil_batches
+from .costmodel import A_MODES, CostParams, Policy, _ceil_batches, long_run_average_cost
 from .errors import ConfigError, NumericsError, check_int, int_text, record
 from .settings import SimulationConfig
-from .stochastics import AuctionParams, _nondegenerate_success_pair
+from .stochastics import (TD_MODES, AuctionParams, AuctionStatistics,
+                          _nondegenerate_success_pair, select_dispatch_time)
 
 if TYPE_CHECKING:
     # numpy is imported only where a simulation runs, so the closed-form
@@ -641,3 +646,33 @@ def replicate(
         _run(auction, costs, config, plan, index, None)
         for index in range(num_replications)
     ]
+
+
+def _z(estimate: float, value: float, se: float) -> float:
+    """Distance of an estimate from its analytic value in standard errors."""
+    return (estimate - value) / se if se > 0 else math.nan
+
+
+def _analytic_comparison(
+    result: SimulationResult, stats: AuctionStatistics, costs: CostParams, policy: Policy, n: int
+) -> dict[tuple[str, str | None, str | None], tuple[float, float]]:
+    """Analytic value and z of each simulated estimate, in report order.
+
+    Keyed by (quantity, td_mode, a_mode), None where a mode does not apply:
+    the success probability, the dispatch time in both td modes and the
+    cost rate in every td x a mode pair.
+    """
+    p = stats.p_success
+    rows = {("p_success", None, None): (p, _z(result.p_hat, p, result.p_hat_se))}
+    for td_mode in TD_MODES:
+        value = select_dispatch_time(stats, td_mode)
+        rows["dispatch time", td_mode, None] = (
+            value, _z(result.mean_dispatch_interval, value, result.mean_dispatch_interval_se)
+        )
+    for td_mode in TD_MODES:
+        for a_mode in A_MODES:
+            value = long_run_average_cost(stats, costs, policy, n, td_mode, a_mode)
+            rows["cost rate", td_mode, a_mode] = (
+                value, _z(result.long_run_cost, value, result.long_run_cost_se)
+            )
+    return rows

@@ -45,21 +45,6 @@ from .stochastics import TD_MODES, AuctionParams, TdMode, auction_statistics
 # and peaked at 336 MB through the CLI (2-vCPU VM, Python 3.11).
 _MAX_CELLS = 250_000
 
-CSV_COLUMNS: tuple[str, ...] = (
-    "n",
-    "t",
-    "lambda",
-    "p_success",
-    "dispatch_time",
-    "q_star_real",
-    "q_star_integer",
-    "optimal_cost",
-    "sim_cost",
-    "sim_halfwidth",
-    "delta",
-)
-
-
 @record
 class SweepSpec:
     """Grid definition for one sweep.
@@ -87,7 +72,7 @@ class SweepSpec:
     simulation: SimulationConfig | None = None
 
     def __post_init__(self) -> None:
-        for name in ("n_values", "t_values", "lambda_values"):
+        for name in self._names[:3]:  # the three axes
             if len(getattr(self, name)) == 0:
                 raise ParameterError(f"{name} must be non-empty")
         check_choice("td_mode", self.td_mode, TD_MODES)
@@ -97,7 +82,8 @@ class SweepSpec:
 class SweepRow:
     """One evaluated grid cell.
 
-    The fields before error are the report columns, in CSV_COLUMNS order.
+    The fields before error are the report columns, in order: CSV_COLUMNS
+    holds their names, with arrival_rate spelled lambda.
     The numeric fields are None because the cell's closed forms failed
     (error holds the reason) or, for the sim_* fields only, because the
     sweep ran without simulation or the cell's simulation failed (error
@@ -118,6 +104,11 @@ class SweepRow:
     error: str | None = None
 
 
+CSV_COLUMNS: tuple[str, ...] = tuple(
+    "lambda" if name == "arrival_rate" else name for name in SweepRow._names[:-1]
+)
+
+
 def _evaluate_cell(n: int, t: float, rate: float, spec: SweepSpec) -> SweepRow:
     # Positional arguments in field order: keyword binding is a measurable
     # share of a cell's time.
@@ -135,12 +126,19 @@ def _simulation_failed(row: SweepRow, exc: GroupBuyError) -> SweepRow:
 
 
 def _float_axis(name: str, values: Sequence[float]) -> list[float]:
-    try:
-        axis = list(map(float, sorted(set(values))))
-    except OverflowError:
-        for value in sorted(set(values)):
+    entries = set()
+    for value in values:
+        # Each entry is a number, which text is not, though float() reads it.
+        try:
+            if isinstance(value, (str, bytes, bytearray)):
+                raise TypeError
+            entries.add(float(value))
+        except OverflowError:
             check_float(f"{name} entry", value)
-        raise
+            raise
+        except (TypeError, ValueError):
+            raise ParameterError(f"{name} entry must be a number, got {value!r}") from None
+    axis = sorted(entries)
     # NaN has no place in a sorted axis, and no JSON spelling.
     if any(map(math.isnan, axis)):
         raise ParameterError(f"{name} entry must not be NaN")
@@ -152,17 +150,18 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
     Axes are deduplicated and sorted ascending first, so the row order is
     a deterministic function of the axis sets. Always returns one row per
-    cell; failed cells carry an error marker instead of numbers. Raises
+    cell; failed cells carry an error marker instead of numbers. Each
+    entry is checked before its axis is deduplicated: run_sweep raises
     ParameterError before the first cell for an n_values entry that is not
-    an integer or a t_values or lambda_values entry that is NaN or an int
-    past the float range, and
-    NumericsError before the first cell when the grid holds more than
-    _MAX_CELLS cells, and before the first simulation when the
-    simulator's _check_budget refuses the cells' simulations together.
+    an integer, and a t_values or lambda_values entry that is text, not a
+    number, NaN or an int past the float range. It raises NumericsError
+    before the first cell when the grid holds more than _MAX_CELLS cells,
+    and before the first simulation when the simulator's _check_budget
+    refuses the cells' simulations together.
     """
-    n_axis = sorted(set(spec.n_values))
-    for value in n_axis:
+    for value in spec.n_values:
         check_int("n_values entry", value)
+    n_axis = sorted(set(spec.n_values))
     t_axis = _float_axis("t_values", spec.t_values)
     rate_axis = _float_axis("lambda_values", spec.lambda_values)
     cells = len(n_axis) * len(t_axis) * len(rate_axis)
@@ -227,7 +226,8 @@ _GRIDS = {"success probability": "p_success", "expected dispatch time": "dispatc
           "optimal quantity (integer)": "q_star_integer", "optimal cost rate": "optimal_cost"}
 # A row's cells in the markdown grids, in _GRIDS order, and in its simulation table.
 _grid_cells = operator.attrgetter(*_GRIDS.values())
-_sim_cells = operator.attrgetter("t", "sim_cost", "sim_halfwidth", "delta")
+_SIM_COLUMNS = ("t", "sim_cost", "sim_halfwidth", "delta")
+_sim_cells = operator.attrgetter(*_SIM_COLUMNS)
 
 
 def _emit_csv(rows: Sequence[SweepRow]) -> str:
@@ -302,8 +302,8 @@ def _emit_markdown(rows: Sequence[SweepRow]) -> str:
         if sim_rows:
             lines.append("### simulation cross-check")
             lines.append("")
-            lines.append("| n | t | sim_cost | sim_halfwidth | delta |")
-            lines.append("| --- | --- | --- | --- | --- |")
+            lines.append(f"| n | {' | '.join(_SIM_COLUMNS)} |")
+            lines.append("| --- |" + " --- |" * len(_SIM_COLUMNS))
             for row in sim_rows:
                 lines.append(f"| {row.n} | {' | '.join(_format_numbers(_sim_cells(row)))} |")
             lines.append("")

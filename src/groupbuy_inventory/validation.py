@@ -1,5 +1,5 @@
 """The validate command: the fidelity suite against frozen reference values
-plus simulation cross-checks.
+plus the simulator's cross-check of the configured scenario.
 
 Imported by the CLI only when validate runs.
 """
@@ -18,9 +18,8 @@ from .costmodel import (
     optimal_quantity,
 )
 from .errors import replace
-from .runconfig import RunConfig, _auction_from, _require_optimizable, _scenario_lines
-from .simulation_report import _analytic_comparison, _fmt_z
-from .simulator import simulate
+from .runconfig import RunConfig, _auction_from, _fmt_z, _require_optimizable, _scenario_lines
+from .simulator import _analytic_comparison, simulate
 from .stochastics import AuctionParams, auction_statistics
 
 # Frozen reference values for the validation suite: the base scenario (the
@@ -76,7 +75,8 @@ def cmd_validate(cfg: RunConfig) -> tuple[str, int]:
     else:
         policy = Policy(float(best_integer_quantity(stats, costs, n, cfg.td_mode)))
         quantity_origin = "best integer optimum"
-    result = simulate(auction, costs, policy, replace(cfg.simulation, shortfall_rule="reset_to_q"))
+    config = replace(cfg.simulation, shortfall_rule="reset_to_q")
+    result = simulate(auction, costs, policy, config)
 
     checks: list[tuple[str, str]] = []
 
@@ -132,24 +132,25 @@ def cmd_validate(cfg: RunConfig) -> tuple[str, int]:
             else f"base {label} {computed} vs {expected}",
         )
 
-    check(worst_p <= 5e-5, f"grid success probability: max abs delta {worst_p:.2e} (tol 5e-05, 9 cells)")
+    cells = f"{len(_REFERENCE_GRID)} cells"
+    check(worst_p <= 5e-5, f"grid success probability: max abs delta {worst_p:.2e} (tol 5e-05, {cells})")
     check(td_ok, f"grid dispatch time: max rel delta {worst_td:.2e} (tol 1e-02, loose cell 5e-02)")
     check(
         not mismatches,
         "grid integer quantity mismatches: " + "; ".join(mismatches)
         if mismatches
-        else "grid integer quantity: all 9 cells match",
+        else f"grid integer quantity: all {cells} match",
     )
     # The two routes agree to roundoff, so only the verdict is printed when
     # they pass: the value itself would move with last-digit changes.
     routes_agree = worst_consistency <= 1e-9
     check(
         routes_agree,
-        "closed-form vs direct cost at Q*: all 9 cells within 1e-09"
+        f"closed-form vs direct cost at Q*: all {cells} within 1e-09"
         if routes_agree
         else f"closed-form vs direct cost at Q*: max rel delta {worst_consistency:.2e} (tol 1e-09)",
     )
-    check(scan_ok, "integer scan: no cheaper quantity within +/-50 of the optimum (9 cells)")
+    check(scan_ok, f"integer scan: no cheaper quantity within +/-50 of the optimum ({cells})")
 
     long_window = AuctionParams(_BASE_CELL[0], 1e5, _REFERENCE_RATE)
     q_long = optimal_quantity(auction_statistics(long_window), _REFERENCE_COSTS, _BASE_CELL[0], "paper")
@@ -187,8 +188,9 @@ def cmd_validate(cfg: RunConfig) -> tuple[str, int]:
     lines = ["validation report"]
     lines += _scenario_lines(auction, costs)
     lines.append(
-        f"  simulation: cycles={cfg.num_cycles} seed={cfg.seed} quantity={policy.quantity:g} "
-        f"({quantity_origin}) sampler={cfg.duration_sampler} shortfall_rule=reset_to_q"
+        f"  simulation: cycles={config.num_cycles} seed={config.seed} "
+        f"quantity={policy.quantity:g} ({quantity_origin}) sampler={config.duration_sampler} "
+        f"shortfall_rule={config.shortfall_rule}"
     )
     lines.append("")
     tally = dict.fromkeys(("PASS", "FAIL", "INFO"), 0)

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import math
 import os
 import re
 import subprocess
@@ -21,7 +22,7 @@ from groupbuy_inventory import (
     simulate,
 )
 from groupbuy_inventory import cli, validation
-from groupbuy_inventory.cli import RunConfig, main
+from groupbuy_inventory.cli import RunConfig, load_run_config, main
 from groupbuy_inventory.errors import ConfigError
 
 BASE_CONFIG = """\
@@ -163,6 +164,13 @@ class TestOptimize:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    def test_infinite_dispatch_time_is_numeric_error(self, config_file, capsys):
+        # p_success is 1.3e-299, just above the degenerate bound: the dispatch time is inf.
+        assert main(["optimize", config_file, "--max-time", "1e10", "--arrival-rate", "3.9e-12"]) == 3
+        assert capsys.readouterr() == (
+            "", "numeric domain error: dispatch time is not a positive finite number: inf\n"
+        )
 
     def test_missing_config_file(self, capsys):
         assert main(["optimize", "/nonexistent/path.cfg"]) == 2
@@ -525,6 +533,29 @@ class TestConfigParsing:
         cfg.write_bytes(b"n_required = 100\n\xff\xfe\n")
         assert main(["optimize", str(cfg)]) == 2
         assert "cannot read config file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--seed", "1.5", "seed: expected an integer, got '1.5'"),
+            ("--holding-rate", "nan", "holding_rate: must not be NaN"),
+            ("--include-simulation", "maybe", "include_simulation: expected a boolean, got 'maybe'"),
+        ],
+    )
+    def test_unreadable_value_is_config_error(self, config_file, capsys, flag, value, message):
+        assert main(["optimize", config_file, flag, value]) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+    def test_off_reads_as_false(self, config_file):
+        cfg = load_run_config(config_file, {"include_simulation": "off"})
+        assert cfg.include_simulation is False
+
+    def test_empty_value(self, tmp_path, capsys):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text(BASE_CONFIG + "seed =\n", encoding="utf-8")
+        assert main(["optimize", str(cfg)]) == 2
+        line = len(BASE_CONFIG.splitlines()) + 1
+        assert capsys.readouterr().err == f"config error: line {line}: empty value for key 'seed'\n"
 
     def test_malformed_line(self, tmp_path, capsys):
         cfg = tmp_path / "broken.cfg"
@@ -1021,7 +1052,8 @@ class TestSubprocessEntry:
              ["argparse", "numpy", "groupbuy_inventory.simulator", *COMMAND_MODULES]),
             (cli_script("simulate", "--quantity", "434", "--cycles", "200"),
              ["argparse", "groupbuy_inventory.sweep", "groupbuy_inventory.validation"]),
-            (cli_script("validate", "--cycles", "200"), ["argparse", "groupbuy_inventory.sweep"]),
+            (cli_script("validate", "--cycles", "200"),
+             ["argparse", "groupbuy_inventory.sweep", "groupbuy_inventory.simulation_report"]),
             (cli_script("--help"), ["argparse", "groupbuy_inventory.sweep", *COMMAND_MODULES]),
             (cli_script("optimize", "--quantity=434"), ["argparse"]),
             (cli_script("optimize", "--quant", "434"), ["argparse"]),
@@ -1144,6 +1176,32 @@ class TestSimulationProperty:
             argv = closed_form_argv(command, keys) + [
                 "--quantity", repr(quantity), "--cycles", str(cycles), "--seed", str(seed),
             ]
+            result = subprocess.run(
+                [sys.executable, "-m", "groupbuy_inventory.cli", *argv],
+                capture_output=True, text=True, timeout=60,
+            )
+            assert 0 <= result.returncode <= 4, result.stderr
+            assert "Traceback" not in result.stderr, result.stderr
+
+    @settings(max_examples=4, deadline=None)
+    @given(
+        n_required=st.floats(min_value=0.0, max_value=53.0).map(lambda exponent: round(2.0**exponent)),
+        p=st.floats(min_value=-6.0, max_value=math.log10(0.97)).map(lambda exponent: 10.0**exponent),
+        ratio=st.floats(min_value=0.5, max_value=10.0),
+        cycles=st.integers(min_value=1, max_value=10),
+    )
+    def test_every_simulating_command_ends_in_time(self, n_required, p, ratio, cycles):
+        # simulate under both shortfall rules, validate and a simulated sweep, on one design.
+        window = repr(window_for(n_required, p))
+        keys = {**BASE_KEYS, "n_required": n_required, "max_time": window}
+        run = ["--quantity", repr(ratio * n_required), "--cycles", str(cycles)]
+        argvs = [
+            closed_form_argv("simulate", keys) + run,
+            closed_form_argv("simulate", keys) + run + ["--shortfall-rule", "carry_shortfall"],
+            closed_form_argv("validate", keys) + run,
+            closed_form_argv("sweep", keys) + ["--include-simulation", "true", "--cycles", str(cycles)],
+        ]
+        for argv in argvs:
             result = subprocess.run(
                 [sys.executable, "-m", "groupbuy_inventory.cli", *argv],
                 capture_output=True, text=True, timeout=60,

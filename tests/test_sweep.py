@@ -135,6 +135,31 @@ class TestRunSweep:
         text = emit_report([unbounded], "csv")
         assert text.splitlines()[1] == "100,inf,14,1,7.14286,648.074,648,75.5615,,,"
 
+    def test_simulation_that_fails_in_its_run_keeps_closed_form_numbers(self, base_costs):
+        # The plan passes; the run's dispatch gaps of about 1e305 overflow the
+        # interval's standard error.
+        spec = SweepSpec(
+            n_values=(1,),
+            t_values=(1e307,),
+            lambda_values=(1e-305,),
+            costs=base_costs,
+            simulation=SimulationConfig(num_cycles=200),
+        )
+        (row,) = run_sweep(spec)
+        (closed_form,) = run_sweep(dataclasses.replace(spec, simulation=None))
+        assert row == dataclasses.replace(
+            closed_form,
+            error="simulation: NumericsError: simulated mean_dispatch_interval_se is not finite: nan",
+        )
+
+    def test_infinite_dispatch_time_is_an_error_cell(self, base_costs):
+        # p_success is 1.3e-299, just above the degenerate bound: the dispatch time is inf.
+        spec = SweepSpec(n_values=(100,), t_values=(1e10,), lambda_values=(3.9e-12,), costs=base_costs)
+        assert run_sweep(spec) == [SweepRow(
+            100, 1e10, 3.9e-12,
+            error="NumericsError: dispatch time is not a positive finite number: inf",
+        )]
+
     def test_determinism(self, reference_spec):
         assert run_sweep(reference_spec) == run_sweep(reference_spec)
 
@@ -304,6 +329,25 @@ class TestRunSweep:
         monkeypatch.setattr(sweep, "_evaluate_cell", mock.Mock(side_effect=AssertionError))
         with pytest.raises(ParameterError, match=f"^{axis} entry must not be NaN$"):
             run_sweep(SweepSpec(**axes, costs=base_costs))
+
+
+    # Each entry meets its axis rule before the axis is deduplicated and sorted.
+    def test_text_window_entry_is_refused(self, base_costs):
+        # Sorted as text, "10" came before "7".
+        spec = SweepSpec((100,), ("7", "10"), (14.0,), base_costs)
+        with pytest.raises(ParameterError, match="^t_values entry must be a number, got '7'$"):
+            run_sweep(spec)
+
+    def test_batch_size_entry_that_cannot_sort_is_refused(self, base_costs):
+        spec = SweepSpec((100, "x"), (7.0,), (14.0,), base_costs)
+        with pytest.raises(ParameterError, match="^n_values entry must be an integer$"):
+            run_sweep(spec)
+
+    @pytest.mark.parametrize("n_values", [(1, 1.0), (1.0, 1)])
+    def test_float_batch_size_is_refused_in_either_order(self, base_costs, n_values):
+        spec = SweepSpec(n_values, (7.0,), (14.0,), base_costs)
+        with pytest.raises(ParameterError, match="^n_values entry must be an integer$"):
+            run_sweep(spec)
 
 
 class TestEmitReport:

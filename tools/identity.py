@@ -80,6 +80,15 @@ OVER_CELL_BUDGET = [
     "--lambda-values", ",".join(str(round(12 + 0.05 * i, 2)) for i in range(63)),
     "--out", os.devnull,
 ]
+
+
+def past_exact_levels(command, n, quantity, *flags, max_time=None):
+    """command at n_required n and arrival rate 1, with max_time n (p about 1/2) by default."""
+    window = float(n) if max_time is None else max_time
+    return [command, "--n-required", str(n), "--max-time", repr(window), "--arrival-rate", "1",
+            "--quantity", repr(quantity), *flags]
+
+
 COMMANDS = [
     VALIDATE,
     VALIDATE + ["--quantity", "434"],
@@ -249,6 +258,21 @@ COMMANDS = [
     ["simulate", "--quantity", "5e-324", "--cycles", "3", "--n-required", "120",
      "--max-time", "6"],
     ["validate", "--quantity", "5e-324", "--cycles", "3"],
+    # Past 2**53 units the stock levels are inexact: each simulation exits 3 before any
+    # draw (an OverflowError traceback from n = 2**63, silent level wraps below it, and
+    # gamma-window hangs at n = 2**110 and 10**300), and a simulated sweep exits 4 with
+    # the refusal in its error cell.
+    *(past_exact_levels(command, 10**19, 1e19, "--cycles", "2", "--shortfall-rule", rule)
+      for command in ("simulate", "validate") for rule in ("reset_to_q", "carry_shortfall")),
+    *(past_exact_levels(command, n, float(n), "--cycles", "2")
+      for n in (2**110, 10**300) for command in ("simulate", "validate")),
+    ["sweep", "--n-values", str(10**30), "--t-values", "1e30", "--lambda-values", "1",
+     "--include-simulation", "true", "--cycles", "2", "--format", "markdown"],
+    past_exact_levels("simulate", 2**62, 3.0 * 2**62, "--shortfall-rule", "carry_shortfall",
+                      "--cycles", "2", max_time=2.0**62 + 3e9),
+    past_exact_levels("simulate", 2**50, 1.5 * 2**50, "--shortfall-rule", "carry_shortfall",
+                      "--cycles", "20000"),
+    past_exact_levels("simulate", 2**40, 2.0**64, "--cycles", "2"),
 ]
 
 
