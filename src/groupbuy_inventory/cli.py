@@ -31,6 +31,7 @@ from pathlib import Path
 from .costmodel import (
     Policy,
     _optimum,
+    check_optimizable,
     cost_rate_terms,
     cycle_cost_breakdown,
     eoq_limit,
@@ -42,7 +43,6 @@ from .runconfig import (
     RunConfig,
     _auction_from,
     _require,
-    _require_optimizable,
     _scenario_lines,
     load_run_config,
 )
@@ -62,7 +62,7 @@ def cmd_optimize(cfg: RunConfig) -> tuple[str, int]:
     """Closed-form report: auction statistics, Q*, cost breakdown."""
     auction = _auction_from(cfg)
     costs = cfg.costs
-    _require_optimizable(costs)
+    check_optimizable(costs, "optimizing the quantity", ConfigError)
     stats = auction_statistics(auction)
     n = auction.n_required
     _, q_star, q_int, cost_star = _optimum(stats, costs, n, cfg.td_mode)
@@ -107,7 +107,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple[str, int]:
     """Grid evaluation; one stderr line per failed cell, and exit 4 if any."""
     from .sweep import SweepSpec, emit_report, run_sweep
 
-    _require_optimizable(cfg.costs)
+    check_optimizable(cfg.costs, "optimizing the quantity", ConfigError)
     _require(cfg, "n_values", "t_values", "lambda_values")
     spec = SweepSpec(
         n_values=cfg.n_values,

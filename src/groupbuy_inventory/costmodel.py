@@ -25,7 +25,8 @@ from __future__ import annotations
 import math
 from typing import Literal, get_args
 
-from .errors import NumericsError, ParameterError, check_choice, check_float, check_int, record
+from .errors import NumericsError, ParameterError, check_choice, check_float, check_int
+from .errors import check_positive, record
 from .stochastics import AuctionStatistics, TdMode, select_dispatch_time
 
 AMode = Literal["exact", "approx"]
@@ -67,8 +68,7 @@ class Policy:
     quantity: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.quantity) or self.quantity <= 0.0:
-            raise ParameterError(f"quantity must be finite and > 0, got {self.quantity!r}")
+        check_positive("quantity", self.quantity)
 
 
 @record
@@ -91,12 +91,12 @@ class CostBreakdown:
     long_run_average: float
 
 
-def check_optimizable(costs: CostParams, operation: str) -> None:
-    """Raise ParameterError naming operation unless holding_rate and reorder_cost are > 0."""
+def check_optimizable(costs: CostParams, operation: str, error: type = ParameterError) -> None:
+    """Raise error naming operation unless holding_rate and reorder_cost are > 0."""
     if costs.holding_rate <= 0.0:
-        raise ParameterError(f"{operation} requires holding_rate > 0")
+        raise error(f"{operation} requires holding_rate > 0")
     if costs.reorder_cost <= 0.0:
-        raise ParameterError(f"{operation} requires reorder_cost > 0")
+        raise error(f"{operation} requires reorder_cost > 0")
 
 
 def _n_and_td(stats: AuctionStatistics, n_required: int, td_mode: TdMode) -> tuple[float, float]:
@@ -360,8 +360,7 @@ def eoq_limit(costs: CostParams, arrival_rate: float) -> float:
     raises NumericsError when the quantity overflows to infinity.
     """
     check_float("arrival_rate", arrival_rate)
-    if not math.isfinite(arrival_rate) or arrival_rate <= 0.0:
-        raise ParameterError(f"arrival_rate must be finite and > 0, got {arrival_rate!r}")
+    check_positive("arrival_rate", arrival_rate)
     check_optimizable(costs, "eoq_limit")
     eoq = math.sqrt(2.0 * costs.reorder_cost * arrival_rate / costs.holding_rate)
     return _finite(eoq, "eoq limit")

@@ -2,11 +2,12 @@
 
 Every error raised by this package derives from GroupBuyError, so callers
 can catch one base class; the leaf classes also subclass the closest
-builtin (ValueError or ArithmeticError). check_choice, check_int and
-check_float hold the one check of a mode argument, of an integer argument
-and of an int passed as a float, int_text is the one way a message shows a
-caller's integer, record is the one way to declare a frozen record,
-RunConfig included, and replace is the one way to copy a record with changes.
+builtin (ValueError or ArithmeticError). check_choice, check_int,
+check_positive and check_float hold the one check of a mode argument, of
+an integer, of a finite positive number and of an int passed as a float,
+int_text is the one way a message shows a caller's integer, record is the
+one way to declare a frozen record, RunConfig included, and replace is the
+one way to copy a record with changes.
 """
 
 import math
@@ -56,6 +57,12 @@ def check_int(name: str, value: int, low: int | None = None, high: float | None 
         raise ParameterError(f"{name} must be >= {low}, got {int_text(value)}")
     if high is not None and value > high:
         raise ParameterError(f"{name} must be <= {high!r}")
+
+
+def check_positive(name: str, value: float, error: type = ParameterError) -> None:
+    """Raise error, naming the value, unless value is finite and > 0."""
+    if not math.isfinite(value) or value <= 0.0:
+        raise error(f"{name} must be finite and > 0, got {value!r}")
 
 
 def check_float(name: str, value: float, error: type = ParameterError) -> None:

@@ -13,7 +13,7 @@ import re
 import sys
 from pathlib import Path
 
-from .costmodel import A_MODES, CostParams, Policy, check_optimizable
+from .costmodel import A_MODES, CostParams, Policy
 from .errors import ConfigError, Meta, ParameterError, record, replace
 from .settings import DURATION_SAMPLERS, REPORT_FORMATS, SHORTFALL_RULES, SimulationConfig
 from .stochastics import TD_MODES, AuctionParams
@@ -219,13 +219,6 @@ def _auction_from(cfg: RunConfig) -> AuctionParams:
         max_time=cfg.max_time,
         arrival_rate=cfg.arrival_rate,
     )
-
-
-def _require_optimizable(costs: CostParams) -> None:
-    try:
-        check_optimizable(costs, "optimizing the quantity")
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _fmt_z(z: float) -> str:

@@ -66,8 +66,8 @@ from .stochastics import (TD_MODES, AuctionParams, AuctionStatistics,
                           _nondegenerate_success_pair, select_dispatch_time)
 
 if TYPE_CHECKING:
-    # numpy is imported only where a simulation runs, so the closed-form
-    # paths (optimize, sweeps without simulation) never load it.
+    # numpy is imported only in the functions that draw, so a simulate or
+    # validate run refused before its first draw exits without loading it.
     import numpy as np
 
 # Most dispatches per dispatch draw and per accounting pass, and half the

@@ -32,7 +32,7 @@ import sys
 from typing import Literal, get_args
 
 from .errors import DegenerateAuctionError, DomainError, NumericsError, ParameterError
-from .errors import check_choice, check_float, check_int, record
+from .errors import check_choice, check_float, check_int, check_positive, record
 
 TdMode = Literal["paper", "consistent"]
 
@@ -67,8 +67,7 @@ class AuctionParams:
         check_int("n_required", self.n_required, 1, sys.float_info.max)
         if math.isnan(self.max_time) or self.max_time <= 0.0:
             raise ParameterError(f"max_time must be > 0 (math.inf allowed), got {self.max_time}")
-        if not math.isfinite(self.arrival_rate) or self.arrival_rate <= 0.0:
-            raise ParameterError(f"arrival_rate must be finite and > 0, got {self.arrival_rate}")
+        check_positive("arrival_rate", self.arrival_rate)
 
     @property
     def unbounded(self) -> bool:
@@ -396,8 +395,7 @@ def regularized_lower_gamma(s: float, x: float) -> float:
     """
     # An int past the float range is caught, not checked first (see check_float).
     try:
-        if math.isnan(s) or not 0.0 < s or math.isinf(s):
-            raise DomainError(f"shape s must be finite and > 0, got {s!r}")
+        check_positive("shape s", s, DomainError)
         if math.isnan(x) or x < 0.0:
             raise DomainError(f"argument x must be >= 0, got {x!r}")
     except OverflowError:

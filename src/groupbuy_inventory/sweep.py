@@ -190,8 +190,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                 planned[index] = auction, _plan(auction, policy, config, False)
             except GroupBuyError as exc:
                 rows[index] = _simulation_failed(row, exc)
-    work = sum(plan.work for _, plan in planned.values())
-    _check_budget(work / len(planned) if planned else 0.0, "units", len(planned), config)
+    if planned:  # with no cell to simulate there is nothing to refuse
+        work = sum(plan.work for _, plan in planned.values())
+        _check_budget(work / len(planned), "units", len(planned), config)
     for index, (auction, plan) in planned.items():
         row = rows[index]
         try:
@@ -237,21 +238,15 @@ def _emit_csv(rows: Sequence[SweepRow]) -> str:
 
 
 def _json_float(cell: float, text: str) -> str:
-    # The text json.dumps(..., allow_nan=False) gives a float whose CSV text,
-    # the 6-significant-digit value, is text when that is not positional with
-    # a point. The value's repr is the CSV text itself, with ".0" after
-    # positional text that has no point, except where repr writes positional
-    # digits for exponents 6 to 15, or fewer digits for a subnormal. RFC 8259
-    # has no infinity; an infinite cell is the string "inf" or "-inf", which
-    # float() parses back like the CSV cell.
-    if "e" in text:
-        exponent = int(text.partition("e")[2])
-        return repr(float(text)) if 6 <= exponent <= 15 or exponent <= -308 else text
+    # The text json.dumps(..., allow_nan=False) gives the float whose CSV
+    # text, the 6-significant-digit value, is text: that float's repr. RFC
+    # 8259 has no infinity; an infinite cell is the string "inf" or "-inf",
+    # which float() parses back like the CSV cell.
     if text.endswith("inf"):
         return f'"{text}"'
     if text == "nan":
         raise ValueError(f"Out of range float values are not JSON compliant: {cell!r}")
-    return text + ".0"
+    return repr(float(text))
 
 
 # One report object in json.dumps(payload, indent=2)'s layout, a %s per column.

@@ -13,12 +13,13 @@ from .costmodel import (
     Policy,
     _optimum,
     best_integer_quantity,
+    check_optimizable,
     eoq_limit,
     long_run_average_cost,
     optimal_quantity,
 )
-from .errors import replace
-from .runconfig import RunConfig, _auction_from, _fmt_z, _require_optimizable, _scenario_lines
+from .errors import ConfigError, replace
+from .runconfig import RunConfig, _auction_from, _fmt_z, _scenario_lines
 from .simulator import _analytic_comparison, simulate
 from .stochastics import AuctionParams, auction_statistics
 
@@ -65,7 +66,7 @@ def cmd_validate(cfg: RunConfig) -> tuple[str, int]:
     """
     auction = _auction_from(cfg)
     costs = cfg.costs
-    _require_optimizable(costs)
+    check_optimizable(costs, "optimizing the quantity", ConfigError)
     # Simulate first, so that its checks refuse a run before the grid work.
     stats = auction_statistics(auction)
     n = auction.n_required

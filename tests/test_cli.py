@@ -114,6 +114,14 @@ class TestOptimize:
         err = capsys.readouterr().err
         assert "holding_rate" in err
 
+    @pytest.mark.parametrize("command", ["optimize", "sweep", "validate"])
+    @pytest.mark.parametrize("key", ["holding_rate", "reorder_cost"])
+    def test_unoptimizable_costs_are_config_errors(self, config_file, capsys, command, key):
+        assert main([command, config_file, f"--{key.replace('_', '-')}", "0"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: optimizing the quantity requires {key} > 0\n"
+        )
+
     def test_missing_cost_key(self, tmp_path, capsys):
         partial = tmp_path / "partial.cfg"
         partial.write_text(
@@ -1059,9 +1067,16 @@ class TestSubprocessEntry:
             (cli_script("optimize", "--quant", "434"), ["argparse"]),
             (cli_script("optimize", "--seed", "-1", code=2), ["argparse"]),
             (cli_script("optimize", "--bogus", "1", code=2), ["argparse"]),
+            # Simulations refused before their first draw never load numpy.
+            (cli_script("simulate", code=2), ["numpy"]),
+            (cli_script("simulate", "--n-required", "10000000000000000000", "--arrival-rate", "1",
+                        "--max-time", "1e19", "--quantity", "1e19", "--cycles", "2", code=3),
+             ["numpy"]),
+            (cli_script("simulate", "--quantity", "1e15", "--cycles", "1", code=3), ["numpy"]),
         ],
         ids=["import", "cli-optimize", "cli-sweep", "cli-simulate", "cli-validate", "cli-help",
-             "cli-key=value", "cli-abbreviation", "cli-negative-value", "cli-unknown-flag"],
+             "cli-key=value", "cli-abbreviation", "cli-negative-value", "cli-unknown-flag",
+             "simulate-no-quantity", "simulate-past-2**53", "simulate-over-budget"],
     )
     def test_entry_points_load_only_what_they_run(self, config_file, script, unloaded):
         check = (

@@ -1,9 +1,11 @@
 """The package namespace: every public name resolves on first access to the
 object its submodule defines, and then stays a plain module global."""
 
+import ast
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,3 +58,11 @@ def test_name_becomes_a_module_global_on_first_access():
         "gb.run_sweep\n"
         "assert vars(gb)['run_sweep'] is sweep.run_sweep"
     )
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(gb.__file__).parent.glob("*.py")), ids=lambda path: path.name
+)
+def test_module_parses_under_the_oldest_supported_python(path):
+    # pyproject.toml declares requires-python >= 3.10.
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from groupbuy_inventory import (
@@ -199,6 +200,26 @@ class TestRecordSemantics:
 def test_post_init_checks_keep_their_messages(build, message):
     with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
         build()
+
+
+@pytest.mark.parametrize(
+    "value", [0.0, -1.0, math.inf, math.nan, np.float64(-1.0)],
+    ids=["zero", "negative", "inf", "nan", "numpy-negative"],
+)
+@pytest.mark.parametrize(
+    "call,error,name",
+    [
+        (lambda value: AuctionParams(100, 7.0, value), ParameterError, "arrival_rate"),
+        (lambda value: Policy(value), ParameterError, "quantity"),
+        (lambda value: eoq_limit(COSTS, value), ParameterError, "arrival_rate"),
+        (lambda value: regularized_lower_gamma(value, 1.0), DomainError, "shape s"),
+    ],
+    ids=["AuctionParams.arrival_rate", "Policy", "eoq_limit", "regularized_lower_gamma.s"],
+)
+def test_finite_and_positive_is_one_rule(call, error, name, value):
+    message = f"{name} must be finite and > 0, got {value!r}"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(value)
 
 
 HUGE = 10**400

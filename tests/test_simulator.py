@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -26,6 +27,7 @@ from groupbuy_inventory import (
     auction_statistics,
     best_integer_quantity,
     long_run_average_cost,
+    regularized_lower_gamma,
     replicate,
     rng_stream,
     run_sweep,
@@ -59,6 +61,13 @@ def _reference_windows(auction, policy, config, rng):
         for f, s in zip(failures.tolist(), closes.tolist())
         for window in [auction.max_time] * int(f) + [s]
     )
+
+
+def _reference_mean_se(values):
+    """The sample mean and its standard error, sd / sqrt(size); 0.0 for what is missing."""
+    x = np.asarray(values, dtype=float)
+    mean = x.sum() / x.size if x.size else 0.0
+    return mean, np.sqrt(np.sum((x - mean) ** 2) / (x.size - 1) / x.size) if x.size > 1 else 0.0
 
 
 def reference_simulate(auction, costs, policy, config, *, stream=0, event_log=None):
@@ -118,18 +127,20 @@ def reference_simulate(auction, costs, policy, config, *, stream=0, event_log=No
     costs_arr, lengths_arr = np.asarray(cycle_costs), np.asarray(cycle_lengths)
     long_run = math.fsum(cycle_costs) / math.fsum(cycle_lengths)
     p_hat = dispatches / auctions
-    long_run_se = simulator._ratio_se(costs_arr, lengths_arr, long_run)
+    # The delta-method standard error of the ratio: the standard error of the
+    # residuals' mean over the mean cycle length.
+    long_run_se = _reference_mean_se(costs_arr - long_run * lengths_arr)[1] / lengths_arr.mean()
     return SimulationResult(
         p_hat,
         math.sqrt(p_hat * (1.0 - p_hat) / auctions) if auctions > 1 else 0.0,
-        *simulator._mean_se(np.asarray(intervals)),
-        *simulator._mean_se(lengths_arr),
-        *simulator._mean_se(costs_arr),
+        *_reference_mean_se(intervals),
+        *_reference_mean_se(cycle_lengths),
+        *_reference_mean_se(cycle_costs),
         math.fsum(cycle_costs),
         math.fsum(cycle_lengths),
         long_run,
         long_run_se,
-        simulator._Z_95 * long_run_se,
+        stats.norm.ppf(0.975) * long_run_se,
         SimulationCounts(auctions, auctions - dispatches, dispatches, len(cycle_costs)),
     )
 
@@ -747,6 +758,69 @@ class TestDispatchSampler:
                 self.ROUTES["table-p1e-4"], base_costs, Policy(9.0),
                 _config(num_cycles=10, duration_sampler=sampler), event_log=log,
             )
+
+
+class TestSamplerLaw:
+    """Goodness of fit of each route's F and S to the renewal model's law.
+
+    S given S < T has the truncated Erlang law, so u = P(n, rate * S) /
+    P(n, rate * T) is Uniform(0, 1) (the probability integral transform);
+    F = Geometric(p) - 1 by its randomized PIT (Dunn and Smyth, J. Comput.
+    Graph. Stat. 5, 1996). The kernel is the oracle: neither route calls it
+    while drawing. Seeds, the dispatch count and the level, 1e-3 per test
+    with Bonferroni over the designs, were fixed before the first run.
+    """
+
+    DESIGNS = {
+        "table-n120-p1e-4": AuctionParams(120, 6.0, 14.0),
+        "table-n10-p0.03": AuctionParams(10, 1.0, 5.0),
+        "windows-n100-p0.43": AuctionParams(100, 7.0, 14.0),
+        "windows-n1000-p0.26": AuctionParams(1000, 70.0, 14.0),
+    }
+    DISPATCHES = 20_000
+    LEVEL = 1e-3 / len(DESIGNS)
+
+    @staticmethod
+    @functools.cache
+    def sample(design):
+        """(p, F, u) of DISPATCHES dispatches on the route the design takes."""
+        cls = TestSamplerLaw
+        auction = cls.DESIGNS[design]
+        n, rate = auction.n_required, auction.arrival_rate
+        p = regularized_lower_gamma(n, rate * auction.max_time)
+        rng = rng_stream(33, list(cls.DESIGNS).index(design))
+        assert bool(simulator._table_length(auction, p)) == design.startswith("table")
+        if design.startswith("table"):
+            table = simulator._excess_table(auction, p)
+            draws = simulator._draw_dispatches(rng, auction, p, table, cls.DISPATCHES)
+        else:
+            draws = simulator._regroup(rng, auction, p, cls.DISPATCHES)
+        failures, closes = (np.concatenate(parts)[:cls.DISPATCHES] for parts in zip(*draws))
+        u = np.array([regularized_lower_gamma(n, rate * s) for s in closes.tolist()]) / p
+        return p, failures, u
+
+    @pytest.mark.parametrize("design", list(DESIGNS))
+    def test_closing_window_is_the_truncated_erlang(self, design):
+        _, _, u = self.sample(design)
+        pvalue = stats.kstest(u, "uniform").pvalue
+        assert pvalue > self.LEVEL, f"{design}: KS p = {pvalue:.3g}"
+
+    @pytest.mark.parametrize("design", list(DESIGNS))
+    def test_failed_windows_are_geometric(self, design):
+        p, failures, _ = self.sample(design)
+        # P(F < f) = 1 - (1 - p)**f, and the PIT is uniform between P(F < f) and P(F <= f).
+        jitter = np.random.default_rng(33).random(failures.size)
+        pit = 1.0 - np.exp(failures * math.log1p(-p)) * (1.0 - p * jitter)
+        pvalue = stats.kstest(pit, "uniform").pvalue
+        assert pvalue > self.LEVEL, f"{design}: KS p = {pvalue:.3g}"
+
+    @pytest.mark.parametrize("design", list(DESIGNS))
+    def test_successive_closing_windows_are_uncorrelated(self, design):
+        _, _, u = self.sample(design)
+        result = stats.pearsonr(u[:-1], u[1:])
+        assert result.pvalue > self.LEVEL, (
+            f"{design}: lag-1 r = {result.statistic:.3g}, p = {result.pvalue:.3g}"
+        )
 
 
 class TestAgreementWithAnalytics:

@@ -135,6 +135,17 @@ class TestRunSweep:
         text = emit_report([unbounded], "csv")
         assert text.splitlines()[1] == "100,inf,14,1,7.14286,648.074,648,75.5615,,,"
 
+    def test_sweep_with_no_cell_to_simulate_checks_no_budget(self, base_costs):
+        # No cell can be planned, so no simulation runs: 2e7 cycles, over the
+        # per-stream cycle bound, leave the cell with its own error.
+        spec = SweepSpec(
+            n_values=(100,), t_values=(math.inf,), lambda_values=(14.0,),
+            costs=base_costs, simulation=SimulationConfig(num_cycles=20_000_000),
+        )
+        (row,) = run_sweep(spec)
+        assert row.sim_cost is None and row.q_star_integer == 648
+        assert row.error == "simulation: ConfigError: max_time: must be finite for simulation"
+
     def test_simulation_that_fails_in_its_run_keeps_closed_form_numbers(self, base_costs):
         # The plan passes; the run's dispatch gaps of about 1e305 overflow the
         # interval's standard error.

@@ -144,8 +144,10 @@ COMMANDS = [
     ["optimize", "--reorder-cost", "1e300", "--transport-cost-per-unit", "1e300"],
     ["optimize", "--reorder-cost", "1e300", "--arrival-rate", "1e10", "--holding-rate", "1e-5",
      "--max-time", "5e-9"],
-    # Simulations over the window budget: exit 3 before drawing anything.
+    # A simulation over the window budget: exit 3 before drawing anything.
     ["simulate", "--quantity", "1e15", "--cycles", "1"],
+    # p = 5.7e-11 at the best integer Q = 9: within the budget, as the default
+    # sampler draws 2e4 dispatches, not 3.5e14 windows; exit 0.
     ["validate", "--n-required", "150", "--max-time", "6"],
     # Unbounded windows: simulate and validate each reject them, exit 2.
     ["simulate", "--quantity", "434", "--max-time", "inf"],
@@ -156,6 +158,10 @@ COMMANDS = [
      "--include-simulation", "true", "--format", "csv"],
     ["sweep", "--n-values", "100", "--t-values", "inf", "--lambda-values", "14",
      "--include-simulation", "true", "--format", "json"],
+    # No cell can be simulated, so the 2e7 cycles, past the per-stream cycle
+    # bound, refuse nothing: the cell keeps its error (exit 4).
+    ["sweep", "--n-values", "100", "--t-values", "inf", "--lambda-values", "14",
+     "--include-simulation", "true", "--cycles", "20000000"],
     # n_required above 2**53 with rate * T = n_required: the kernel's mode.
     ["optimize", "--n-required", "10000000000000000", "--max-time", "714285714285714.2"],
     # 2**53 and 2**53 + 2 at rate * T = n_required: n + 1.0 rounds to n, then to n + 2.
