@@ -71,8 +71,7 @@ def cmd_optimize(cfg: RunConfig) -> tuple[str, int]:
     terms = cost_rate_terms(stats, costs, policy, n, cfg.td_mode)
     breakdown = cycle_cost_breakdown(stats, costs, policy, n, cfg.td_mode, cfg.a_mode)
 
-    lines = ["replenishment optimization report"]
-    lines += _scenario_lines(auction, costs)
+    lines = _scenario_lines("replenishment optimization report", auction, costs)
     lines.append(f"  modes: td_mode={cfg.td_mode} a_mode={cfg.a_mode}")
     lines += ["", "auction statistics", *map(_stat_line, _STAT_LABELS, vars(stats).values())]
     lines.append("")

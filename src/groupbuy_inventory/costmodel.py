@@ -161,8 +161,7 @@ def _cycle_costs(
     # A field that is not finite makes cycle_total, and so this sum, not finite.
     if not math.isfinite(cycle_total + cycle_length + values[-1]):
         for name, value in zip(CostBreakdown._names, values):
-            if not math.isfinite(value):
-                raise NumericsError(f"expected {name} is not finite: {value!r}")
+            _finite(value, f"expected {name}")
     return values
 
 

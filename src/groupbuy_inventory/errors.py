@@ -169,7 +169,8 @@ def record(cls: type) -> type:
     ==, hash and repr are shared functions that read the fields as one tuple
     through the class's attrgetter: == compares tuples and returns
     NotImplemented for another class, hash is the tuple's and repr is
-    ``QualName(f=v!r, ...)``. Assignment and deletion raise dataclass's
+    ``QualName(f=v!r, ...)``; __replace__ is replace, which copy.replace
+    calls from Python 3.13 on. Assignment and deletion raise dataclass's
     FrozenInstanceError and messages. __dataclass_fields__ and
     __dataclass_params__ are built on first read, so dataclasses.fields,
     replace, asdict and is_dataclass work; pickle and copy need neither.
@@ -192,7 +193,7 @@ def record(cls: type) -> type:
         params.append(f"{name}=_default_{name}")
     values = attrgetter(*names)
     cls._values = staticmethod(values if len(names) > 1 else lambda obj: (values(obj),))
-    cls.__eq__, cls.__hash__, cls.__repr__ = _eq, _hash, _repr
+    cls.__eq__, cls.__hash__, cls.__repr__, cls.__replace__ = _eq, _hash, _repr, replace
     cls.__setattr__ = cls.__delattr__ = _frozen
     for name in ("__dataclass_fields__", "__dataclass_params__"):
         setattr(cls, name, _DataclassAttribute(name))

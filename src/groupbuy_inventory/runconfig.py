@@ -225,8 +225,9 @@ def _fmt_z(z: float) -> str:
     return f"{z:+.2f}" if math.isfinite(z) else "n/a"
 
 
-def _scenario_lines(auction: AuctionParams, costs: CostParams) -> list[str]:
+def _scenario_lines(title: str, auction: AuctionParams, costs: CostParams) -> list[str]:
     return [
+        title,
         f"  auction: n_required={auction.n_required} max_time={auction.max_time:g} "
         f"arrival_rate={auction.arrival_rate:g}",
         f"  costs: dispatch={costs.dispatch_cost:g} transport/unit={costs.unit_transport_cost:g} "

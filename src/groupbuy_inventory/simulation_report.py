@@ -43,8 +43,7 @@ def cmd_simulate(cfg: RunConfig) -> tuple[str, int]:
     policy = cfg.policy
     results = replicate(auction, costs, policy, cfg.simulation, cfg.replications)
 
-    lines = ["simulation report"]
-    lines += _scenario_lines(auction, costs)
+    lines = _scenario_lines("simulation report", auction, costs)
     lines.append(f"  policy: quantity={policy.quantity:g} shortfall_rule={cfg.shortfall_rule}")
     lines.append(
         f"  run: cycles={cfg.num_cycles} seed={cfg.seed} sampler={cfg.duration_sampler} "

@@ -59,7 +59,7 @@ import sys
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterator, NamedTuple
 
-from .costmodel import A_MODES, CostParams, Policy, _ceil_batches, long_run_average_cost
+from .costmodel import A_MODES, CostParams, Policy, _ceil_batches, _finite, long_run_average_cost
 from .errors import ConfigError, NumericsError, check_int, int_text, record
 from .settings import SimulationConfig
 from .stochastics import (TD_MODES, AuctionParams, AuctionStatistics,
@@ -196,10 +196,11 @@ def _table_length(auction: AuctionParams, p: float) -> int:
 def _excess_table(auction: AuctionParams, p: float) -> np.ndarray:
     """Cumulative weights of N(T) - n_required given N(T) >= n_required.
 
-    N(T) is the Poisson(rate * T) count of arrivals in a window; built
-    only on the table route, which _plan picks. The last table is kept,
-    read-only: replicate's streams share it, and a sweep holds one table
-    at a time.
+    N(T) is the Poisson(rate * T) count of arrivals in a window. Its one
+    caller is _draw_dispatches, so a table is built only on the table
+    route, which _plan picks, as a stream starts to draw. The last table is
+    kept, read-only: replicate's streams share it, and a sweep holds one
+    table at a time.
     """
     import numpy as np
 
@@ -215,26 +216,24 @@ def _excess_table(auction: AuctionParams, p: float) -> np.ndarray:
 
 
 def _draw_dispatches(
-    rng: np.random.Generator,
-    auction: AuctionParams,
-    p: float,
-    table: np.ndarray,
-    total: float = math.inf,
+    rng: np.random.Generator, auction: AuctionParams, p: float, total: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every dispatch's failed windows F and closing window S on the table route.
 
-    Yields arrays of at most _DRAW_BATCH dispatches, total in all (no end
-    by default). F = Geometric(p) - 1 is the float
-    floor(log U / log1p(-p)), so that no p overflows an integer (Devroye,
-    Non-Uniform Random Variate Generation, 1986, X.2). S given S < T is
-    T * Beta(n, m - n + 1), with m = N(T) given N(T) >= n drawn from the
-    table, since given N(T) = m the arrival times are uniform order
-    statistics (Ross, Stochastic Processes, 2.3). F, the table's uniforms
-    and the beta variates each have their own child stream, so the
-    sequences do not depend on the batch size.
+    Yields arrays of at most _DRAW_BATCH dispatches, total in all. It reads
+    _excess_table(auction, p) when the first batch is drawn, so a run that
+    is refused before drawing builds no table. F = Geometric(p) - 1 is the
+    float floor(log U / log1p(-p)), so that no p overflows an integer
+    (Devroye, Non-Uniform Random Variate Generation, 1986, X.2). S given
+    S < T is T * Beta(n, m - n + 1), with m = N(T) given N(T) >= n drawn
+    from the table, since given N(T) = m the arrival times are uniform
+    order statistics (Ross, Stochastic Processes, 2.3). F, the table's
+    uniforms and the beta variates each have their own child stream, so
+    the sequences do not depend on the batch size.
     """
     import numpy as np
 
+    table = _excess_table(auction, p)
     failure_rng, closing_rng, beta_rng = rng.spawn(3)
     n, max_time = auction.n_required, auction.max_time
     log_miss = math.log1p(-p) if p < 1.0 else -math.inf
@@ -513,12 +512,8 @@ def _run(
             log = event_log
         else:
             log = stack.enter_context(open(event_log, "w", encoding="utf-8"))
-        if plan.table:
-            table = _excess_table(auction, plan.p)
-            draws = _draw_dispatches(rng, auction, plan.p, table, plan.dispatches)
-        else:
-            draws = _regroup(rng, auction, plan.p, plan.dispatches)
-        for failures, closes in draws:
+        route = _draw_dispatches if plan.table else _regroup
+        for failures, closes in route(rng, auction, plan.p, plan.dispatches):
             count = failures.size
             level = plan.level_before(dispatches + np.arange(count))
             # Dispatch index of each cycle end.
@@ -620,8 +615,8 @@ def _run(
         ),
     )
     for name, value in vars(result).items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise NumericsError(f"simulated {name} is not finite: {value!r}")
+        if isinstance(value, float):
+            _finite(value, f"simulated {name}")
     return result
 
 

@@ -528,12 +528,12 @@ def auction_statistics(params: AuctionParams) -> AuctionStatistics:
     p_success is 1.0 and expected_failures 0.0.
     Raises DegenerateAuctionError when the success probability underflows.
     """
+    erlang_mean = params.n_required / params.arrival_rate  # E[S] = n / rate
     if params.unbounded:
-        limit = params.n_required / params.arrival_rate
-        return AuctionStatistics(1.0, limit, limit, 0.0, limit, limit)
+        return AuctionStatistics(1.0, erlang_mean, erlang_mean, 0.0, erlang_mean, erlang_mean)
     p, p_next = _nondegenerate_success_pair(params)
-    trunc = (params.n_required / params.arrival_rate) * p_next + params.max_time * (1.0 - p)
-    cond = (params.n_required / params.arrival_rate) * p_next / p
+    trunc = erlang_mean * p_next + params.max_time * (1.0 - p)
+    cond = erlang_mean * p_next / p
     failures = (1.0 - p) / p
     window_failures = failures * params.max_time
     # Positional arguments in field order: a sweep builds one per cell.

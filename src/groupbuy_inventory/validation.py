@@ -186,8 +186,7 @@ def cmd_validate(cfg: RunConfig) -> tuple[str, int]:
     )
     info("reference cost-rate grid deltas (computed - reference): " + "; ".join(cost_deltas))
 
-    lines = ["validation report"]
-    lines += _scenario_lines(auction, costs)
+    lines = _scenario_lines("validation report", auction, costs)
     lines.append(
         f"  simulation: cycles={config.num_cycles} seed={config.seed} "
         f"quantity={policy.quantity:g} ({quantity_origin}) sampler={config.duration_sampler} "

@@ -21,9 +21,10 @@ from groupbuy_inventory import (
     regularized_lower_gamma,
     simulate,
 )
-from groupbuy_inventory import cli, validation
+from groupbuy_inventory import cli, simulator, validation
 from groupbuy_inventory.cli import RunConfig, load_run_config, main
 from groupbuy_inventory.errors import ConfigError
+from groupbuy_inventory.runconfig import _fmt_z
 
 BASE_CONFIG = """\
 # base scenario
@@ -388,6 +389,25 @@ class TestValidate:
         assert main(["validate", config_file, "--cycles", "2000", "--seed", "7"]) == 0
         out = capsys.readouterr().out
         assert "[PASS] closed-form vs direct cost at Q*: all 9 cells within 1e-09\n" in out
+
+    def test_configured_quantity_is_simulated_under_reset_to_q(
+        self, config_file, capsys, base_auction, base_costs
+    ):
+        assert main(["validate", config_file, "--quantity", "401", "--shortfall-rule",
+                     "carry_shortfall", "--cycles", "2000", "--seed", "7"]) == 0
+        out = capsys.readouterr().out
+        assert " quantity=401 (config) " in out and " shortfall_rule=reset_to_q\n" in out
+        policy = Policy(401.0)
+        result = simulate(base_auction, base_costs, policy, SimulationConfig(2000, 7, "reset_to_q"))
+        comparison = simulator._analytic_comparison(
+            result, auction_statistics(base_auction), base_costs, policy, 100
+        )
+        printed = re.findall(r"^\[PASS\] simulated .*: z=(\S+) \(\|z\| <= 4\)$", out, re.M)
+        assert printed == [
+            _fmt_z(comparison[key][1])
+            for key in (("p_success", None, None), ("dispatch time", "consistent", None),
+                        ("cost rate", "consistent", "exact"))
+        ]
 
     def test_single_cycle_run_fails_the_cost_rate_check(self, config_file, capsys):
         # One cycle gives the cost-rate estimator no standard error. (Seed 3's

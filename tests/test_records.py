@@ -2,6 +2,7 @@
 builds its __init__ and its ==, hash and repr. Their float fields, and the
 other float arguments the library checks, refuse an int past the float range."""
 
+import copy
 import dataclasses
 import math
 import pickle
@@ -30,7 +31,7 @@ from groupbuy_inventory import (
     run_sweep,
 )
 from groupbuy_inventory.costmodel import CostBreakdown
-from groupbuy_inventory.errors import int_text
+from groupbuy_inventory.errors import int_text, replace
 from groupbuy_inventory.runconfig import RunConfig
 from groupbuy_inventory.simulator import SimulationCounts, SimulationResult
 
@@ -141,6 +142,16 @@ class TestRecordSemantics:
         assert copy == obj and type(copy) is cls
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(copy, name, args[0])
+
+    def test_dunder_replace_is_replace(self, cls, fields, args):
+        # copy.replace, from Python 3.13 on, calls __replace__, as on a dataclass.
+        obj = cls(*args)
+        changes = {fields[0][0]: args[0] * 2}
+        expected = replace(obj, **changes)
+        assert expected != obj and type(expected) is cls
+        assert obj.__replace__(**changes) == expected
+        if hasattr(copy, "replace"):
+            assert copy.replace(obj, **changes) == expected
 
     def test_hash_is_the_hash_of_the_field_tuple(self, cls, fields, args):
         obj = cls(*args)

@@ -55,9 +55,7 @@ def _reference_windows(auction, policy, config, rng):
         )
     return (
         window
-        for failures, closes in simulator._draw_dispatches(
-            rng, auction, plan.p, simulator._excess_table(auction, plan.p)
-        )
+        for failures, closes in simulator._draw_dispatches(rng, auction, plan.p, math.inf)
         for f, s in zip(failures.tolist(), closes.tolist())
         for window in [auction.max_time] * int(f) + [s]
     )
@@ -476,9 +474,9 @@ class TestDrawBatches:
         totals = []
         draw, regroup = simulator._draw_dispatches, simulator._regroup
 
-        def recording(rng, auction, p, table, total):
+        def recording(rng, auction, p, total):
             totals.append(total)
-            return draw(rng, auction, p, table, total)
+            return draw(rng, auction, p, total)
 
         def regrouping(rng, auction, p, total):
             totals.append(total)
@@ -596,12 +594,11 @@ class TestDispatchSampler:
     @staticmethod
     def draws(auction, p, batches):
         rng = rng_stream(11, 0)
-        p_success = auction_statistics(auction).p_success
-        if simulator._table_length(auction, p_success):
-            table = simulator._excess_table(auction, p_success)
-            draws = simulator._draw_dispatches(rng, auction, p, table)
-        else:
-            draws = simulator._regroup(rng, auction, p, math.inf)
+        # The design picks the route. At a p other than the design's, only F
+        # is read: S then follows the table built for that p.
+        table = simulator._table_length(auction, auction_statistics(auction).p_success)
+        route = simulator._draw_dispatches if table else simulator._regroup
+        draws = route(rng, auction, p, math.inf)
         failures, closes = zip(*itertools.islice(draws, batches))
         return np.concatenate(failures), np.concatenate(closes)
 
@@ -768,7 +765,9 @@ class TestSamplerLaw:
     F = Geometric(p) - 1 by its randomized PIT (Dunn and Smyth, J. Comput.
     Graph. Stat. 5, 1996). The kernel is the oracle: neither route calls it
     while drawing. Seeds, the dispatch count and the level, 1e-3 per test
-    with Bonferroni over the designs, were fixed before the first run.
+    with Bonferroni over the first four designs, were fixed before the first
+    run. The five designs after them span p to 0.97 and n from 1 to 1e6; they
+    draw from the next streams and keep the level, so that no check is looser.
     """
 
     DESIGNS = {
@@ -776,9 +775,15 @@ class TestSamplerLaw:
         "table-n10-p0.03": AuctionParams(10, 1.0, 5.0),
         "windows-n100-p0.43": AuctionParams(100, 7.0, 14.0),
         "windows-n1000-p0.26": AuctionParams(1000, 70.0, 14.0),
+        "windows-n80-p0.97": AuctionParams(80, 7.0, 14.0),
+        # rate * T solved from the kernel for p = 0.05 and p = 0.5.
+        "table-n1e6-p0.05": AuctionParams(10**6, 71311.0, 14.0),
+        "windows-n1e6-p0.5": AuctionParams(10**6, 71429.0, 14.0),
+        "table-n1-p0.2": AuctionParams(1, 0.05, 4.5),
+        "windows-n1-p0.9": AuctionParams(1, 1.0, 2.3),
     }
     DISPATCHES = 20_000
-    LEVEL = 1e-3 / len(DESIGNS)
+    LEVEL = 2.5e-4
 
     @staticmethod
     @functools.cache
@@ -790,11 +795,8 @@ class TestSamplerLaw:
         p = regularized_lower_gamma(n, rate * auction.max_time)
         rng = rng_stream(33, list(cls.DESIGNS).index(design))
         assert bool(simulator._table_length(auction, p)) == design.startswith("table")
-        if design.startswith("table"):
-            table = simulator._excess_table(auction, p)
-            draws = simulator._draw_dispatches(rng, auction, p, table, cls.DISPATCHES)
-        else:
-            draws = simulator._regroup(rng, auction, p, cls.DISPATCHES)
+        route = simulator._draw_dispatches if design.startswith("table") else simulator._regroup
+        draws = route(rng, auction, p, cls.DISPATCHES)
         failures, closes = (np.concatenate(parts)[:cls.DISPATCHES] for parts in zip(*draws))
         u = np.array([regularized_lower_gamma(n, rate * s) for s in closes.tolist()]) / p
         return p, failures, u

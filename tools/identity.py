@@ -92,6 +92,8 @@ def past_exact_levels(command, n, quantity, *flags, max_time=None):
 COMMANDS = [
     VALIDATE,
     VALIDATE + ["--quantity", "434"],
+    # A configured quantity is simulated under reset_to_q, whatever the config's rule.
+    VALIDATE + ["--quantity", "401", "--shortfall-rule", "carry_shortfall"],
     VALIDATE + ["--td-mode", "consistent", "--duration-sampler", "erlang"],
     ["validate", "--cycles", "300", "--seed", "3", "--n-required", "120", "--max-time", "6"],
     ["validate", "--cycles", "1", "--seed", "3"],
